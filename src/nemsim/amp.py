@@ -10,7 +10,6 @@ across the small released capacitance, amplified by about C_on/C_off.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -29,7 +28,6 @@ class SwitchSpec:
     """Behavioral sampling-relay parameters; thresholds default to the device's."""
 
     r_on: float = 1e3     # ohm, settling assertion only
-    t_sw: float = 100e-9  # s
 
 
 @dataclass(frozen=True)
@@ -244,30 +242,19 @@ class GainReport:
         return "\n".join(lines) + "\n"
 
 
-def _sweep_point(args) -> GainEntry:
-    amp, vin, n_periods = args
-    run = _dc_detail(amp, vin, n_periods)
-    return GainEntry(vin, run.vout, run.gain, run.displacement,
-                     run.sampled_latched and run.hold_released)
-
-
-def gain_sweep(amp: Amp, amplitudes: Sequence[float], n_periods: int = 10,
-               jobs: int = 1) -> GainReport:
-    """Full-simulation gain at each amplitude; out-of-range entries flagged.
-
-    Results are ordered by the input sequence regardless of worker count.
-    """
+def gain_sweep(amp: Amp, amplitudes: Sequence[float], n_periods: int = 10) -> GainReport:
+    """Full-simulation gain at each amplitude, in input order; out-of-range
+    entries flagged."""
     amps = list(amplitudes)
     if not amps:
         raise ConfigError("amplitude list must not be empty")
     if any(a <= 0 for a in amps) or any(b <= a for a, b in zip(amps, amps[1:])):
         raise ConfigError("amplitudes must be positive and strictly ascending")
-    work = [(amp, vin, n_periods) for vin in amps]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(_sweep_point, work))
-    else:
-        entries = [_sweep_point(w) for w in work]
+    entries = []
+    for vin in amps:
+        run = _dc_detail(amp, vin, n_periods)
+        entries.append(GainEntry(vin, run.vout, run.gain, run.displacement,
+                                 run.sampled_latched and run.hold_released))
     return GainReport(tuple(entries))
 
 

@@ -197,7 +197,7 @@ def _sweep_amplitudes(scn: Scenario, args) -> list[float]:
 def _cmd_gain_sweep(scn: Scenario, args):
     amp = _amp_for(scn)
     amplitudes = _sweep_amplitudes(scn, args)
-    report = gain_sweep(amp, amplitudes, n_periods=scn.n_periods, jobs=args.jobs)
+    report = gain_sweep(amp, amplitudes, n_periods=scn.n_periods)
     valid = [e for e in report.entries if e.released]
     summary = amp_mod.summary(amp, valid[0].gain if valid else math.nan)
     summary["n_amplitudes"] = len(report.entries)
@@ -239,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="scenario file (section.key = value)")
         p.add_argument("--preset", help="device preset shortcut (large, lv-high-gain, lv-low-gain)")
         p.add_argument("--out-dir", help="output directory (overrides run.out_dir)")
-        p.add_argument("--jobs", type=int, default=1, help="sweep worker processes")
         p.add_argument("--format", choices=("csv", "json"), default="json",
                        help="stdout summary format")
 

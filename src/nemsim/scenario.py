@@ -50,7 +50,6 @@ class Scenario:
     freq: float = 10e3
     n_periods: int = 10
     out_dir: str = "out"
-    deterministic: bool = True
 
     def device_name(self) -> str:
         return self.device_preset if self.device_preset else "custom"
@@ -99,7 +98,6 @@ class Scenario:
             f"stimulus.freq_hz = {self.freq!r}",
             f"run.n_periods = {self.n_periods}",
             f"run.out_dir = \"{self.out_dir}\"",
-            f"run.deterministic = {'on' if self.deterministic else 'off'}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -250,8 +248,6 @@ def parse_scenario(text: str) -> Scenario:
                 scn = replace(scn, n_periods=val)
             elif key == "out_dir":
                 scn = replace(scn, out_dir=_string(raw))
-            elif key == "deterministic":
-                scn = replace(scn, deterministic=_token(raw, ("on", "off"), lineno) == "on")
             else:
                 raise ScenarioError("unknown-key", f"run.{key}", lineno)
         else:

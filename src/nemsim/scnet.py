@@ -30,10 +30,6 @@ class SettlingWarning(UserWarning):
     """R_on * C_island not negligible against the phase duration."""
 
 
-class LatchViolationWarning(UserWarning):
-    """A beam expected to stay released re-latched during charge redistribution."""
-
-
 # --------------------------------------------------------------------------
 # waveforms and clocking
 
@@ -132,7 +128,7 @@ class ClockSchedule:
 # --------------------------------------------------------------------------
 # elements
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OhmicSwitchState:
     """Hysteretic relay state; a commanded toggle takes effect switching_delay
     after the crossing, recorded in last_transition_time."""
@@ -153,8 +149,8 @@ class NemsCap:
     state: BeamState = field(default_factory=lambda: BeamState(0.0, 0.0, False))
     q: float = 0.0
 
-    def capacitance(self) -> float:
-        return EPS0 * self.device.area / (self.device.g_eff - self.state.displacement)
+    def capacitance(self, beams: Mapping[str, BeamState]) -> float:
+        return EPS0 * self.device.area / (self.device.g_eff - beams[self.name].displacement)
 
 
 @dataclass
@@ -165,7 +161,7 @@ class LinearCap:
     value: float  # F
     q: float = 0.0  # charge on plate a
 
-    def capacitance(self) -> float:
+    def capacitance(self, beams: Mapping[str, BeamState]) -> float:
         return self.value
 
 
@@ -173,8 +169,7 @@ class LinearCap:
 class OhmicSwitch:
     """Clocked NEM relay: ideal short when conducting, ideal open otherwise.
 
-    r_on only feeds the settling-time assertion; c_gb/c_gc are the parasitic
-    values materialized by apply_parasitics.
+    r_on only feeds the settling-time assertion.
     """
 
     name: str
@@ -184,8 +179,6 @@ class OhmicSwitch:
     v_pi: float
     v_po: float
     r_on: float = 1e3
-    c_gb: float = 0.0
-    c_gc: float = 0.0
     state: OhmicSwitchState = field(default_factory=OhmicSwitchState)
 
 
@@ -196,9 +189,11 @@ class VSource:
     wave: Waveform
 
 
-def step_switch(switch: OhmicSwitch, v_gb: float, t: float) -> OhmicSwitchState:
-    """Advance the relay state machine with the gate-body voltage at time t."""
-    st = switch.state
+def step_switch(switch: OhmicSwitch, v_gb: float, t: float,
+                state: OhmicSwitchState | None = None) -> OhmicSwitchState:
+    """Advance the relay state machine from state (default: switch.state, the
+    initial condition) with the gate-body voltage at time t."""
+    st = switch.state if state is None else state
     last_cross = st.last_transition_time - st.switching_delay
     if math.isfinite(last_cross) and t < last_cross:
         raise InvalidGeometryError(
@@ -231,7 +226,12 @@ def switch_is_conducting(state: OhmicSwitchState, t: float) -> bool:
 
 @dataclass
 class Network:
-    """Nodes, elements and ground; a single-threaded unit of work."""
+    """Nodes, elements and ground: read-only input to the engine.
+
+    Element fields that evolve (capacitor ``q``, beam ``state``, switch
+    ``state``) hold the initial conditions; the engine never writes them and
+    threads the evolving state through the PhaseSolution chain instead.
+    """
 
     ground: str = GROUND
     solver_tol: float = 1e-12
@@ -355,11 +355,16 @@ class _UnionFind:
         self.parent[self.find(b)] = self.find(a)
 
 
-def _phase_switch_states(network: Network, phase: Phase) -> dict[str, OhmicSwitchState]:
+def _phase_switch_states(network: Network, phase: Phase,
+                         prior: Mapping[str, OhmicSwitchState] | None = None
+                         ) -> dict[str, OhmicSwitchState]:
+    """Switch states at phase start, stepped from prior (default: the network's
+    initial states)."""
     states = {}
     for sw in network.switches:
         v_gb = sw.drive.at(phase.t_start, phase)
-        states[sw.name] = step_switch(sw, v_gb, phase.t_start)
+        states[sw.name] = step_switch(sw, v_gb, phase.t_start,
+                                      None if prior is None else prior[sw.name])
     return states
 
 
@@ -429,6 +434,7 @@ class PhaseSolution:
     node_voltages: dict[str, float]
     charges: dict[str, float]          # element name -> plate-a / top-plate charge
     beam_states: dict[str, BeamState]
+    switch_states: dict[str, OhmicSwitchState]
     islands: tuple[IslandSolution, ...]
     conservation: tuple[ConservationRecord, ...]
     iterations: int
@@ -438,10 +444,16 @@ class PhaseSolution:
 _MAX_FIXED_POINT = 10_000
 
 
+def _plate_nodes(cap: NemsCap | LinearCap) -> tuple[str, str]:
+    return (cap.top, cap.bottom) if isinstance(cap, NemsCap) else (cap.a, cap.b)
+
+
 def solve_phase(network: Network, phase: Phase,
                 prior: PhaseSolution | None = None) -> PhaseSolution:
-    """Solve one phase at equilibrium and advance the network state.
+    """Solve one phase at equilibrium and return the advanced state.
 
+    The network is read-only input: the phase starts from prior's charges,
+    beam and switch states, or from the element fields when prior is None.
     Pinned islands take their source voltage and voltage-driven beams update
     hysteretically. Each floating island keeps its entering plate-charge sum
     while island voltage, per-element charges and charge-driven beam
@@ -450,36 +462,26 @@ def solve_phase(network: Network, phase: Phase,
     iteration stops contracting, hard cap 10^4).
     """
     network.validate()
-    if prior is not None:
-        for cap in network.nems_caps:
-            cap.q = prior.charges[cap.name]
-            cap.state = prior.beam_states[cap.name]
-        for cap in network.linear_caps:
-            cap.q = prior.charges[cap.name]
-
-    switch_states = _phase_switch_states(network, phase)
-    for sw in network.switches:
-        sw.state = switch_states[sw.name]
+    caps = network.caps()
+    if prior is None:
+        q = {cap.name: cap.q for cap in caps}
+        beams = {cap.name: cap.state for cap in network.nems_caps}
+    else:
+        q = dict(prior.charges)
+        beams = dict(prior.beam_states)
+    switch_states = _phase_switch_states(network, phase,
+                                         None if prior is None else prior.switch_states)
     isles = islands(network, phase, switch_states)
     by_node = {n: isl for isl in isles for n in isl.nodes}
+    links = []  # (cap, island of plate a / top, island of plate b / bottom)
+    for cap in caps:
+        a, b = _plate_nodes(cap)
+        links.append((cap, by_node[a], by_node[b]))
     floating = [isl for isl in isles if isl.floating]
     f_index = {isl.id: i for i, isl in enumerate(floating)}
     notes: list[str] = []
 
-    def plate_nodes(cap) -> tuple[str, str]:
-        return (cap.top, cap.bottom) if isinstance(cap, NemsCap) else (cap.a, cap.b)
-
-    # entering charge and scale per floating island (exactly-rounded sums)
-    q_terms: dict[str, list[float]] = {isl.id: [] for isl in floating}
-    q_scale = {isl.id: 0.0 for isl in floating}
-    for cap in network.caps():
-        a, b = plate_nodes(cap)
-        for node_name, sign in ((a, 1.0), (b, -1.0)):
-            isl = by_node[node_name]
-            if isl.floating:
-                q_terms[isl.id].append(sign * cap.q)
-                q_scale[isl.id] = max(q_scale[isl.id], abs(cap.q))
-    q_before = {iid: math.fsum(terms) for iid, terms in q_terms.items()}
+    q_before, q_scale = _floating_charge(links, q, floating)
 
     # voltage-driven beams: both terminals pinned
     for cap in network.nems_caps:
@@ -487,10 +489,10 @@ def solve_phase(network: Network, phase: Phase,
         if not by_node[a].floating and not by_node[b].floating:
             dv = by_node[a].pinned_voltage - by_node[b].pinned_voltage
             dev = cap.device
-            if cap.state.latched and release_holds(dev, dev.k, dev.d_c, dv):
-                cap.state = BeamState(dev.g0, 0.0, True)
+            if beams[cap.name].latched and release_holds(dev, dev.k, dev.d_c, dv):
+                beams[cap.name] = BeamState(dev.g0, 0.0, True)
             else:
-                cap.state = static_equilibrium_voltage(dev, dev.k, dv)
+                beams[cap.name] = static_equilibrium_voltage(dev, dev.k, dv)
 
     # fixed point over floating island voltages
     n_f = len(floating)
@@ -503,12 +505,12 @@ def solve_phase(network: Network, phase: Phase,
     prev_step = math.inf
     converged = n_f == 0
     for iterations in range(1, _MAX_FIXED_POINT + 1):
-        v_new = _solve_linear(network, by_node, f_index, floating, q_before, v)
+        v_new = _solve_linear(links, beams, f_index, floating, q_before, v)
         if damped:
             v_new = 0.5 * (v_new + v)
         step = float(np.max(np.abs(v_new - v))) if n_f else 0.0
-        _distribute(network, by_node, f_index, v_new, plate_nodes)
-        relatch = _update_charge_beams(network, by_node)
+        _distribute(links, q, beams, f_index, v_new)
+        relatch = _update_charge_beams(network, by_node, q, beams)
         for name in relatch:
             notes.append(f"latch-violation: beam {name} re-latched during redistribution")
         v = v_new
@@ -527,8 +529,8 @@ def solve_phase(network: Network, phase: Phase,
             f"tol {network.solver_tol})", residual=prev_step, tolerance=network.solver_tol)
 
     # final assignment with per-island exact remainder so conservation is bitwise
-    _distribute(network, by_node, f_index, v, plate_nodes)
-    _exact_remainder(network, by_node, f_index, floating, q_before, plate_nodes)
+    _distribute(links, q, beams, f_index, v)
+    _exact_remainder(links, q, floating, q_before)
 
     node_voltages: dict[str, float] = {}
     for isl in isles:
@@ -536,24 +538,21 @@ def solve_phase(network: Network, phase: Phase,
         for n in isl.nodes:
             node_voltages[n] = val
 
-    q_out: dict[str, list[float]] = {isl.id: [] for isl in floating}
-    for cap in network.caps():
-        a, b = plate_nodes(cap)
-        for node_name, sign in ((a, 1.0), (b, -1.0)):
-            isl = by_node[node_name]
-            if isl.floating:
-                q_out[isl.id].append(sign * cap.q)
-    q_after = {iid: math.fsum(terms) for iid, terms in q_out.items()}
+    q_after, _ = _floating_charge(links, q, floating)
 
-    # settling assertion: closed switches must settle well inside the phase
+    # settling assertion: closed switches must settle well inside the phase;
+    # pinned-island charge: plates facing other islands
     cap_by_island: dict[str, float] = {}
-    for cap in network.caps():
-        a, b = plate_nodes(cap)
-        for node_name in (a, b):
-            isl = by_node[node_name]
-            cap_by_island[isl.id] = cap_by_island.get(isl.id, 0.0) + cap.capacitance()
+    q_pinned: dict[str, float] = {}
+    for cap, ia, ib in links:
+        c = cap.capacitance(beams)
+        for isl in (ia, ib):
+            cap_by_island[isl.id] = cap_by_island.get(isl.id, 0.0) + c
+        if ia is not ib:
+            q_pinned[ia.id] = q_pinned.get(ia.id, 0.0) + q[cap.name]
+            q_pinned[ib.id] = q_pinned.get(ib.id, 0.0) - q[cap.name]
     for sw in network.switches:
-        if switch_is_conducting(sw.state, phase.t_end):
+        if switch_is_conducting(switch_states[sw.name], phase.t_end):
             c_isl = cap_by_island.get(by_node[sw.a].id, 0.0)
             if sw.r_on * c_isl > 0.01 * phase.duration:
                 msg = (f"settling-violation: switch {sw.name} R_on*C = "
@@ -562,10 +561,8 @@ def solve_phase(network: Network, phase: Phase,
                 warnings.warn(msg, SettlingWarning, stacklevel=2)
 
     island_solutions = tuple(
-        IslandSolution(isl.id, isl.floating,
-                       node_voltages[isl.nodes[0]],
-                       q_after[isl.id] if isl.floating else _pinned_island_charge(
-                           network, by_node, isl, plate_nodes))
+        IslandSolution(isl.id, isl.floating, node_voltages[isl.nodes[0]],
+                       q_after[isl.id] if isl.floating else q_pinned.get(isl.id, 0.0))
         for isl in isles)
     conservation = tuple(
         ConservationRecord(isl.id, q_before[isl.id], q_after[isl.id], q_scale[isl.id])
@@ -573,8 +570,9 @@ def solve_phase(network: Network, phase: Phase,
     return PhaseSolution(
         phase=phase,
         node_voltages=node_voltages,
-        charges={cap.name: cap.q for cap in network.caps()},
-        beam_states={cap.name: cap.state for cap in network.nems_caps},
+        charges=q,
+        beam_states=beams,
+        switch_states=switch_states,
         islands=island_solutions,
         conservation=conservation,
         iterations=iterations,
@@ -582,19 +580,30 @@ def solve_phase(network: Network, phase: Phase,
     )
 
 
-def _solve_linear(network: Network, by_node, f_index, floating, q_before, v_guess):
+def _floating_charge(links, q, floating) -> tuple[dict[str, float], dict[str, float]]:
+    """Per floating island: the exactly-rounded plate-charge sum, and the
+    largest single plate charge."""
+    terms: dict[str, list[float]] = {isl.id: [] for isl in floating}
+    scale = {isl.id: 0.0 for isl in floating}
+    for cap, ia, ib in links:
+        for isl, sign in ((ia, 1.0), (ib, -1.0)):
+            if isl.floating:
+                terms[isl.id].append(sign * q[cap.name])
+                scale[isl.id] = max(scale[isl.id], abs(q[cap.name]))
+    return {iid: math.fsum(t) for iid, t in terms.items()}, scale
+
+
+def _solve_linear(links, beams, f_index, floating, q_before, v_guess):
     n = len(floating)
     if n == 0:
         return np.zeros(0)
     mat = np.zeros((n, n))
     rhs = np.array([q_before[isl.id] for isl in floating])
-    for cap in network.caps():
-        a, b = (cap.top, cap.bottom) if isinstance(cap, NemsCap) else (cap.a, cap.b)
-        ia, ib = by_node[a], by_node[b]
-        if ia.id == ib.id:
+    for cap, ia, ib in links:
+        if ia is ib:
             continue
-        c = cap.capacitance()
-        for me, other, sign in ((ia, ib, 1.0), (ib, ia, -1.0)):
+        c = cap.capacitance(beams)
+        for me, other in ((ia, ib), (ib, ia)):
             if not me.floating:
                 continue
             i = f_index[me.id]
@@ -611,20 +620,18 @@ def _solve_linear(network: Network, by_node, f_index, floating, q_before, v_gues
     return np.linalg.solve(mat, rhs)
 
 
-def _distribute(network: Network, by_node, f_index, v, plate_nodes) -> None:
+def _distribute(links, q, beams, f_index, v) -> None:
     def volt(isl) -> float:
         return isl.pinned_voltage if not isl.floating else float(v[f_index[isl.id]])
 
-    for cap in network.caps():
-        a, b = plate_nodes(cap)
-        ia, ib = by_node[a], by_node[b]
+    for cap, ia, ib in links:
         if ia.floating or ib.floating:
-            cap.q = cap.capacitance() * (volt(ia) - volt(ib))
+            q[cap.name] = cap.capacitance(beams) * (volt(ia) - volt(ib))
         else:
-            cap.q = cap.capacitance() * (ia.pinned_voltage - ib.pinned_voltage)
+            q[cap.name] = cap.capacitance(beams) * (ia.pinned_voltage - ib.pinned_voltage)
 
 
-def _update_charge_beams(network: Network, by_node) -> list[str]:
+def _update_charge_beams(network: Network, by_node, q, beams) -> list[str]:
     """Re-seat every beam with a floating terminal from its plate charge.
 
     Returns names of beams that re-latched after being released.
@@ -633,14 +640,15 @@ def _update_charge_beams(network: Network, by_node) -> list[str]:
     for cap in network.nems_caps:
         if not (by_node[cap.top].floating or by_node[cap.bottom].floating):
             continue
-        was_released = not cap.state.latched
-        cap.state = static_equilibrium_charge(cap.device, cap.device.k, cap.q)
-        if was_released and cap.state.latched:
+        was_released = not beams[cap.name].latched
+        state = beams[cap.name] = static_equilibrium_charge(cap.device, cap.device.k,
+                                                            q[cap.name])
+        if was_released and state.latched:
             relatched.append(cap.name)
     return relatched
 
 
-def _exact_remainder(network: Network, by_node, f_index, floating, q_before, plate_nodes):
+def _exact_remainder(links, q, floating, q_before) -> None:
     """Rewrite one plate charge per floating island so its sum is bit-exact.
 
     Preference order: an element whose other terminal is pinned, never one
@@ -650,41 +658,23 @@ def _exact_remainder(network: Network, by_node, f_index, floating, q_before, pla
     """
     used: set[str] = set()
     for isl in floating:
-        members: list[tuple[object, float]] = []  # (cap, island-side sign)
-        for cap in network.caps():
-            a, b = plate_nodes(cap)
-            ia, ib = by_node[a], by_node[b]
-            if ia.id == ib.id:
+        members = []  # (cap, island-side sign, island on the other plate)
+        for cap, ia, ib in links:
+            if ia is ib:
                 continue
-            if ia.id == isl.id:
-                members.append((cap, 1.0))
-            elif ib.id == isl.id:
-                members.append((cap, -1.0))
-        def other_pinned(item):
-            cap, sign = item
-            a, b = plate_nodes(cap)
-            other = by_node[b] if sign > 0 else by_node[a]
-            return not other.floating
+            if ia is isl:
+                members.append((cap, 1.0, ib))
+            elif ib is isl:
+                members.append((cap, -1.0, ia))
         candidates = [m for m in members if m[0].name not in used]
         if not candidates:
             continue
-        pinned_first = [m for m in candidates if other_pinned(m)] or candidates
-        corrector, sign = pinned_first[-1]
+        pinned_first = [m for m in candidates if not m[2].floating] or candidates
+        corrector, sign, _ = pinned_first[-1]
         used.add(corrector.name)
-        others = math.fsum(sign_i * cap_i.q for cap_i, sign_i in members
+        others = math.fsum(sign_i * q[cap_i.name] for cap_i, sign_i, _ in members
                            if cap_i.name != corrector.name)
-        corrector.q = sign * (q_before[isl.id] - others)
-
-
-def _pinned_island_charge(network: Network, by_node, isl, plate_nodes) -> float:
-    total = 0.0
-    for cap in network.caps():
-        a, b = plate_nodes(cap)
-        if by_node[a].id == isl.id and by_node[b].id != isl.id:
-            total += cap.q
-        elif by_node[b].id == isl.id and by_node[a].id != isl.id:
-            total -= cap.q
-    return total
+        q[corrector.name] = sign * (q_before[isl.id] - others)
 
 
 # --------------------------------------------------------------------------
@@ -794,7 +784,6 @@ def apply_parasitics(network: Network, c_gb: float, c_gc: float,
         return rails[name]
 
     for sw in network.switches:
-        sw.c_gb, sw.c_gc = c_gb, c_gc
         clock_node = rail_node(sw.drive)
         signal_side = clock_node if drive_terminal == "gate" else network.ground
         if c_gc > 0.0:

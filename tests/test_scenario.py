@@ -57,10 +57,11 @@ class TestParse:
         assert parse_scenario(text).device_preset == "large"
 
     def test_unknown_key_with_line(self):
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario('device.preset = "large"\namp.gain = 40\n')
-        assert exc.value.kind == "unknown-key"
-        assert exc.value.line == 2
+        for line in ("amp.gain = 40", "run.deterministic = on"):
+            with pytest.raises(ScenarioError) as exc:
+                parse_scenario(f'device.preset = "large"\n{line}\n')
+            assert exc.value.kind == "unknown-key"
+            assert exc.value.line == 2
 
     def test_unknown_section(self):
         with pytest.raises(ScenarioError) as exc:

@@ -310,6 +310,45 @@ class TestSolvePhase:
                     assert math.isclose(qc, c * dv, rel_tol=1e-9)
 
 
+class TestNetworkIsReadOnly:
+    """The engine threads state through the PhaseSolution chain; the network
+    only supplies initial conditions."""
+
+    def test_simulate_twice_on_one_network(self):
+        net = fig6_network(vin=0.01, freq=10e3)
+        sched = ClockSchedule(100e3)
+        first = simulate(net, sched, 3 * sched.period)
+        second = simulate(net, sched, 3 * sched.period)
+        assert first.waveform_csv() == second.waveform_csv()
+
+    def test_islands_unchanged_by_a_run(self):
+        net = fig6_network()
+        sched = ClockSchedule(100e3)
+        phases = sched.phases(sched.period)
+        before = [islands(net, ph) for ph in phases]
+        simulate(net, sched, 2 * sched.period)
+        assert [islands(net, ph) for ph in phases] == before
+
+    def test_solve_phase_leaves_elements_unchanged(self):
+        net = apply_parasitics(fig6_network(), 1e-15, 1e-15, "gate")
+
+        def snapshot():
+            return ([(c.q, c.state) for c in net.nems_caps],
+                    [c.q for c in net.linear_caps],
+                    [sw.state for sw in net.switches])
+
+        before = snapshot()
+        sols = []
+        for ph in ClockSchedule(100e3).phases(2e-5):
+            sols.append(solve_phase(net, ph, sols[-1] if sols else None))
+        assert snapshot() == before
+        sample, hold = sols[4], sols[6]
+        assert sample.switch_states["s_in_a"].conducting
+        assert not sample.switch_states["s_hold"].conducting
+        assert hold.switch_states["s_hold"].conducting
+        assert sample.beam_states["ca"].latched and sample.charges["ca"] != 0.0
+
+
 class TestWaveformOutputs:
     def test_waveform_csv_header_and_zoh(self):
         net = fig6_network()
