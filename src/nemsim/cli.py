@@ -182,7 +182,18 @@ def _cmd_amplify(scn: Scenario, args):
 
 def _sweep_amplitudes(scn: Scenario, args) -> list[float]:
     if args.amplitudes is not None:
-        return [float(tok) for tok in args.amplitudes.split(",") if tok.strip()]
+        amplitudes = []
+        for tok in args.amplitudes.split(","):
+            if not tok.strip():
+                continue
+            try:
+                val = float(tok)
+            except ValueError:
+                raise ConfigError(f"--amplitudes: {tok.strip()!r} is not a number") from None
+            if not math.isfinite(val):
+                raise ConfigError(f"--amplitudes: {tok.strip()!r} is not finite")
+            amplitudes.append(val)
+        return amplitudes
     amp = _amp_for(scn)
     lo = args.vin_min
     hi = args.vin_max if args.vin_max is not None \
@@ -229,8 +240,16 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are configuration errors (exit 1, JSON on stderr), not
+    argparse's exit 2, which this CLI reserves for solver errors."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="nemsim",
         description="NEMS switch and switched-capacitor amplifier simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -273,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         scn = _load_scenario(args)
         if args.out_dir:
             scn = replace(scn, out_dir=args.out_dir)

@@ -8,6 +8,7 @@ are rejected with the offending line number.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -116,9 +117,12 @@ def _strip_comment(line: str) -> str:
 
 def _number(raw: str, lineno: int) -> float:
     try:
-        return float(raw)
+        val = float(raw)
     except ValueError:
         raise ScenarioError("syntax-error", f"expected a number, got {raw!r}", lineno) from None
+    if not math.isfinite(val):
+        raise ScenarioError("syntax-error", f"expected a finite number, got {raw!r}", lineno)
+    return val
 
 
 def _integer(raw: str, lineno: int) -> int:

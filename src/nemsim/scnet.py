@@ -149,9 +149,6 @@ class NemsCap:
     state: BeamState = field(default_factory=lambda: BeamState(0.0, 0.0, False))
     q: float = 0.0
 
-    def capacitance(self, beams: Mapping[str, BeamState]) -> float:
-        return EPS0 * self.device.area / (self.device.g_eff - beams[self.name].displacement)
-
 
 @dataclass
 class LinearCap:
@@ -160,9 +157,6 @@ class LinearCap:
     b: str
     value: float  # F
     q: float = 0.0  # charge on plate a
-
-    def capacitance(self, beams: Mapping[str, BeamState]) -> float:
-        return self.value
 
 
 @dataclass
@@ -368,6 +362,17 @@ def _phase_switch_states(network: Network, phase: Phase,
     return states
 
 
+def _pin_value(members: Sequence[str], pinned: Sequence[tuple[str, float]]) -> float:
+    """The value of the sources pinning one island; NetworkError on a pin
+    conflict (two sources at different values shorted together)."""
+    vals = {v for _, v in pinned}
+    if len(vals) > 1:
+        raise NetworkError(
+            f"pin conflict in island {'+'.join(members)}: "
+            + ", ".join(f"{n}={v}" for n, v in pinned))
+    return pinned[0][1]
+
+
 def islands(network: Network, phase: Phase,
             switch_states: Mapping[str, OhmicSwitchState] | None = None) -> list[Island]:
     """Partition nodes by closed-switch connectivity; source-holding islands are pinned.
@@ -396,17 +401,172 @@ def islands(network: Network, phase: Phase,
     for root, members in groups.items():
         members = sorted(members)
         pinned = pins.get(root)
-        value: float | None = None
-        if pinned:
-            vals = {v for _, v in pinned}
-            if len(vals) > 1:
-                raise NetworkError(
-                    f"pin conflict in island {'+'.join(members)}: "
-                    + ", ".join(f"{n}={v}" for n, v in pinned))
-            value = pinned[0][1]
+        value = _pin_value(members, pinned) if pinned else None
         out.append(Island("+".join(members), tuple(members), value))
     out.sort(key=lambda i: i.id)
     return out
+
+
+# --------------------------------------------------------------------------
+# compiled topology
+
+@dataclass(frozen=True)
+class _Partition:
+    """Island structure of one switch-conduction mask, in index form.
+
+    Islands are numbered in id order and floating islands 0..n_f-1 in the
+    same order; capacitors are numbered as in Network.caps(), beams as in
+    Network.nems_caps (so beam j is capacitor j).
+    """
+
+    ids: tuple[str, ...]
+    nodes: tuple[tuple[str, ...], ...]
+    f_islands: tuple[int, ...]                  # island of each floating index
+    f_index: tuple[int, ...]                    # floating index of each island, -1 if pinned
+    node_islands: tuple[tuple[str, int], ...]   # (node, island) in island order
+    # pinned island, its nodes, (source name, index into the phase's source values)
+    pins: tuple[tuple[int, tuple[str, ...], tuple[tuple[str, int], ...]], ...]
+    plate_a: tuple[int, ...]                    # island of plate a / top, per capacitor
+    plate_b: tuple[int, ...]                    # island of plate b / bottom
+    # (capacitor, floating index of plate a or -1, of plate b or -1, island a, island b)
+    # for every capacitor between two islands, at least one of them floating
+    stencil: tuple[tuple[int, int, int, int, int], ...]
+    coupled: bool                               # some capacitor joins two floating islands
+    voltage_beams: tuple[tuple[int, int, int], ...]   # (beam, island a, island b), both pinned
+    charge_beams: tuple[int, ...]               # beams with a floating terminal
+    charge_terms: tuple[tuple[tuple[int, float], ...], ...]  # per floating island: (cap, sign)
+    # (floating index, corrector cap, its island-side sign, the island's other (cap, sign))
+    correctors: tuple[tuple[int, int, float, tuple[tuple[int, float], ...]], ...]
+    settling: tuple[tuple[int, int], ...]       # (conducting switch, island of its a terminal)
+
+
+class CompiledNetwork:
+    """A Network validated once and held in index form for the phase engine.
+
+    Holds what depends only on topology: capacitor and beam order, the
+    per-beam EPS0*area and g_eff constants, and one island partition per
+    switch-conduction mask, built by islands() the first time the mask
+    occurs. The network must not change while it is compiled.
+    """
+
+    def __init__(self, network: Network):
+        network.validate()
+        self.network = network
+        caps = network.caps()
+        self.names = tuple(cap.name for cap in caps)
+        self.plates = tuple(_plate_nodes(cap) for cap in caps)
+        self.devices = tuple(cap.device for cap in network.nems_caps)
+        self.beam_names = self.names[:len(self.devices)]
+        self.eps_area = tuple(EPS0 * dev.area for dev in self.devices)
+        self.g_eff = tuple(dev.g_eff for dev in self.devices)
+        self.linear = tuple(cap.value for cap in network.linear_caps)
+        self._partitions: dict[tuple[bool, ...], _Partition] = {}
+
+    def partition(self, mask: tuple[bool, ...], phase: Phase,
+                  switch_states: Mapping[str, OhmicSwitchState]) -> _Partition:
+        part = self._partitions.get(mask)
+        if part is None:
+            part = self._partitions[mask] = self._build(
+                islands(self.network, phase, switch_states), mask)
+        return part
+
+    def _build(self, isles: list[Island], mask: tuple[bool, ...]) -> _Partition:
+        net = self.network
+        island_of = {n: k for k, isl in enumerate(isles) for n in isl.nodes}
+        floating = tuple(isl.floating for isl in isles)
+        f_islands = tuple(k for k, isl in enumerate(isles) if isl.floating)
+        f_index = [-1] * len(isles)
+        for f, k in enumerate(f_islands):
+            f_index[k] = f
+
+        # sources in network order, then ground, checked in the order islands()
+        # meets the islands (by their first node in Network.nodes)
+        pins: dict[int, list[tuple[str, int]]] = {}
+        for s, src in enumerate(net.sources):
+            pins.setdefault(island_of[src.node], []).append((src.name, s))
+        pins.setdefault(island_of[net.ground], []).append(("ground", len(net.sources)))
+        first_seen = {}
+        for n in net.nodes:
+            first_seen.setdefault(island_of[n], len(first_seen))
+        pin_list = tuple((k, isles[k].nodes, tuple(pins[k]))
+                         for k in sorted(pins, key=first_seen.__getitem__))
+
+        plate_a = tuple(island_of[a] for a, _ in self.plates)
+        plate_b = tuple(island_of[b] for _, b in self.plates)
+        stencil = tuple((k, f_index[ia], f_index[ib], ia, ib)
+                        for k, (ia, ib) in enumerate(zip(plate_a, plate_b))
+                        if ia != ib and (floating[ia] or floating[ib]))
+        n_beams = len(self.devices)
+        voltage_beams = tuple((j, plate_a[j], plate_b[j]) for j in range(n_beams)
+                              if not floating[plate_a[j]] and not floating[plate_b[j]])
+        charge_beams = tuple(j for j in range(n_beams)
+                             if floating[plate_a[j]] or floating[plate_b[j]])
+
+        terms: list[list[tuple[int, float]]] = [[] for _ in f_islands]
+        for k, (ia, ib) in enumerate(zip(plate_a, plate_b)):
+            for isl, sign in ((ia, 1.0), (ib, -1.0)):
+                if floating[isl]:
+                    terms[f_index[isl]].append((k, sign))
+
+        return _Partition(
+            ids=tuple(isl.id for isl in isles),
+            nodes=tuple(isl.nodes for isl in isles),
+            f_islands=f_islands,
+            f_index=tuple(f_index),
+            node_islands=tuple((n, k) for k, isl in enumerate(isles) for n in isl.nodes),
+            pins=pin_list,
+            plate_a=plate_a,
+            plate_b=plate_b,
+            stencil=stencil,
+            coupled=any(fa >= 0 and fb >= 0 for _, fa, fb, _, _ in stencil),
+            voltage_beams=voltage_beams,
+            charge_beams=charge_beams,
+            charge_terms=tuple(tuple(t) for t in terms),
+            correctors=_correctors(f_islands, f_index, plate_a, plate_b),
+            settling=tuple((s, island_of[sw.a]) for s, sw in enumerate(net.switches)
+                           if mask[s]),
+        )
+
+
+def _correctors(f_islands, f_index, plate_a, plate_b):
+    """One capacitor per floating island whose plate charge absorbs the
+    roundoff of the island sum, in the order the rewrites must run.
+
+    Floating islands are reached level by level from the pinned ones; each
+    takes as corrector its last capacitor (in capacitor order) to the
+    previous level, so an island with a pinned neighbour always corrects
+    through a capacitor to a pinned island. Rewrites run from the farthest
+    level inwards: a corrector shared with a floating neighbour is rewritten
+    before that neighbour sums it. The first island of a group with no path
+    to a pinned island has no corrector and keeps the roundoff-level
+    residual of the plain distribution.
+    """
+    links: dict[int, list[tuple[int, float, int]]] = {}  # (cap, island-side sign, other island)
+    for k, (ia, ib) in enumerate(zip(plate_a, plate_b)):
+        if ia != ib:
+            links.setdefault(ia, []).append((k, 1.0, ib))
+            links.setdefault(ib, []).append((k, -1.0, ia))
+    parent: dict[int, tuple[int, float]] = {}
+    order: list[int] = []  # floating islands, level by level
+    level = {k for k, f in enumerate(f_index) if f < 0}
+    while len(order) < len(f_islands):
+        reached = []
+        for isl in f_islands:
+            to_level = [m for m in links.get(isl, ()) if m[2] in level]
+            if to_level and isl not in parent and isl not in order:
+                parent[isl] = to_level[-1][:2]
+                reached.append(isl)
+        if not reached:  # a group with no path to a pinned island
+            reached = [next(isl for isl in f_islands if isl not in order)]
+        order.extend(reached)
+        level = set(reached)
+    out = []
+    for isl in reversed(order):
+        if isl in parent:
+            corrector, sign = parent[isl]
+            out.append((f_index[isl], corrector, sign,
+                        tuple((k, s) for k, s, _ in links[isl] if k != corrector)))
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------
@@ -448,233 +608,212 @@ def _plate_nodes(cap: NemsCap | LinearCap) -> tuple[str, str]:
     return (cap.top, cap.bottom) if isinstance(cap, NemsCap) else (cap.a, cap.b)
 
 
-def solve_phase(network: Network, phase: Phase,
+def solve_phase(network: Network | CompiledNetwork, phase: Phase,
                 prior: PhaseSolution | None = None) -> PhaseSolution:
     """Solve one phase at equilibrium and return the advanced state.
 
     The network is read-only input: the phase starts from prior's charges,
     beam and switch states, or from the element fields when prior is None.
-    Pinned islands take their source voltage and voltage-driven beams update
-    hysteretically. Each floating island keeps its entering plate-charge sum
-    while island voltage, per-element charges and charge-driven beam
-    positions relax together: distribute charge by capacitance, re-seat
-    every beam, recompute capacitances, repeat (damped 0.5 once the
-    iteration stops contracting, hard cap 10^4).
+    A plain Network is compiled for this one call; simulate compiles once
+    and passes the CompiledNetwork. Pinned islands take their source
+    voltage and voltage-driven beams update hysteretically. Each floating
+    island keeps its entering plate-charge sum while island voltage,
+    per-element charges and charge-driven beam positions relax together:
+    distribute charge by capacitance, re-seat every beam, recompute
+    capacitances, repeat (damped 0.5 once the iteration stops contracting,
+    hard cap 10^4).
     """
-    network.validate()
-    caps = network.caps()
+    topo = network if isinstance(network, CompiledNetwork) else CompiledNetwork(network)
+    net = topo.network
     if prior is None:
-        q = {cap.name: cap.q for cap in caps}
-        beams = {cap.name: cap.state for cap in network.nems_caps}
+        q = [cap.q for cap in net.caps()]
+        beams = [cap.state for cap in net.nems_caps]
+        switch_states = _phase_switch_states(net, phase)
     else:
-        q = dict(prior.charges)
-        beams = dict(prior.beam_states)
-    switch_states = _phase_switch_states(network, phase,
-                                         None if prior is None else prior.switch_states)
-    isles = islands(network, phase, switch_states)
-    by_node = {n: isl for isl in isles for n in isl.nodes}
-    links = []  # (cap, island of plate a / top, island of plate b / bottom)
-    for cap in caps:
-        a, b = _plate_nodes(cap)
-        links.append((cap, by_node[a], by_node[b]))
-    floating = [isl for isl in isles if isl.floating]
-    f_index = {isl.id: i for i, isl in enumerate(floating)}
+        charges, beam_states = prior.charges, prior.beam_states
+        q = [charges[n] for n in topo.names]
+        beams = [beam_states[n] for n in topo.beam_names]
+        switch_states = _phase_switch_states(net, phase, prior.switch_states)
+    t_end = phase.t_end
+    part = topo.partition(
+        tuple(switch_is_conducting(switch_states[sw.name], t_end) for sw in net.switches),
+        phase, switch_states)
+
+    # island voltages: pinned ones from this phase's source values
+    values = [src.wave.at(t_end, phase) for src in net.sources]
+    values.append(0.0)  # ground
+    volts = [0.0] * len(part.ids)
+    for k, members, pinned in part.pins:
+        volts[k] = (values[pinned[0][1]] if len(pinned) == 1 else
+                    _pin_value(members, [(name, values[i]) for name, i in pinned]))
     notes: list[str] = []
 
-    q_before, q_scale = _floating_charge(links, q, floating)
+    q_before, scale_before = _floating_charge(part, q)
 
     # voltage-driven beams: both terminals pinned
-    for cap in network.nems_caps:
-        a, b = cap.top, cap.bottom
-        if not by_node[a].floating and not by_node[b].floating:
-            dv = by_node[a].pinned_voltage - by_node[b].pinned_voltage
-            dev = cap.device
-            if beams[cap.name].latched and release_holds(dev, dev.k, dev.d_c, dv):
-                beams[cap.name] = BeamState(dev.g0, 0.0, True)
-            else:
-                beams[cap.name] = static_equilibrium_voltage(dev, dev.k, dv)
+    devices = topo.devices
+    for j, ia, ib in part.voltage_beams:
+        dv = volts[ia] - volts[ib]
+        dev = devices[j]
+        if beams[j].latched and release_holds(dev, dev.k, dev.d_c, dv):
+            beams[j] = BeamState(dev.g0, 0.0, True)
+        else:
+            beams[j] = static_equilibrium_voltage(dev, dev.k, dv)
+    eps_area, g_eff = topo.eps_area, topo.g_eff
+    caps = [ea / (g - b.displacement) for ea, g, b in zip(eps_area, g_eff, beams)]
+    caps.extend(topo.linear)
 
     # fixed point over floating island voltages
-    n_f = len(floating)
-    v = np.zeros(n_f)
-    if prior is not None:
-        for isl in floating:
-            v[f_index[isl.id]] = prior.node_voltages.get(isl.nodes[0], 0.0)
+    f_islands = part.f_islands
+    if prior is None:
+        v = [0.0] * len(f_islands)
+    else:
+        guess = prior.node_voltages
+        v = [float(guess.get(part.nodes[k][0], 0.0)) for k in f_islands]
+    for f, k in enumerate(f_islands):
+        volts[k] = v[f]
+    plate_a, plate_b = part.plate_a, part.plate_b
+    tol = net.solver_tol
     iterations = 0
     damped = False
     prev_step = math.inf
-    converged = n_f == 0
+    converged = not f_islands
     for iterations in range(1, _MAX_FIXED_POINT + 1):
-        v_new = _solve_linear(links, beams, f_index, floating, q_before, v)
+        v_new = _solve_floating(part, caps, volts, q_before, v)
         if damped:
-            v_new = 0.5 * (v_new + v)
-        step = float(np.max(np.abs(v_new - v))) if n_f else 0.0
-        _distribute(links, q, beams, f_index, v_new)
-        relatch = _update_charge_beams(network, by_node, q, beams)
-        for name in relatch:
-            notes.append(f"latch-violation: beam {name} re-latched during redistribution")
+            v_new = [0.5 * (a + b) for a, b in zip(v_new, v)]
+        step = _max_abs([a - b for a, b in zip(v_new, v)])
+        for f, k in enumerate(f_islands):
+            volts[k] = v_new[f]
+        # charge-driven beams re-seat from their plate charge; the plate
+        # charges themselves are assigned once, after convergence
+        for j in part.charge_beams:
+            q_j = caps[j] * (volts[plate_a[j]] - volts[plate_b[j]])
+            was_released = not beams[j].latched
+            dev = devices[j]
+            state = beams[j] = static_equilibrium_charge(dev, dev.k, q_j)
+            caps[j] = eps_area[j] / (g_eff[j] - state.displacement)
+            if was_released and state.latched:
+                notes.append(f"latch-violation: beam {topo.names[j]} re-latched "
+                             "during redistribution")
         v = v_new
         if iterations >= 2:
-            if step <= network.solver_tol * max(1.0, float(np.max(np.abs(v))) if n_f else 1.0):
+            if step <= tol * max(1.0, _max_abs(v)):
                 converged = True
                 break
             if step >= prev_step:
                 damped = True
         prev_step = step
     if not converged:
-        worst = floating[int(np.argmax(np.abs(v)))].id if n_f else "?"
+        worst = part.ids[f_islands[int(np.argmax(np.abs(v)))]]
         raise ConvergenceError(
-            f"phase {phase.index} ({phase.kind}): island {worst} did not converge "
-            f"after {_MAX_FIXED_POINT} iterations (last step {prev_step:.3e}, "
-            f"tol {network.solver_tol})", residual=prev_step, tolerance=network.solver_tol)
+            f"phase {phase.index} ({phase.kind}, t = {phase.t_start:.6e} s): island "
+            f"{worst} did not converge after {_MAX_FIXED_POINT} iterations (last step "
+            f"{prev_step:.3e}, tol {tol})", residual=prev_step, tolerance=tol)
 
     # final assignment with per-island exact remainder so conservation is bitwise
-    _distribute(links, q, beams, f_index, v)
-    _exact_remainder(links, q, floating, q_before)
-
-    node_voltages: dict[str, float] = {}
-    for isl in isles:
-        val = isl.pinned_voltage if not isl.floating else float(v[f_index[isl.id]])
-        for n in isl.nodes:
-            node_voltages[n] = val
-
-    q_after, _ = _floating_charge(links, q, floating)
+    q = [c * (volts[ia] - volts[ib]) for c, ia, ib in zip(caps, plate_a, plate_b)]
+    for f, corrector, sign, others in part.correctors:
+        q[corrector] = sign * (q_before[f] - math.fsum([s * q[k] for k, s in others]))
+    q_after, _ = _floating_charge(part, q)
 
     # settling assertion: closed switches must settle well inside the phase;
     # pinned-island charge: plates facing other islands
-    cap_by_island: dict[str, float] = {}
-    q_pinned: dict[str, float] = {}
-    for cap, ia, ib in links:
-        c = cap.capacitance(beams)
-        for isl in (ia, ib):
-            cap_by_island[isl.id] = cap_by_island.get(isl.id, 0.0) + c
-        if ia is not ib:
-            q_pinned[ia.id] = q_pinned.get(ia.id, 0.0) + q[cap.name]
-            q_pinned[ib.id] = q_pinned.get(ib.id, 0.0) - q[cap.name]
-    for sw in network.switches:
-        if switch_is_conducting(switch_states[sw.name], phase.t_end):
-            c_isl = cap_by_island.get(by_node[sw.a].id, 0.0)
-            if sw.r_on * c_isl > 0.01 * phase.duration:
-                msg = (f"settling-violation: switch {sw.name} R_on*C = "
-                       f"{sw.r_on * c_isl:.3e} s exceeds 1% of phase {phase.index}")
-                notes.append(msg)
-                warnings.warn(msg, SettlingWarning, stacklevel=2)
+    cap_by_island = [0.0] * len(part.ids)
+    q_pinned = [0.0] * len(part.ids)
+    for c, qk, ia, ib in zip(caps, q, plate_a, plate_b):
+        cap_by_island[ia] += c
+        cap_by_island[ib] += c
+        if ia != ib:
+            q_pinned[ia] += qk
+            q_pinned[ib] -= qk
+    for s, k in part.settling:
+        sw = net.switches[s]
+        if sw.r_on * cap_by_island[k] > 0.01 * phase.duration:
+            msg = (f"settling-violation: switch {sw.name} R_on*C = "
+                   f"{sw.r_on * cap_by_island[k]:.3e} s exceeds 1% of phase {phase.index}")
+            notes.append(msg)
+            warnings.warn(msg, SettlingWarning, stacklevel=2)
 
-    island_solutions = tuple(
-        IslandSolution(isl.id, isl.floating, node_voltages[isl.nodes[0]],
-                       q_after[isl.id] if isl.floating else q_pinned.get(isl.id, 0.0))
-        for isl in isles)
-    conservation = tuple(
-        ConservationRecord(isl.id, q_before[isl.id], q_after[isl.id], q_scale[isl.id])
-        for isl in floating)
     return PhaseSolution(
         phase=phase,
-        node_voltages=node_voltages,
-        charges=q,
-        beam_states=beams,
+        node_voltages={n: volts[k] for n, k in part.node_islands},
+        charges=dict(zip(topo.names, q)),
+        beam_states=dict(zip(topo.beam_names, beams)),
         switch_states=switch_states,
-        islands=island_solutions,
-        conservation=conservation,
+        islands=tuple(
+            IslandSolution(iid, f >= 0, volts[k], q_after[f] if f >= 0 else q_pinned[k])
+            for k, (iid, f) in enumerate(zip(part.ids, part.f_index))),
+        conservation=tuple(
+            ConservationRecord(part.ids[k], q_before[f], q_after[f], scale_before[f])
+            for f, k in enumerate(f_islands)),
         iterations=iterations,
         warnings=tuple(dict.fromkeys(notes)),  # dedupe, keep order
     )
 
 
-def _floating_charge(links, q, floating) -> tuple[dict[str, float], dict[str, float]]:
+def _floating_charge(part: _Partition, q: list[float]) -> tuple[list[float], list[float]]:
     """Per floating island: the exactly-rounded plate-charge sum, and the
     largest single plate charge."""
-    terms: dict[str, list[float]] = {isl.id: [] for isl in floating}
-    scale = {isl.id: 0.0 for isl in floating}
-    for cap, ia, ib in links:
-        for isl, sign in ((ia, 1.0), (ib, -1.0)):
-            if isl.floating:
-                terms[isl.id].append(sign * q[cap.name])
-                scale[isl.id] = max(scale[isl.id], abs(q[cap.name]))
-    return {iid: math.fsum(t) for iid, t in terms.items()}, scale
+    sums, scales = [], []
+    for terms in part.charge_terms:
+        sums.append(math.fsum([sign * q[k] for k, sign in terms]))
+        scale = 0.0
+        for k, _ in terms:
+            scale = max(scale, abs(q[k]))
+        scales.append(scale)
+    return sums, scales
 
 
-def _solve_linear(links, beams, f_index, floating, q_before, v_guess):
-    n = len(floating)
-    if n == 0:
-        return np.zeros(0)
-    mat = np.zeros((n, n))
-    rhs = np.array([q_before[isl.id] for isl in floating])
-    for cap, ia, ib in links:
-        if ia is ib:
-            continue
-        c = cap.capacitance(beams)
-        for me, other in ((ia, ib), (ib, ia)):
-            if not me.floating:
-                continue
-            i = f_index[me.id]
-            mat[i, i] += c
-            if other.floating:
-                mat[i, f_index[other.id]] -= c
+def _max_abs(values: list[float]) -> float:
+    """Largest magnitude (0 for none); NaN propagates as in numpy's max."""
+    out = 0.0
+    for x in values:
+        a = abs(x)
+        if a != a:
+            return a
+        if a > out:
+            out = a
+    return out
+
+
+def _solve_floating(part: _Partition, caps: list[float], volts: list[float],
+                    q_before: list[float], guess: list[float]) -> list[float]:
+    """Floating island voltages from charge conservation at fixed capacitances.
+
+    Islands that touch no capacitance keep their guess (isolated, charge-free).
+    Islands not coupled to another floating island solve by division; a
+    partition with coupled floating islands solves the full system.
+    """
+    n = len(guess)
+    if not part.coupled:
+        diag = [0.0] * n
+        rhs = list(q_before)
+        for k, fa, fb, ia, ib in part.stencil:
+            c = caps[k]
+            if fa >= 0:
+                diag[fa] += c
+                rhs[fa] += c * volts[ib]
             else:
-                rhs[i] += c * other.pinned_voltage
-    # islands with no capacitance keep their guess (isolated, charge-free)
-    empty = np.where(np.diag(mat) == 0.0)[0]
-    for i in empty:
-        mat[i, i] = 1.0
-        rhs[i] = v_guess[i]
-    return np.linalg.solve(mat, rhs)
-
-
-def _distribute(links, q, beams, f_index, v) -> None:
-    def volt(isl) -> float:
-        return isl.pinned_voltage if not isl.floating else float(v[f_index[isl.id]])
-
-    for cap, ia, ib in links:
-        if ia.floating or ib.floating:
-            q[cap.name] = cap.capacitance(beams) * (volt(ia) - volt(ib))
-        else:
-            q[cap.name] = cap.capacitance(beams) * (ia.pinned_voltage - ib.pinned_voltage)
-
-
-def _update_charge_beams(network: Network, by_node, q, beams) -> list[str]:
-    """Re-seat every beam with a floating terminal from its plate charge.
-
-    Returns names of beams that re-latched after being released.
-    """
-    relatched = []
-    for cap in network.nems_caps:
-        if not (by_node[cap.top].floating or by_node[cap.bottom].floating):
-            continue
-        was_released = not beams[cap.name].latched
-        state = beams[cap.name] = static_equilibrium_charge(cap.device, cap.device.k,
-                                                            q[cap.name])
-        if was_released and state.latched:
-            relatched.append(cap.name)
-    return relatched
-
-
-def _exact_remainder(links, q, floating, q_before) -> None:
-    """Rewrite one plate charge per floating island so its sum is bit-exact.
-
-    Preference order: an element whose other terminal is pinned, never one
-    already used as another island's corrector. If an island has no free
-    corrector (capacitor chains between floating islands) it keeps the
-    roundoff-level residual of the plain distribution.
-    """
-    used: set[str] = set()
-    for isl in floating:
-        members = []  # (cap, island-side sign, island on the other plate)
-        for cap, ia, ib in links:
-            if ia is ib:
+                diag[fb] += c
+                rhs[fb] += c * volts[ia]
+        return [r / d if d != 0.0 else g for r, d, g in zip(rhs, diag, guess)]
+    mat = np.zeros((n, n))
+    rhs = np.array(q_before)
+    for k, fa, fb, ia, ib in part.stencil:
+        c = caps[k]
+        for me, other, other_island in ((fa, fb, ib), (fb, fa, ia)):
+            if me < 0:
                 continue
-            if ia is isl:
-                members.append((cap, 1.0, ib))
-            elif ib is isl:
-                members.append((cap, -1.0, ia))
-        candidates = [m for m in members if m[0].name not in used]
-        if not candidates:
-            continue
-        pinned_first = [m for m in candidates if not m[2].floating] or candidates
-        corrector, sign, _ = pinned_first[-1]
-        used.add(corrector.name)
-        others = math.fsum(sign_i * q[cap_i.name] for cap_i, sign_i, _ in members
-                           if cap_i.name != corrector.name)
-        q[corrector.name] = sign * (q_before[isl.id] - others)
+            mat[me, me] += c
+            if other >= 0:
+                mat[me, other] -= c
+            else:
+                rhs[me] += c * volts[other_island]
+    for i in np.where(np.diag(mat) == 0.0)[0]:
+        mat[i, i] = 1.0
+        rhs[i] = guess[i]
+    return np.linalg.solve(mat, rhs).tolist()
 
 
 # --------------------------------------------------------------------------
@@ -741,17 +880,14 @@ class SimResult:
 
 
 def simulate(network: Network, schedule: ClockSchedule, t_end: float) -> SimResult:
-    """Run the phase sequence over [0, t_end], threading state phase to phase."""
+    """Run the phase sequence over [0, t_end], threading state phase to phase
+    through one CompiledNetwork."""
     phases = schedule.phases(t_end)
+    topo = CompiledNetwork(network)
     solutions: list[PhaseSolution] = []
     prior: PhaseSolution | None = None
     for ph in phases:
-        try:
-            prior = solve_phase(network, ph, prior)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"phase {ph.index} ({ph.kind}, t = {ph.t_start:.6e} s): {exc}",
-                residual=exc.residual, tolerance=exc.tolerance) from exc
+        prior = solve_phase(topo, ph, prior)
         solutions.append(prior)
     return SimResult(tuple(solutions), tuple(network.nodes))
 

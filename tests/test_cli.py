@@ -93,6 +93,19 @@ class TestAmplify:
         assert code == 1
         assert json.loads(err)["error"]["line"] == 2
 
+    @pytest.mark.parametrize("line", ["run.n_periods = inf", "run.n_periods = nan",
+                                      "stimulus.amplitude_V = nan"])
+    def test_non_finite_value_is_config_error(self, line, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(f'device.preset = "large"\n{line}\n')
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["amplify", "--config", str(cfg), "--out-dir", str(out_dir)], capsys)
+        assert code == 1 and out == ""
+        doc = json.loads(err)["error"]
+        assert doc["kind"] == "syntax-error" and doc["line"] == 2
+        assert not out_dir.exists()
+
     def test_config_and_preset_conflict(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(REFERENCE_SETUP)
@@ -144,6 +157,16 @@ class TestGainSweepCommand:
         assert json.loads(err)["error"]["kind"] == "config-error"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("amplitudes", ["0.01,abc", "0.01,inf"])
+    def test_bad_amplitude_token_config_error(self, amplitudes, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["gain-sweep", "--preset", "large", "--out-dir", str(tmp_path),
+             "--amplitudes", amplitudes], capsys)
+        assert code == 1
+        doc = json.loads(err)["error"]
+        assert doc["kind"] == "config-error" and amplitudes[5:] in doc["message"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_explicit_amplitudes(self, tmp_path, capsys):
         code, _, _ = run_cli(
             ["gain-sweep", "--preset", "large", "--out-dir", str(tmp_path),
@@ -179,6 +202,23 @@ class TestDeterminism:
             assert code == 0
             outs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
         assert outs[0] == outs[1]
+
+
+class TestUsageErrors:
+    """argparse usage errors exit 1 with JSON on stderr; exit 2 means a solver error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["power", "--preset", "large", "--jobs", "2"],
+        ["cv-sweep", "--preset", "large", "--n-points", "abc"],
+        ["gain-sweep", "--preset", "large", "--n-points", "abc"],
+        [],
+    ])
+    def test_usage_error_is_config_error(self, argv, tmp_path, capsys):
+        code, out, err = run_cli(argv + ["--out-dir", str(tmp_path)] if argv else argv,
+                                 capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["kind"] == "config-error"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestIoError:

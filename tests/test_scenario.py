@@ -63,6 +63,14 @@ class TestParse:
             assert exc.value.kind == "unknown-key"
             assert exc.value.line == 2
 
+    @pytest.mark.parametrize("line", ["run.n_periods = inf", "run.n_periods = nan",
+                                      "stimulus.amplitude_V = nan", "amp.vdc_V = -inf"])
+    def test_non_finite_number_with_line(self, line):
+        with pytest.raises(ScenarioError, match="finite") as exc:
+            parse_scenario(f'device.preset = "large"\n{line}\n')
+        assert exc.value.kind == "syntax-error"
+        assert exc.value.line == 2
+
     def test_unknown_section(self):
         with pytest.raises(ScenarioError) as exc:
             parse_scenario('device.preset = "large"\nnoise.kind = thermal\n')

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from nemsim import scnet
 from nemsim.device import get_preset
-from nemsim.errors import InvalidGeometryError, NetworkError
-from nemsim.scnet import (Clock, ClockSchedule, Dc, LinearCap, Network,
-                          NemsCap, OhmicSwitch, OhmicSwitchState, Phase,
+from nemsim.errors import ConvergenceError, InvalidGeometryError, NetworkError
+from nemsim.scnet import (Clock, ClockSchedule, CompiledNetwork, Dc, LinearCap,
+                          Network, NemsCap, OhmicSwitch, OhmicSwitchState, Phase,
                           SettlingWarning, Sine, VSource, apply_parasitics,
                           build_network, islands, simulate, solve_phase,
                           step_switch, switch_is_conducting)
@@ -347,6 +348,94 @@ class TestNetworkIsReadOnly:
         assert not sample.switch_states["s_hold"].conducting
         assert hold.switch_states["s_hold"].conducting
         assert sample.beam_states["ca"].latched and sample.charges["ca"] != 0.0
+
+
+class TestConvergenceError:
+    def test_names_the_phase_once(self, monkeypatch):
+        monkeypatch.setattr(scnet, "_MAX_FIXED_POINT", 1)
+        net = fig6_network()
+        sched = ClockSchedule(100e3)
+        with pytest.raises(ConvergenceError) as exc:
+            simulate(net, sched, sched.period)
+        msg = str(exc.value)
+        assert msg.startswith("phase 1 (dead, t = 4.900000e-06 s): island a ")
+        assert msg.count("phase") == 1
+        assert exc.value.residual is not None and math.isfinite(exc.value.residual)
+        assert exc.value.tolerance == net.solver_tol
+
+
+class TestPartitionCache:
+    """Partitions are built once per switch-conduction mask; values that vary
+    phase to phase (source voltages, pin conflicts) are still evaluated per
+    phase."""
+
+    def test_islands_match_islands_function_every_phase(self):
+        net = apply_parasitics(fig6_network(vin=0.02, freq=7e3), 1e-15, 1e-15, "gate")
+        sched = ClockSchedule(100e3)
+        res = simulate(net, sched, 6 * sched.period)
+        assert len({tuple(i.id for i in sol.islands) for sol in res.solutions}) == 3
+        for sol in res.solutions:
+            expected = islands(net, sol.phase, sol.switch_states)
+            assert [i.id for i in sol.islands] == [i.id for i in expected]
+            for got, want in zip(sol.islands, expected):
+                assert got.floating == want.floating
+                if not want.floating:
+                    assert got.voltage == want.pinned_voltage
+
+    def test_pin_conflict_in_a_later_phase_with_a_cached_mask(self):
+        phases = ClockSchedule(100e3).phases(1e-5)
+        sine = Sine(0.5, 1e3, offset=1.0)
+        net = Network()
+        for n in ("gnd", "x", "y"):
+            net.add_node(n)
+        net.sources.append(VSource("s_sine", "x", sine))
+        # equal to the sine at the end of phase 0 only
+        net.sources.append(VSource("s_dc", "y", Dc(sine.at(phases[0].t_end, phases[0]))))
+        net.switches.append(OhmicSwitch("sw", "x", "y", Dc(10.0), v_pi=9.6, v_po=6.2))
+        net.linear_caps.append(LinearCap("c", "x", "gnd", 1e-15))
+        topo = CompiledNetwork(net)
+        first = solve_phase(topo, phases[0])
+        assert first.switch_states["sw"].conducting
+        with pytest.raises(NetworkError, match=r"pin conflict in island x\+y"):
+            solve_phase(topo, phases[1], first)
+        with pytest.raises(NetworkError, match="pin conflict"):
+            simulate(net, ClockSchedule(100e3), 1e-5)
+
+    def test_coupled_floating_chain_solves_the_full_system(self, monkeypatch):
+        shapes = []
+        real_solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: shapes.append(a.shape) or real_solve(a, b))
+        c1, c12, c2 = 2e-15, 1e-15, 3e-15
+        q1, q12, q2 = 1.5e-15, -0.4e-15, 0.7e-15
+        net = Network()
+        for n in ("gnd", "f1", "f2"):
+            net.add_node(n)
+        net.linear_caps += [LinearCap("c1", "f1", "gnd", c1, q=q1),
+                            LinearCap("c12", "f1", "f2", c12, q=q12),
+                            LinearCap("c2", "f2", "gnd", c2, q=q2)]
+        sched = ClockSchedule(100e3)
+        res = simulate(net, sched, sched.period)
+        assert shapes and set(shapes) == {(2, 2)}
+        # closed-form charge sharing of the two island charges
+        qa, qb = q1 + q12, q2 - q12
+        det = (c1 + c12) * (c2 + c12) - c12 * c12
+        v1 = (qa * (c2 + c12) + c12 * qb) / det
+        v2 = (qb * (c1 + c12) + c12 * qa) / det
+        for sol in res.solutions:
+            assert math.isclose(sol.node_voltages["f1"], v1, rel_tol=1e-12)
+            assert math.isclose(sol.node_voltages["f2"], v2, rel_tol=1e-12)
+        assert res.max_conservation_error() <= 1e-15
+
+    def test_uncoupled_islands_solve_by_division(self, monkeypatch):
+        def no_solve(a, b):
+            raise AssertionError("np.linalg.solve called for uncoupled islands")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        sched = ClockSchedule(100e3)
+        res = simulate(apply_parasitics(fig6_network(), 1e-15, 1e-15, "gate"), sched,
+                       2 * sched.period)
+        assert res.max_conservation_error() == 0.0
 
 
 class TestWaveformOutputs:
