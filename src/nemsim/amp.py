@@ -121,7 +121,15 @@ class DcRun:
     sim: SimResult
 
 
+def _require_finite(**values: float) -> None:
+    """ConfigError naming the first non-finite value, before any compute."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
 def _dc_detail(amp: Amp, vin: float, n_periods: int) -> DcRun:
+    _require_finite(vin=vin, n_periods=n_periods)
     if n_periods < 2:
         raise ConfigError("DC runs need at least 2 periods to reach steady state")
     net = _make_network(amp.config, vin, None)
@@ -195,6 +203,7 @@ def run_sine(amp: Amp, amplitude: float, f_in: float, n_periods: int = 1) -> Sin
     differential output is v_a - (-v_b); with the symmetric drive it reads
     2*vin during sample phases and 2*vout during holds.
     """
+    _require_finite(amplitude=amplitude, f_in=f_in, n_periods=n_periods)
     if amplitude < 0:
         raise ConfigError("amplitude must be non-negative")
     if not (f_in > 0) or not (f_in < amp.config.f_clk / 2):
@@ -248,6 +257,7 @@ def gain_sweep(amp: Amp, amplitudes: Sequence[float], n_periods: int = 10) -> Ga
     amps = list(amplitudes)
     if not amps:
         raise ConfigError("amplitude list must not be empty")
+    _require_finite(**{f"amplitudes[{i}]": a for i, a in enumerate(amps)}, n_periods=n_periods)
     if any(a <= 0 for a in amps) or any(b <= a for a, b in zip(amps, amps[1:])):
         raise ConfigError("amplitudes must be positive and strictly ascending")
     entries = []

@@ -187,12 +187,9 @@ def _sweep_amplitudes(scn: Scenario, args) -> list[float]:
             if not tok.strip():
                 continue
             try:
-                val = float(tok)
-            except ValueError:
-                raise ConfigError(f"--amplitudes: {tok.strip()!r} is not a number") from None
-            if not math.isfinite(val):
-                raise ConfigError(f"--amplitudes: {tok.strip()!r} is not finite")
-            amplitudes.append(val)
+                amplitudes.append(_finite_float(tok.strip()))
+            except argparse.ArgumentTypeError as exc:
+                raise ConfigError(f"--amplitudes: {exc}") from None
         return amplitudes
     amp = _amp_for(scn)
     lo = args.vin_min
@@ -240,6 +237,17 @@ _COMMANDS = {
 }
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float options: nan and +-inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return value
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Usage errors are configuration errors (exit 1, JSON on stderr), not
     argparse's exit 2, which this CLI reserves for solver errors."""
@@ -265,16 +273,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cv-sweep", help="hysteretic C-V curve")
     common(p)
-    p.add_argument("--v-start", type=float, default=0.0)
-    p.add_argument("--v-end", type=float, default=None, help="default 1.25 * V_PI")
+    p.add_argument("--v-start", type=_finite_float, default=0.0)
+    p.add_argument("--v-end", type=_finite_float, default=None, help="default 1.25 * V_PI")
     p.add_argument("--n-points", type=int, default=601)
     p.add_argument("--direction", choices=("up", "down", "both"), default="both")
 
     p = sub.add_parser("transient", help="beam trajectory under a drive")
     common(p)
     p.add_argument("--drive", choices=("step", "sine"), default="step")
-    p.add_argument("--level-V", type=float, default=None, help="default 1.2 * V_PI")
-    p.add_argument("--t-end-s", type=float, default=None)
+    p.add_argument("--level-V", type=_finite_float, default=None, help="default 1.2 * V_PI")
+    p.add_argument("--t-end-s", type=_finite_float, default=None)
 
     p = sub.add_parser("amplify", help="run the discrete-time amplifier")
     common(p)
@@ -284,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--amplitudes", help="comma-separated vin list (V)")
     p.add_argument("--n-points", type=int, default=50)
-    p.add_argument("--vin-min", type=float, default=1e-3)
-    p.add_argument("--vin-max", type=float, default=None)
+    p.add_argument("--vin-min", type=_finite_float, default=1e-3)
+    p.add_argument("--vin-max", type=_finite_float, default=None)
 
     common(sub.add_parser("power", help="dynamic power estimate"))
     return parser

@@ -18,12 +18,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .device import EPS0, DeviceParams, get_preset
-from .errors import ConvergenceError, InvalidGeometryError, NetworkError
+from .errors import ConfigError, ConvergenceError, InvalidGeometryError, NetworkError
 from .ioutil import format_float
 from .mech import (BeamState, release_holds, static_equilibrium_charge,
                    static_equilibrium_voltage)
 
 GROUND = "gnd"
+MAX_PHASES = 1_000_000  # longest phase sequence a schedule builds
 
 
 class SettlingWarning(UserWarning):
@@ -101,12 +102,18 @@ class ClockSchedule:
         return 1.0 / self.f_clk
 
     def phases(self, t_end: float) -> list[Phase]:
-        """Phase sequence covering [0, t_end]; t_end must span >= one period."""
+        """Phase sequence covering [0, t_end]; t_end must span >= one period
+        and at most MAX_PHASES phases."""
         period = self.period
         if not (t_end >= period):
             raise InvalidGeometryError(
                 f"schedule needs at least one full period ({period:.3e} s), got t_end = {t_end!r}")
         dead = self.nonoverlap_frac * period
+        per_period = 4 if dead > 0 else 2
+        if not (t_end / period <= MAX_PHASES / per_period):
+            raise ConfigError(
+                f"t_end = {t_end!r} s spans more than {MAX_PHASES} phases "
+                f"({per_period} per {period:.3e} s period)")
         out: list[Phase] = []
         n_periods = int(round(t_end / period))
         idx = 0
@@ -251,7 +258,12 @@ class Network:
             raise NetworkError(f"no-ground: node {self.ground!r} not present")
         known = set(self.nodes)
         touched: set[str] = set()
+        names: set[str] = set()
         for el in self.elements():
+            # charges, beam states and switch states are keyed by element name
+            if el.name in names:
+                raise NetworkError(f"duplicate-name: element name {el.name!r} used twice")
+            names.add(el.name)
             pins = ([el.top, el.bottom] if isinstance(el, NemsCap)
                     else [el.a, el.b] if isinstance(el, (LinearCap, OhmicSwitch))
                     else [el.node])
@@ -444,7 +456,8 @@ class CompiledNetwork:
     """A Network validated once and held in index form for the phase engine.
 
     Holds what depends only on topology: capacitor and beam order, the
-    per-beam EPS0*area and g_eff constants, and one island partition per
+    per-beam EPS0*area and g_eff constants, each beam's device class (one
+    index per distinct DeviceParams value), and one island partition per
     switch-conduction mask, built by islands() the first time the mask
     occurs. The network must not change while it is compiled.
     """
@@ -456,6 +469,9 @@ class CompiledNetwork:
         self.names = tuple(cap.name for cap in caps)
         self.plates = tuple(_plate_nodes(cap) for cap in caps)
         self.devices = tuple(cap.device for cap in network.nems_caps)
+        classes: dict[DeviceParams, int] = {}
+        self.device_class = tuple(classes.setdefault(dev, len(classes))
+                                  for dev in self.devices)
         self.beam_names = self.names[:len(self.devices)]
         self.eps_area = tuple(EPS0 * dev.area for dev in self.devices)
         self.g_eff = tuple(dev.g_eff for dev in self.devices)
@@ -622,6 +638,12 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     distribute charge by capacitance, re-seat every beam, recompute
     capacitances, repeat (damped 0.5 once the iteration stops contracting,
     hard cap 10^4).
+
+    Each beam law is a pure function of the device and the drive, so within
+    a phase it runs once per distinct (device class, drive) key, plus the
+    prior latch state for the voltage law; beams with equal keys share one
+    frozen BeamState. +0.0 and -0.0 drives share a key and both laws map
+    them to the same state; a NaN drive never matches a key.
     """
     topo = network if isinstance(network, CompiledNetwork) else CompiledNetwork(network)
     net = topo.network
@@ -650,15 +672,23 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
 
     q_before, scale_before = _floating_charge(part, q)
 
-    # voltage-driven beams: both terminals pinned
-    devices = topo.devices
+    # voltage-driven beams: both terminals pinned; one law call per
+    # (device class, dv, prior latched) key
+    devices, device_class = topo.devices, topo.device_class
+    by_voltage: dict[tuple[int, float, bool], BeamState] = {}
     for j, ia, ib in part.voltage_beams:
         dv = volts[ia] - volts[ib]
-        dev = devices[j]
-        if beams[j].latched and release_holds(dev, dev.k, dev.d_c, dv):
-            beams[j] = BeamState(dev.g0, 0.0, True)
-        else:
-            beams[j] = static_equilibrium_voltage(dev, dev.k, dv)
+        latched = beams[j].latched
+        key = (device_class[j], dv, latched)
+        state = by_voltage.get(key)
+        if state is None:
+            dev = devices[j]
+            if latched and release_holds(dev, dev.k, dev.d_c, dv):
+                state = BeamState(dev.g0, 0.0, True)
+            else:
+                state = static_equilibrium_voltage(dev, dev.k, dv)
+            by_voltage[key] = state
+        beams[j] = state
     eps_area, g_eff = topo.eps_area, topo.g_eff
     caps = [ea / (g - b.displacement) for ea, g, b in zip(eps_area, g_eff, beams)]
     caps.extend(topo.linear)
@@ -678,6 +708,9 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     damped = False
     prev_step = math.inf
     converged = not f_islands
+    # (device class, plate charge) -> (beam state, its capacitance), shared by
+    # every iteration of this phase
+    by_charge: dict[tuple[int, float], tuple[BeamState, float]] = {}
     for iterations in range(1, _MAX_FIXED_POINT + 1):
         v_new = _solve_floating(part, caps, volts, q_before, v)
         if damped:
@@ -689,10 +722,16 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
         # charges themselves are assigned once, after convergence
         for j in part.charge_beams:
             q_j = caps[j] * (volts[plate_a[j]] - volts[plate_b[j]])
+            key = (device_class[j], q_j)
+            seated = by_charge.get(key)
+            if seated is None:
+                dev = devices[j]
+                state = static_equilibrium_charge(dev, dev.k, q_j)
+                seated = by_charge[key] = (
+                    state, eps_area[j] / (g_eff[j] - state.displacement))
             was_released = not beams[j].latched
-            dev = devices[j]
-            state = beams[j] = static_equilibrium_charge(dev, dev.k, q_j)
-            caps[j] = eps_area[j] / (g_eff[j] - state.displacement)
+            state, caps[j] = seated
+            beams[j] = state
             if was_released and state.latched:
                 notes.append(f"latch-violation: beam {topo.names[j]} re-latched "
                              "during redistribution")

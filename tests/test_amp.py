@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from nemsim import amp as amp_mod
 from nemsim.amp import (AmpConfig, build_amp, dynamic_range, gain_oracle,
                         gain_sweep, parasitic_study, power_estimate, run_dc,
                         run_sine, summary, _make_network)
@@ -167,6 +168,26 @@ class TestGainSweep:
     def test_csv(self):
         report = gain_sweep(large_amp(), [1e-3], n_periods=2)
         assert report.to_csv().startswith("vin_V,vout_V,gain,x_m,released\n")
+
+
+class TestNonFiniteInputs:
+    """Library entry points reject nan and +-inf before simulating anything."""
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda amp: run_dc(amp, math.inf), "vin"),
+        (lambda amp: run_dc(amp, math.nan), "vin"),
+        (lambda amp: run_sine(amp, math.inf, 1e3), "amplitude"),
+        (lambda amp: run_sine(amp, 0.01, math.nan), "f_in"),
+        (lambda amp: gain_sweep(amp, [0.01, math.inf]), r"amplitudes\[1\]"),
+        (lambda amp: gain_sweep(amp, [0.01, math.nan, 0.02]), r"amplitudes\[1\]"),
+    ])
+    def test_config_error_before_compute(self, call, name, monkeypatch):
+        def no_simulate(*args):
+            raise AssertionError("simulate called on a non-finite input")
+
+        monkeypatch.setattr(amp_mod, "simulate", no_simulate)
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            call(large_amp())
 
 
 class TestPower:

@@ -106,6 +106,17 @@ class TestAmplify:
         assert doc["kind"] == "syntax-error" and doc["line"] == 2
         assert not out_dir.exists()
 
+    def test_phase_count_beyond_bound_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text('device.preset = "large"\nrun.n_periods = 1e300\n')
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["amplify", "--config", str(cfg), "--out-dir", str(out_dir)], capsys)
+        assert code == 1 and out == ""
+        doc = json.loads(err)["error"]
+        assert doc["kind"] == "config-error" and "more than 1000000 phases" in doc["message"]
+        assert not out_dir.exists()
+
     def test_config_and_preset_conflict(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(REFERENCE_SETUP)
@@ -218,6 +229,28 @@ class TestUsageErrors:
                                  capsys)
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["kind"] == "config-error"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestNonFiniteFloatOptions:
+    """nan and +-inf in a float option are usage errors, rejected before any compute."""
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("cv-sweep", "--v-end", "nan"),
+        ("cv-sweep", "--v-start", "-inf"),
+        ("transient", "--level-V", "inf"),
+        ("transient", "--t-end-s", "nan"),
+        ("gain-sweep", "--vin-min", "nan"),
+        ("gain-sweep", "--vin-max", "inf"),
+    ])
+    def test_config_error(self, command, option, value, tmp_path, capsys):
+        code, out, err = run_cli(
+            [command, f"{option}={value}", "--preset", "large", "--out-dir", str(tmp_path)],
+            capsys)
+        assert code == 1 and out == ""
+        doc = json.loads(err)["error"]
+        assert doc["kind"] == "config-error"
+        assert f"argument {option}: {value!r} is not finite" in doc["message"]
         assert list(tmp_path.iterdir()) == []
 
 

@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nemsim import scnet
 from nemsim.device import get_preset
-from nemsim.errors import ConvergenceError, InvalidGeometryError, NetworkError
+from nemsim.errors import ConfigError, ConvergenceError, InvalidGeometryError, NetworkError
+from nemsim.mech import BeamState, static_equilibrium_charge, static_equilibrium_voltage
 from nemsim.scnet import (Clock, ClockSchedule, CompiledNetwork, Dc, LinearCap,
                           Network, NemsCap, OhmicSwitch, OhmicSwitchState, Phase,
                           SettlingWarning, Sine, VSource, apply_parasitics,
@@ -36,6 +38,15 @@ def fig6_network(vin=0.01, freq=None, solver_tol=1e-12):
     return net
 
 
+def bank_network(m, device_of=lambda: DEV, vin=0.01):
+    """The amplifier with m devices per bank and gate parasitics; device_of()
+    gives each beam its device."""
+    net = fig6_network(vin=vin)
+    net.nems_caps = [NemsCap(f"c{node}_{i}", node, "gnd", device_of())
+                     for i in range(m) for node in ("a", "b")]
+    return apply_parasitics(net, 1e-15, 1e-15, "gate")
+
+
 class TestClockSchedule:
     def test_phase_layout(self):
         sched = ClockSchedule(100e3, 0.01)
@@ -56,6 +67,17 @@ class TestClockSchedule:
             ClockSchedule(100e3).phases(5e-6)
         with pytest.raises(InvalidGeometryError):
             ClockSchedule(100e3).phases(0.0)
+
+    def test_phase_count_bounded_before_allocation(self, monkeypatch):
+        sched = ClockSchedule(100e3)
+        for t_end in (1e300, math.inf):
+            with pytest.raises(ConfigError, match="more than 1000000 phases"):
+                sched.phases(t_end)
+        monkeypatch.setattr(scnet, "MAX_PHASES", 8)
+        assert len(sched.phases(2 * sched.period)) == 8
+        with pytest.raises(ConfigError):
+            sched.phases(3 * sched.period)
+        assert len(ClockSchedule(100e3, 0.0).phases(4 * sched.period)) == 8
 
     def test_bad_params(self):
         with pytest.raises(InvalidGeometryError):
@@ -130,6 +152,29 @@ class TestBuildNetwork:
                 "nodes": ["gnd", "n1"],
                 "elements": [{"type": "linear_cap", "name": "c1", "a": "n1",
                               "b": "n1", "value": 1e-15}],
+            })
+
+
+    def test_duplicate_names_rejected(self):
+        # charges are keyed by name: the 1 fC on the first "c" would vanish
+        net = Network()
+        for n in ("gnd", "a", "b"):
+            net.add_node(n)
+        net.linear_caps += [LinearCap("c", "a", "gnd", 1e-15, q=1e-15),
+                            LinearCap("c", "b", "gnd", 1e-15)]
+        with pytest.raises(NetworkError, match="duplicate-name: element name 'c'"):
+            simulate(net, ClockSchedule(100e3), 1e-5)
+
+    def test_duplicate_names_across_element_kinds(self):
+        with pytest.raises(NetworkError, match="duplicate-name: element name 'x'"):
+            build_network({
+                "nodes": ["gnd", "n1"],
+                "elements": [
+                    {"type": "source", "name": "x", "node": "n1",
+                     "wave": {"kind": "dc", "value": 1.0}},
+                    {"type": "switch", "name": "x", "a": "n1", "b": "gnd",
+                     "drive": {"kind": "clock", "phase": "clk", "high": 10.0},
+                     "v_pi": 9.6, "v_po": 6.2}],
             })
 
 
@@ -362,6 +407,108 @@ class TestConvergenceError:
         assert msg.count("phase") == 1
         assert exc.value.residual is not None and math.isfinite(exc.value.residual)
         assert exc.value.tolerance == net.solver_tol
+
+
+class TestDampedFixedPoint:
+    def test_damped_iteration_converges_and_conserves(self, monkeypatch):
+        log = []  # (iterate passed in, solve result) per fixed-point iteration
+        real = scnet._solve_floating
+
+        def record(part, caps, volts, q_before, guess):
+            out = real(part, caps, volts, q_before, guess)
+            log.append((list(guess), out))
+            return out
+
+        monkeypatch.setattr(scnet, "_solve_floating", record)
+        # island f: a beam to ground holding half the clamp charge and a
+        # released beam to a -10 V rail, which pulls in as the charge moves
+        net = Network()
+        for n in ("gnd", "s", "f"):
+            net.add_node(n)
+        net.sources.append(VSource("vs", "s", Dc(-10.0)))
+        net.nems_caps += [NemsCap("n1", "f", "gnd", DEV, q=0.5 * DEV.q_clamp),
+                          NemsCap("n2", "f", "s", DEV)]
+        sol = solve_phase(net, ClockSchedule(100e3).phases(1e-5)[0])
+
+        steps = [abs(out[0] - guess[0]) for guess, out in log]
+        assert steps[1] >= steps[0]  # the undamped iteration stopped contracting
+        assert log[1][0] == log[0][1] and log[2][0] == log[1][1]
+        # from the third iteration on, each iterate is the mean of the solve
+        # and the previous iterate
+        for (guess, out), (nxt, _) in zip(log[2:], log[3:]):
+            assert nxt == [0.5 * (a + b) for a, b in zip(out, guess)]
+        assert sol.iterations == len(log) > 3
+        rec, = sol.conservation
+        assert abs(rec.q_after - rec.q_before) <= 1e-15 * max(abs(rec.q_before), rec.q_scale)
+
+
+class TestBeamLawMemo:
+    """Within a phase each beam law runs once per distinct (device class,
+    drive) key; beams with equal keys share the resulting state."""
+
+    def test_equal_device_objects_give_the_same_solutions(self):
+        sched = ClockSchedule(100e3)
+        shared = bank_network(10)
+        copies = bank_network(10, lambda: replace(DEV))
+        assert len({id(cap.device) for cap in copies.nems_caps}) == 20
+        assert CompiledNetwork(copies).device_class == (0,) * 20
+        want = simulate(shared, sched, 4 * sched.period).solutions
+        assert simulate(copies, sched, 4 * sched.period).solutions == want
+
+    def test_law_calls_bounded_by_distinct_keys(self, monkeypatch):
+        calls = []
+        for name in ("static_equilibrium_charge", "static_equilibrium_voltage"):
+            law = getattr(scnet, name)
+            monkeypatch.setattr(scnet, name,
+                                lambda dev, k, drive, _law=law, _name=name:
+                                calls.append((_name, dev, drive)) or _law(dev, k, drive))
+        sched = ClockSchedule(100e3)
+        topo = CompiledNetwork(bank_network(10))
+        prior, total = None, 0
+        for ph in sched.phases(4 * sched.period):
+            calls.clear()
+            prior = solve_phase(topo, ph, prior)
+            charge = [c for c in calls if c[0] == "static_equilibrium_charge"]
+            # each (device, charge) key is seated once; the two banks give
+            # at most two keys per iteration, not twenty
+            assert len(set(charge)) == len(charge) <= 2 * prior.iterations
+            assert len(calls) - len(charge) <= 2  # one voltage per bank
+            total += len(calls)
+        assert total > 0
+
+    @pytest.mark.parametrize("held_first", [True, False])
+    def test_beams_with_different_latch_states_are_not_merged(self, held_first):
+        net = Network()
+        for n in ("gnd", "s"):
+            net.add_node(n)
+        # inside the hysteresis window: the latched beam holds, the free one stays free
+        net.sources.append(VSource("vs", "s", Dc(0.5 * (DEV.v_pi + DEV.v_po))))
+        held = NemsCap("held", "s", "gnd", DEV, state=BeamState(DEV.g0, 0.0, True))
+        free = NemsCap("free", "s", "gnd", DEV)
+        net.nems_caps += [held, free] if held_first else [free, held]
+        sol = solve_phase(net, ClockSchedule(100e3).phases(1e-5)[0])
+        assert sol.beam_states["held"] == BeamState(DEV.g0, 0.0, True)
+        assert not sol.beam_states["free"].latched
+
+    @pytest.mark.parametrize("minus_first", [True, False])
+    def test_signed_zero_drives_give_each_beams_own_state(self, minus_first):
+        net = Network()
+        for n in ("gnd", "m", "p", "f"):
+            net.add_node(n)
+        net.sources += [VSource("v_m", "m", Dc(-0.0)), VSource("v_p", "p", Dc(0.0))]
+        # vm/vp: voltage-driven at -0.0/+0.0 V; qm/qp: charge-driven at -0.0/+0.0 C
+        pairs = [[NemsCap("vm", "m", "gnd", DEV), NemsCap("vp", "p", "gnd", DEV)],
+                 [NemsCap("qm", "m", "f", DEV), NemsCap("qp", "f", "gnd", DEV)]]
+        for pair in pairs:
+            net.nems_caps += pair if minus_first else pair[::-1]
+        sol = solve_phase(net, ClockSchedule(100e3).phases(1e-5)[0])
+        v = sol.node_voltages
+        drives = {"vm": v["m"] - v["gnd"], "vp": v["p"] - v["gnd"],
+                  "qm": sol.charges["qm"], "qp": sol.charges["qp"]}
+        assert [math.copysign(1.0, d) for d in drives.values()] == [-1.0, 1.0, -1.0, 1.0]
+        for name, drive in drives.items():
+            law = static_equilibrium_voltage if name[0] == "v" else static_equilibrium_charge
+            assert repr(sol.beam_states[name]) == repr(law(DEV, DEV.k, drive))
 
 
 class TestPartitionCache:
