@@ -201,7 +201,9 @@ def run_sine(amp: Amp, amplitude: float, f_in: float, n_periods: int = 1) -> Sin
 
     Out-of-range excursions are flagged per sample rather than raised. The
     differential output is v_a - (-v_b); with the symmetric drive it reads
-    2*vin during sample phases and 2*vout during holds.
+    2*vin during sample phases and 2*vout during holds. The window,
+    n_periods input periods, must span a whole number of clock periods
+    (to 1e-9 relative); otherwise ConfigError, before simulating.
     """
     _require_finite(amplitude=amplitude, f_in=f_in, n_periods=n_periods)
     if amplitude < 0:
@@ -209,8 +211,14 @@ def run_sine(amp: Amp, amplitude: float, f_in: float, n_periods: int = 1) -> Sin
     if not (f_in > 0) or not (f_in < amp.config.f_clk / 2):
         raise ConfigError(
             f"input frequency {f_in} Hz must lie in (0, f_CLK/2 = {amp.config.f_clk / 2} Hz)")
+    t_end = n_periods / f_in
+    clock_periods = t_end / amp.schedule.period
+    if abs(clock_periods - round(clock_periods)) > 1e-9 * clock_periods:
+        raise ConfigError(
+            f"window n_periods / f_in = {t_end!r} s spans {clock_periods!r} clock periods; "
+            "it must span a whole number of them")
     net = _make_network(amp.config, amplitude, f_in)
-    sim = simulate(net, amp.schedule, n_periods / f_in)
+    sim = simulate(net, amp.schedule, t_end)
     beams = [n.name for n in net.nems_caps]
     samples: list[SineSample] = []
     pending: PhaseSolution | None = None

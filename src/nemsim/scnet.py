@@ -11,8 +11,9 @@ joint fixed point.
 from __future__ import annotations
 
 import math
+import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -449,7 +450,11 @@ class _Partition:
     charge_terms: tuple[tuple[tuple[int, float], ...], ...]  # per floating island: (cap, sign)
     # (floating index, corrector cap, its island-side sign, the island's other (cap, sign))
     correctors: tuple[tuple[int, int, float, tuple[tuple[int, float], ...]], ...]
-    settling: tuple[tuple[int, int], ...]       # (conducting switch, island of its a terminal)
+    # (conducting switch, capacitors on the island of its a terminal, once per plate)
+    settling: tuple[tuple[int, tuple[int, ...]], ...]
+    # transition key: conduction mask and entering latch flags ('?'), then island
+    # voltages, plate charges, beam displacements and velocities ('d')
+    transition_key: struct.Struct
 
 
 class CompiledNetwork:
@@ -460,6 +465,9 @@ class CompiledNetwork:
     index per distinct DeviceParams value), and one island partition per
     switch-conduction mask, built by islands() the first time the mask
     occurs. The network must not change while it is compiled.
+
+    It also holds the run's transition memo: each solved phase, keyed by the
+    bit patterns of its entering state (see solve_phase).
     """
 
     def __init__(self, network: Network):
@@ -477,6 +485,7 @@ class CompiledNetwork:
         self.g_eff = tuple(dev.g_eff for dev in self.devices)
         self.linear = tuple(cap.value for cap in network.linear_caps)
         self._partitions: dict[tuple[bool, ...], _Partition] = {}
+        self.transitions: dict[bytes, PhaseSolution] = {}
 
     def partition(self, mask: tuple[bool, ...], phase: Phase,
                   switch_states: Mapping[str, OhmicSwitchState]) -> _Partition:
@@ -519,8 +528,10 @@ class CompiledNetwork:
                              if floating[plate_a[j]] or floating[plate_b[j]])
 
         terms: list[list[tuple[int, float]]] = [[] for _ in f_islands]
+        touching: list[list[int]] = [[] for _ in isles]
         for k, (ia, ib) in enumerate(zip(plate_a, plate_b)):
             for isl, sign in ((ia, 1.0), (ib, -1.0)):
+                touching[isl].append(k)
                 if floating[isl]:
                     terms[f_index[isl]].append((k, sign))
 
@@ -538,13 +549,16 @@ class CompiledNetwork:
             voltage_beams=voltage_beams,
             charge_beams=charge_beams,
             charge_terms=tuple(tuple(t) for t in terms),
-            correctors=_correctors(f_islands, f_index, plate_a, plate_b),
-            settling=tuple((s, island_of[sw.a]) for s, sw in enumerate(net.switches)
-                           if mask[s]),
+            correctors=_correctors(tuple(isl.id for isl in isles), f_islands, f_index,
+                                   plate_a, plate_b),
+            settling=tuple((s, tuple(touching[island_of[sw.a]]))
+                           for s, sw in enumerate(net.switches) if mask[s]),
+            transition_key=struct.Struct(f"<{len(mask) + n_beams}?"
+                                         f"{len(isles) + len(plate_a) + 2 * n_beams}d"),
         )
 
 
-def _correctors(f_islands, f_index, plate_a, plate_b):
+def _correctors(ids, f_islands, f_index, plate_a, plate_b):
     """One capacitor per floating island whose plate charge absorbs the
     roundoff of the island sum, in the order the rewrites must run.
 
@@ -553,9 +567,12 @@ def _correctors(f_islands, f_index, plate_a, plate_b):
     previous level, so an island with a pinned neighbour always corrects
     through a capacitor to a pinned island. Rewrites run from the farthest
     level inwards: a corrector shared with a floating neighbour is rewritten
-    before that neighbour sums it. The first island of a group with no path
-    to a pinned island has no corrector and keeps the roundoff-level
-    residual of the plain distribution.
+    before that neighbour sums it. An island with no capacitor to another
+    island keeps its guess and needs no corrector.
+
+    Raises NetworkError (floating-group) for floating islands joined by
+    capacitors with no capacitive path to a pinned island: their charges fix
+    only the voltage differences between them, so the system is singular.
     """
     links: dict[int, list[tuple[int, float, int]]] = {}  # (cap, island-side sign, other island)
     for k, (ia, ib) in enumerate(zip(plate_a, plate_b)):
@@ -565,23 +582,25 @@ def _correctors(f_islands, f_index, plate_a, plate_b):
     parent: dict[int, tuple[int, float]] = {}
     order: list[int] = []  # floating islands, level by level
     level = {k for k, f in enumerate(f_index) if f < 0}
-    while len(order) < len(f_islands):
+    while level:
         reached = []
         for isl in f_islands:
             to_level = [m for m in links.get(isl, ()) if m[2] in level]
-            if to_level and isl not in parent and isl not in order:
+            if to_level and isl not in parent:
                 parent[isl] = to_level[-1][:2]
                 reached.append(isl)
-        if not reached:  # a group with no path to a pinned island
-            reached = [next(isl for isl in f_islands if isl not in order)]
         order.extend(reached)
         level = set(reached)
+    stranded = [ids[isl] for isl in f_islands if isl in links and isl not in parent]
+    if stranded:
+        raise NetworkError(
+            f"floating-group: islands {', '.join(stranded)} are joined by capacitors "
+            "with no capacitive path to a pinned island")
     out = []
     for isl in reversed(order):
-        if isl in parent:
-            corrector, sign = parent[isl]
-            out.append((f_index[isl], corrector, sign,
-                        tuple((k, s) for k, s, _ in links[isl] if k != corrector)))
+        corrector, sign = parent[isl]
+        out.append((f_index[isl], corrector, sign,
+                    tuple((k, s) for k, s, _ in links[isl] if k != corrector)))
     return tuple(out)
 
 
@@ -644,6 +663,16 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     prior latch state for the voltage law; beams with equal keys share one
     frozen BeamState. +0.0 and -0.0 drives share a key and both laws map
     them to the same state; a NaN drive never matches a key.
+
+    The solve is a deterministic function of the mask and the entering
+    state, so a CompiledNetwork solves each distinct transition once per
+    run. Its memo is keyed by the bit patterns of the conduction mask, the
+    island voltages (pinned values and the fixed-point guess), the entering
+    plate charges and beam states; bit patterns keep +0.0 and -0.0 apart.
+    A repeated transition returns the stored solution's read-only maps,
+    islands, conservation records, iterations and latch-violation notes
+    with this phase's phase and switch states; the settling check runs for
+    every phase. A failed solve is not stored.
     """
     topo = network if isinstance(network, CompiledNetwork) else CompiledNetwork(network)
     net = topo.network
@@ -657,18 +686,37 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
         beams = [beam_states[n] for n in topo.beam_names]
         switch_states = _phase_switch_states(net, phase, prior.switch_states)
     t_end = phase.t_end
-    part = topo.partition(
-        tuple(switch_is_conducting(switch_states[sw.name], t_end) for sw in net.switches),
-        phase, switch_states)
+    mask = tuple(switch_is_conducting(switch_states[sw.name], t_end) for sw in net.switches)
+    part = topo.partition(mask, phase, switch_states)
 
-    # island voltages: pinned ones from this phase's source values
+    # island voltages: pinned ones from this phase's source values, floating
+    # ones from the fixed-point guess (the prior's node voltages)
     values = [src.wave.at(t_end, phase) for src in net.sources]
     values.append(0.0)  # ground
     volts = [0.0] * len(part.ids)
     for k, members, pinned in part.pins:
         volts[k] = (values[pinned[0][1]] if len(pinned) == 1 else
                     _pin_value(members, [(name, values[i]) for name, i in pinned]))
-    notes: list[str] = []
+    f_islands = part.f_islands
+    if prior is None:
+        v = [0.0] * len(f_islands)
+    else:
+        guess = prior.node_voltages
+        v = [float(guess.get(part.nodes[k][0], 0.0)) for k in f_islands]
+    for f, k in enumerate(f_islands):
+        volts[k] = v[f]
+
+    transition = part.transition_key.pack(
+        *mask, *[b.latched for b in beams], *volts, *q,
+        *[b.displacement for b in beams], *[b.velocity for b in beams])
+    seen = topo.transitions.get(transition)
+    if seen is not None:
+        notes = [w for w in seen.warnings if not w.startswith("settling-violation")]
+        if part.settling:
+            notes += _settling_notes(net, part, _capacitances(topo, seen.beam_states.values()),
+                                     phase)
+        return replace(seen, phase=phase, switch_states=switch_states, warnings=tuple(notes))
+    notes = []
 
     q_before, scale_before = _floating_charge(part, q)
 
@@ -690,18 +738,9 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
             by_voltage[key] = state
         beams[j] = state
     eps_area, g_eff = topo.eps_area, topo.g_eff
-    caps = [ea / (g - b.displacement) for ea, g, b in zip(eps_area, g_eff, beams)]
-    caps.extend(topo.linear)
+    caps = _capacitances(topo, beams)
 
     # fixed point over floating island voltages
-    f_islands = part.f_islands
-    if prior is None:
-        v = [0.0] * len(f_islands)
-    else:
-        guess = prior.node_voltages
-        v = [float(guess.get(part.nodes[k][0], 0.0)) for k in f_islands]
-    for f, k in enumerate(f_islands):
-        volts[k] = v[f]
     plate_a, plate_b = part.plate_a, part.plate_b
     tol = net.solver_tol
     iterations = 0
@@ -756,25 +795,15 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
         q[corrector] = sign * (q_before[f] - math.fsum([s * q[k] for k, s in others]))
     q_after, _ = _floating_charge(part, q)
 
-    # settling assertion: closed switches must settle well inside the phase;
     # pinned-island charge: plates facing other islands
-    cap_by_island = [0.0] * len(part.ids)
     q_pinned = [0.0] * len(part.ids)
-    for c, qk, ia, ib in zip(caps, q, plate_a, plate_b):
-        cap_by_island[ia] += c
-        cap_by_island[ib] += c
+    for qk, ia, ib in zip(q, plate_a, plate_b):
         if ia != ib:
             q_pinned[ia] += qk
             q_pinned[ib] -= qk
-    for s, k in part.settling:
-        sw = net.switches[s]
-        if sw.r_on * cap_by_island[k] > 0.01 * phase.duration:
-            msg = (f"settling-violation: switch {sw.name} R_on*C = "
-                   f"{sw.r_on * cap_by_island[k]:.3e} s exceeds 1% of phase {phase.index}")
-            notes.append(msg)
-            warnings.warn(msg, SettlingWarning, stacklevel=2)
+    notes += _settling_notes(net, part, caps, phase)
 
-    return PhaseSolution(
+    solution = topo.transitions[transition] = PhaseSolution(
         phase=phase,
         node_voltages={n: volts[k] for n, k in part.node_islands},
         charges=dict(zip(topo.names, q)),
@@ -789,6 +818,33 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
         iterations=iterations,
         warnings=tuple(dict.fromkeys(notes)),  # dedupe, keep order
     )
+    return solution
+
+
+def _capacitances(topo: CompiledNetwork, beams: Iterable[BeamState]) -> list[float]:
+    """Capacitance of every capacitor, in Network.caps() order, with the
+    beams in the given states."""
+    caps = [ea / (g - b.displacement) for ea, g, b in zip(topo.eps_area, topo.g_eff, beams)]
+    caps.extend(topo.linear)
+    return caps
+
+
+def _settling_notes(net: Network, part: _Partition, caps: list[float],
+                    phase: Phase) -> list[str]:
+    """Settling assertion: each closed switch must settle well inside the
+    phase; one note and one SettlingWarning per switch that does not."""
+    notes = []
+    for s, touching in part.settling:
+        c_island = 0.0
+        for k in touching:
+            c_island += caps[k]
+        sw = net.switches[s]
+        if sw.r_on * c_island > 0.01 * phase.duration:
+            msg = (f"settling-violation: switch {sw.name} R_on*C = "
+                   f"{sw.r_on * c_island:.3e} s exceeds 1% of phase {phase.index}")
+            notes.append(msg)
+            warnings.warn(msg, SettlingWarning, stacklevel=3)
+    return notes
 
 
 def _floating_charge(part: _Partition, q: list[float]) -> tuple[list[float], list[float]]:

@@ -110,6 +110,18 @@ class TestRunSine:
         with pytest.raises(ConfigError):
             run_sine(large_amp(), 0.01, 60e3)
 
+    def test_window_of_whole_clock_periods(self, monkeypatch):
+        # three 30 kHz periods span ten clock periods
+        assert len(run_sine(large_amp(), 0.01, 30e3, n_periods=3).sim.solutions) == 40
+
+        def no_simulate(*args):
+            raise AssertionError("simulate called on a partial clock period")
+
+        monkeypatch.setattr(amp_mod, "simulate", no_simulate)
+        # one 30 kHz period is 3.33 clock periods, which the schedule would cut to 3
+        with pytest.raises(ConfigError, match="must span a whole number of them"):
+            run_sine(large_amp(), 0.01, 30e3, n_periods=1)
+
     def test_differential_trace(self):
         run = run_sine(large_amp(), 0.01, 10e3)
         text = run.differential_csv()

@@ -117,6 +117,18 @@ class TestAmplify:
         assert doc["kind"] == "config-error" and "more than 1000000 phases" in doc["message"]
         assert not out_dir.exists()
 
+    def test_sine_window_of_partial_clock_periods_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text('device.preset = "large"\nstimulus.kind = sine\n'
+                       "stimulus.freq_hz = 30e3\nrun.n_periods = 1\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["amplify", "--config", str(cfg), "--out-dir", str(out_dir)], capsys)
+        assert code == 1 and out == ""
+        doc = json.loads(err)["error"]
+        assert doc["kind"] == "config-error" and "whole number" in doc["message"]
+        assert not out_dir.exists()
+
     def test_config_and_preset_conflict(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(REFERENCE_SETUP)

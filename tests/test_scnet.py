@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -38,13 +39,21 @@ def fig6_network(vin=0.01, freq=None, solver_tol=1e-12):
     return net
 
 
-def bank_network(m, device_of=lambda: DEV, vin=0.01):
-    """The amplifier with m devices per bank and gate parasitics; device_of()
-    gives each beam its device."""
+def bank_network(m, device_of=lambda: DEV, vin=0.01, drive="gate"):
+    """The amplifier with m devices per bank and parasitics on the given drive
+    terminal; device_of() gives each beam its device."""
     net = fig6_network(vin=vin)
     net.nems_caps = [NemsCap(f"c{node}_{i}", node, "gnd", device_of())
                      for i in range(m) for node in ("a", "b")]
-    return apply_parasitics(net, 1e-15, 1e-15, "gate")
+    return apply_parasitics(net, 1e-15, 1e-15, drive)
+
+
+def chained(network, phases):
+    """solve_phase over the phases, each starting from the previous solution."""
+    sols = []
+    for ph in phases:
+        sols.append(solve_phase(network, ph, sols[-1] if sols else None))
+    return sols
 
 
 class TestClockSchedule:
@@ -509,6 +518,126 @@ class TestBeamLawMemo:
         for name, drive in drives.items():
             law = static_equilibrium_voltage if name[0] == "v" else static_equilibrium_charge
             assert repr(sol.beam_states[name]) == repr(law(DEV, DEV.k, drive))
+
+
+class TestTransitionMemo:
+    """A CompiledNetwork solves each distinct transition once per run; a plain
+    Network is compiled per call, so the chained plain-Network path never
+    reuses a solution and is the reference."""
+
+    SCHED = ClockSchedule(100e3)
+
+    @pytest.mark.parametrize("make, periods, repeats", [
+        (lambda: fig6_network(vin=0.01), 4, True),
+        (lambda: fig6_network(vin=0.02, freq=10e3), 3, False),
+        (lambda: bank_network(10, vin=0.007), 4, True),
+        (lambda: bank_network(10, vin=-0.012, drive="body"), 4, True),
+    ], ids=["basic-dc", "basic-sine", "gate-bank-m10", "body-bank-m10"])
+    def test_matches_the_plain_network_path(self, make, periods, repeats):
+        phases = self.SCHED.phases(periods * self.SCHED.period)
+        want = chained(make(), phases)
+        topo = CompiledNetwork(make())
+        got = chained(topo, phases)
+        assert (len(topo.transitions) < len(phases)) == repeats
+        for g, w in zip(got, want):
+            assert g == w
+            assert repr(g) == repr(w)
+        assert simulate(make(), self.SCHED, periods * self.SCHED.period).solutions == tuple(got)
+
+    def test_settling_violations_name_their_own_phase(self):
+        net = fig6_network()
+        hold_switch, = [sw for sw in net.switches if sw.name == "s_hold"]
+        hold_switch.r_on = 1e9  # R_on*C ~ 1e-5 s against 1% of a 4.9 us phase
+        phases = self.SCHED.phases(4 * self.SCHED.period)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            want = chained(net, phases)
+        assert len(caught) == 4
+        topo = CompiledNetwork(net)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = chained(topo, phases)
+        assert len(topo.transitions) < len(phases)
+        holds = [sol.phase.index for sol in got if sol.phase.kind == "hold"]
+        assert [w.category for w in caught] == [SettlingWarning] * len(holds)
+        assert [str(w.message) for w in caught] == [
+            note for sol in got for note in sol.warnings]
+        for sol, ref in zip(got, want):
+            assert sol.warnings == ref.warnings
+            if sol.phase.kind == "hold":
+                note, = sol.warnings
+                assert note.startswith("settling-violation: switch s_hold ")
+                assert note.endswith(f"exceeds 1% of phase {sol.phase.index}")
+            else:
+                assert sol.warnings == ()
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_signed_zeros_do_not_share_an_entry(self, reverse):
+        net = Network()
+        for n in ("gnd", "f"):
+            net.add_node(n)
+        net.linear_caps.append(LinearCap("c", "f", "gnd", 1e-15, q=1e-15))
+        net.nems_caps.append(NemsCap("n", "f", "gnd", DEV))
+        first, second = self.SCHED.phases(self.SCHED.period)[:2]
+        topo = CompiledNetwork(net)
+        start = solve_phase(topo, first)
+        beam = start.beam_states["n"]
+        # (charge of c, velocity of n) entering the second phase
+        variants = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)]
+        for q, velocity in variants[::-1] if reverse else variants:
+            prior = replace(start, charges={"n": start.charges["n"], "c": q},
+                            beam_states={"n": BeamState(beam.displacement, velocity,
+                                                        beam.latched)})
+            assert repr(solve_phase(topo, second, prior)) == repr(
+                solve_phase(net, second, prior))
+        assert len(topo.transitions) == 1 + len(variants)
+
+    def test_no_beam_law_runs_once_the_dc_state_repeats(self, monkeypatch):
+        calls = []
+        for name in ("static_equilibrium_charge", "static_equilibrium_voltage",
+                     "release_holds"):
+            law = getattr(scnet, name)
+            monkeypatch.setattr(scnet, name,
+                                lambda *args, _law=law: calls.append(args) or _law(*args))
+        topo = CompiledNetwork(bank_network(10))
+        prior, per_phase = None, []
+        for ph in self.SCHED.phases(5 * self.SCHED.period):
+            calls.clear()
+            prior = solve_phase(topo, ph, prior)
+            per_phase.append(len(calls))
+        # the state leaving phase i equals the one leaving phase i - 4 from
+        # i = 4 on, so phase 5 enters the transition phase 1 entered
+        assert all(per_phase[:5]) and not any(per_phase[5:])
+        assert len(topo.transitions) == 5
+
+
+class TestFloatingGroup:
+    def test_group_without_path_to_a_pinned_island(self):
+        net = Network()
+        for n in ("gnd", "f1", "f2"):
+            net.add_node(n)
+        net.linear_caps.append(LinearCap("c", "f1", "f2", 1e-15))
+        sched = ClockSchedule(100e3)
+        with pytest.raises(NetworkError, match="^floating-group: islands f1, f2 "):
+            simulate(net, sched, sched.period)
+        with pytest.raises(NetworkError, match="floating-group"):
+            solve_phase(net, sched.phases(sched.period)[0])
+
+    def test_isolated_island_keeps_its_guess(self):
+        # y touches only an open switch; f1 and f2 are coupled to ground
+        net = Network()
+        for n in ("gnd", "f1", "f2", "y"):
+            net.add_node(n)
+        net.linear_caps += [LinearCap("c1", "f1", "gnd", 2e-15, q=1e-15),
+                            LinearCap("c12", "f1", "f2", 1e-15),
+                            LinearCap("c2", "f2", "gnd", 3e-15)]
+        net.switches.append(OhmicSwitch("sw", "f1", "y", Dc(0.0), v_pi=9.6, v_po=6.2))
+        sched = ClockSchedule(100e3)
+        res = simulate(net, sched, sched.period)
+        for sol in res.solutions:
+            assert sol.node_voltages["y"] == 0.0
+            assert sol.node_voltages["f1"] > sol.node_voltages["f2"] > 0.0
+        assert res.max_conservation_error() <= 1e-15
 
 
 class TestPartitionCache:
