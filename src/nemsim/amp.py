@@ -19,8 +19,7 @@ from .device import EPS0, DeviceParams
 from .errors import ConfigError, NoLatchError, NoReleaseError
 from .ioutil import format_float
 from .scnet import (Clock, ClockSchedule, Dc, Network, NemsCap, OhmicSwitch,
-                    PhaseSolution, SimResult, Sine, VSource, apply_parasitics,
-                    simulate)
+                    SimResult, Sine, VSource, apply_parasitics, simulate)
 
 
 @dataclass(frozen=True)
@@ -134,16 +133,14 @@ def _dc_detail(amp: Amp, vin: float, n_periods: int) -> DcRun:
         raise ConfigError("DC runs need at least 2 periods to reach steady state")
     net = _make_network(amp.config, vin, None)
     sim = simulate(net, amp.schedule, n_periods * amp.schedule.period)
-    samples = sim.phases_of_kind("sample")
-    holds = sim.phases_of_kind("hold")
-    last_sample, last_hold = samples[-1], holds[-1]
-    beams = [n.name for n in net.nems_caps]
-    sampled_latched = all(last_sample.beam_states[n].latched for n in beams)
-    hold_released = all(not last_hold.beam_states[n].latched for n in beams)
-    vout = last_hold.node_voltages["a"]
+    rows = sim.solutions
+    last = {ph.kind: r for r, ph in enumerate(rows.phases)}  # last row of each kind
+    sample, hold = last["sample"], last["hold"]
+    latched = rows.latched_beams()
+    vout = rows.node_voltage("a")[hold]
     gain = vout / vin if vin != 0.0 else math.nan
-    x = max(last_hold.beam_states[n].displacement for n in beams)
-    return DcRun(vin, vout, gain, x, sampled_latched, hold_released, sim)
+    x = max(b.displacement for b in rows[hold].beam_states.values())
+    return DcRun(vin, vout, gain, x, latched[sample] == rows.n_beams, latched[hold] == 0, sim)
 
 
 def run_dc(amp: Amp, vin: float, n_periods: int = 10) -> DcRun:
@@ -188,10 +185,11 @@ class SineRun:
     def differential_csv(self) -> str:
         """t_s,vin_V,vdiff_V rows at phase boundaries (zero-order hold)."""
         lines = ["t_s,vin_V,vdiff_V"]
-        for sol in self.sim.solutions:
-            for t in (sol.phase.t_start, sol.phase.t_end):
+        rows = self.sim.solutions
+        for ph, va, vb in zip(rows.phases, rows.node_voltage("a"), rows.node_voltage("b")):
+            for t in (ph.t_start, ph.t_end):
                 vin = self.amplitude * math.sin(2.0 * math.pi * self.f_in * t)
-                vdiff = sol.node_voltages["a"] + sol.node_voltages["b"]
+                vdiff = va + vb
                 lines.append(f"{format_float(t)},{format_float(vin)},{format_float(vdiff)}")
         return "\n".join(lines) + "\n"
 
@@ -219,21 +217,22 @@ def run_sine(amp: Amp, amplitude: float, f_in: float, n_periods: int = 1) -> Sin
             "it must span a whole number of them")
     net = _make_network(amp.config, amplitude, f_in)
     sim = simulate(net, amp.schedule, t_end)
-    beams = [n.name for n in net.nems_caps]
+    rows = sim.solutions
+    va, latched, n_beams = rows.node_voltage("a"), rows.latched_beams(), rows.n_beams
     samples: list[SineSample] = []
-    pending: PhaseSolution | None = None
-    for sol in sim.solutions:
-        if sol.phase.kind == "sample":
-            pending = sol
-        elif sol.phase.kind == "hold" and pending is not None:
-            t_s = pending.phase.t_end
+    pending: int | None = None  # row of the last sample phase
+    for r, ph in enumerate(rows.phases):
+        if ph.kind == "sample":
+            pending = r
+        elif ph.kind == "hold" and pending is not None:
+            t_s = rows.phases[pending].t_end
             vin = amplitude * math.sin(2.0 * math.pi * f_in * t_s)
-            vout = sol.node_voltages["a"]
+            vout = va[r]
             samples.append(SineSample(
-                t_sample=t_s, t_hold=sol.phase.t_end, vin_sampled=vin, vout=vout,
+                t_sample=t_s, t_hold=ph.t_end, vin_sampled=vin, vout=vout,
                 gain=vout / vin if vin != 0.0 else math.nan,
-                sampled_latched=all(pending.beam_states[n].latched for n in beams),
-                hold_released=all(not sol.beam_states[n].latched for n in beams)))
+                sampled_latched=latched[pending] == n_beams,
+                hold_released=latched[r] == 0))
     return SineRun(amplitude, f_in, tuple(samples), sim)
 
 

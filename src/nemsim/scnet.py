@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from array import array
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -362,17 +363,15 @@ class _UnionFind:
         self.parent[self.find(b)] = self.find(a)
 
 
-def _phase_switch_states(network: Network, phase: Phase,
-                         prior: Mapping[str, OhmicSwitchState] | None = None
-                         ) -> dict[str, OhmicSwitchState]:
-    """Switch states at phase start, stepped from prior (default: the network's
-    initial states)."""
-    states = {}
-    for sw in network.switches:
-        v_gb = sw.drive.at(phase.t_start, phase)
-        states[sw.name] = step_switch(sw, v_gb, phase.t_start,
-                                      None if prior is None else prior[sw.name])
-    return states
+def _step_switches(network: Network, phase: Phase,
+                   prior: Sequence[OhmicSwitchState] | None = None) -> list[OhmicSwitchState]:
+    """Switch states at phase start, in Network.switches order, stepped from
+    prior (same order; default: the network's initial states)."""
+    t = phase.t_start
+    if prior is None:
+        return [step_switch(sw, sw.drive.at(t, phase), t) for sw in network.switches]
+    return [step_switch(sw, sw.drive.at(t, phase), t, st)
+            for sw, st in zip(network.switches, prior)]
 
 
 def _pin_value(members: Sequence[str], pinned: Sequence[tuple[str, float]]) -> float:
@@ -394,7 +393,8 @@ def islands(network: Network, phase: Phase,
     shorted together).
     """
     if switch_states is None:
-        switch_states = _phase_switch_states(network, phase)
+        switch_states = {sw.name: st for sw, st in
+                         zip(network.switches, _step_switches(network, phase))}
     uf = _UnionFind(network.nodes)
     for sw in network.switches:
         if switch_is_conducting(switch_states[sw.name], phase.t_end):
@@ -428,15 +428,17 @@ class _Partition:
     """Island structure of one switch-conduction mask, in index form.
 
     Islands are numbered in id order and floating islands 0..n_f-1 in the
-    same order; capacitors are numbered as in Network.caps(), beams as in
-    Network.nems_caps (so beam j is capacitor j).
+    same order; nodes are numbered as in Network.nodes, capacitors as in
+    Network.caps(), beams as in Network.nems_caps (so beam j is capacitor j).
     """
 
+    index: int                                  # position in CompiledNetwork.partitions
     ids: tuple[str, ...]
-    nodes: tuple[tuple[str, ...], ...]
     f_islands: tuple[int, ...]                  # island of each floating index
     f_index: tuple[int, ...]                    # floating index of each island, -1 if pinned
-    node_islands: tuple[tuple[str, int], ...]   # (node, island) in island order
+    node_island: tuple[int, ...]                # island of each node
+    first_node: tuple[int, ...]                 # first node of each island
+    node_order: tuple[tuple[str, int], ...]     # (name, node) in island order
     # pinned island, its nodes, (source name, index into the phase's source values)
     pins: tuple[tuple[int, tuple[str, ...], tuple[tuple[str, int], ...]], ...]
     plate_a: tuple[int, ...]                    # island of plate a / top, per capacitor
@@ -460,14 +462,15 @@ class _Partition:
 class CompiledNetwork:
     """A Network validated once and held in index form for the phase engine.
 
-    Holds what depends only on topology: capacitor and beam order, the
-    per-beam EPS0*area and g_eff constants, each beam's device class (one
-    index per distinct DeviceParams value), and one island partition per
-    switch-conduction mask, built by islands() the first time the mask
-    occurs. The network must not change while it is compiled.
+    Holds what depends only on topology: node, capacitor, beam and switch
+    order, the per-beam EPS0*area and g_eff constants, each beam's device
+    class (one index per distinct DeviceParams value), and one island
+    partition per switch-conduction mask, built by islands() the first time
+    the mask occurs. The network must not change while it is compiled.
 
-    It also holds the run's transition memo: each solved phase, keyed by the
-    bit patterns of its entering state (see solve_phase).
+    It also holds the run: `columns`, one row per solved phase, and the
+    transition memo, which maps the bit patterns of each solved phase's
+    entering state to its row (see solve_phase).
     """
 
     def __init__(self, network: Network):
@@ -480,24 +483,30 @@ class CompiledNetwork:
         classes: dict[DeviceParams, int] = {}
         self.device_class = tuple(classes.setdefault(dev, len(classes))
                                   for dev in self.devices)
-        self.beam_names = self.names[:len(self.devices)]
         self.eps_area = tuple(EPS0 * dev.area for dev in self.devices)
         self.g_eff = tuple(dev.g_eff for dev in self.devices)
         self.linear = tuple(cap.value for cap in network.linear_caps)
-        self._partitions: dict[tuple[bool, ...], _Partition] = {}
-        self.transitions: dict[bytes, PhaseSolution] = {}
+        self.partitions: list[_Partition] = []
+        self._by_mask: dict[tuple[bool, ...], _Partition] = {}
+        self.columns = PhaseColumns(tuple(network.nodes), self.names, len(self.devices),
+                                    tuple(sw.name for sw in network.switches),
+                                    self.partitions)
+        self.transitions: dict[bytes, int] = {}
 
     def partition(self, mask: tuple[bool, ...], phase: Phase,
-                  switch_states: Mapping[str, OhmicSwitchState]) -> _Partition:
-        part = self._partitions.get(mask)
+                  switch_states: Sequence[OhmicSwitchState]) -> _Partition:
+        part = self._by_mask.get(mask)
         if part is None:
-            part = self._partitions[mask] = self._build(
-                islands(self.network, phase, switch_states), mask)
+            states = dict(zip(self.columns.switch_names, switch_states))
+            part = self._by_mask[mask] = self._build(
+                islands(self.network, phase, states), mask)
+            self.partitions.append(part)
         return part
 
     def _build(self, isles: list[Island], mask: tuple[bool, ...]) -> _Partition:
         net = self.network
         island_of = {n: k for k, isl in enumerate(isles) for n in isl.nodes}
+        node_index = {n: i for i, n in enumerate(net.nodes)}
         floating = tuple(isl.floating for isl in isles)
         f_islands = tuple(k for k, isl in enumerate(isles) if isl.floating)
         f_index = [-1] * len(isles)
@@ -536,11 +545,13 @@ class CompiledNetwork:
                     terms[f_index[isl]].append((k, sign))
 
         return _Partition(
+            index=len(self.partitions),
             ids=tuple(isl.id for isl in isles),
-            nodes=tuple(isl.nodes for isl in isles),
             f_islands=f_islands,
             f_index=tuple(f_index),
-            node_islands=tuple((n, k) for k, isl in enumerate(isles) for n in isl.nodes),
+            node_island=tuple(island_of[n] for n in net.nodes),
+            first_node=tuple(node_index[isl.nodes[0]] for isl in isles),
+            node_order=tuple((n, node_index[n]) for isl in isles for n in isl.nodes),
             pins=pin_list,
             plate_a=plate_a,
             plate_b=plate_b,
@@ -623,17 +634,263 @@ class ConservationRecord:
     q_scale: float  # largest single plate charge entering the transition
 
 
-@dataclass(frozen=True)
+class _ReadOnlyMap(Mapping):
+    """Read-only mapping over a dict built for one read; reprs as the dict."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items: dict):
+        self._items = items
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __repr__(self) -> str:
+        return repr(self._items)
+
+
+class PhaseColumns(Sequence):
+    """A run's state, one row per solved phase in solve order, read as a
+    sequence of PhaseSolution views.
+
+    Each row holds the phase, the node voltages (Network.nodes order), the
+    plate charges (Network.caps() order), the beam displacements, velocities
+    and latch flags (Network.nems_caps order), the switch states
+    (Network.switches order), the fixed-point iterations, the index of the
+    phase's partition, its notes, and for each floating island of that
+    partition the entering plate-charge sum and the largest entering plate
+    charge. Only solve_phase appends rows.
+    """
+
+    def __init__(self, nodes: tuple[str, ...], names: tuple[str, ...], n_beams: int,
+                 switch_names: tuple[str, ...], partitions: list[_Partition]):
+        self.nodes = nodes
+        self.names = names
+        self.n_beams = n_beams
+        self.switch_names = switch_names
+        self.partitions = partitions
+        self.phases: list[Phase] = []
+        self.volts = array("d")
+        self.charges = array("d")
+        self.displacement = array("d")
+        self.velocity = array("d")
+        self.latched = bytearray()
+        self.switch_states: list[OhmicSwitchState] = []
+        self.iterations = array("l")
+        self.partition = array("l")
+        self.notes: list[tuple[str, ...]] = []
+        self.q_in = array("d")
+        self.scale_in = array("d")
+        self.f_start = array("l", [0])  # each row's first entry in q_in and scale_in
+
+    def __len__(self) -> int:
+        return len(self.phases)
+
+    def __iter__(self):
+        return (PhaseSolution(self, r) for r in range(len(self)))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(PhaseSolution(self, r) for r in range(*index.indices(len(self))))
+        n = len(self)
+        if not -n <= index < n:
+            raise IndexError("phase row out of range")
+        return PhaseSolution(self, index % n)
+
+    def __eq__(self, other):
+        if not isinstance(other, PhaseColumns):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def node_voltage(self, node: str) -> list[float]:
+        """The node's voltage in every row."""
+        return self.volts[self.nodes.index(node)::len(self.nodes)].tolist()
+
+    def latched_beams(self) -> list[int]:
+        """The number of latched beams in every row."""
+        nb, latched = self.n_beams, self.latched
+        return [sum(latched[r * nb:(r + 1) * nb]) for r in range(len(self))]
+
+    def _layout(self) -> tuple:
+        return self.nodes, self.names, self.n_beams, self.switch_names
+
+    def _state(self, r: int) -> tuple:
+        """Copies of row r's node voltages, plate charges, beam displacements,
+        velocities and latch flags, and switch states."""
+        nn, nc, nb, ns = len(self.nodes), len(self.names), self.n_beams, len(self.switch_names)
+        return (self.volts[r * nn:(r + 1) * nn], self.charges[r * nc:(r + 1) * nc],
+                self.displacement[r * nb:(r + 1) * nb], self.velocity[r * nb:(r + 1) * nb],
+                self.latched[r * nb:(r + 1) * nb], self.switch_states[r * ns:(r + 1) * ns])
+
+    def _append(self, phase: Phase, partition: int, iterations: int,
+                notes: tuple[str, ...], switch_states, volts, charges, displacement,
+                velocity, latched, q_in, scale_in) -> int:
+        self.phases.append(phase)
+        self.partition.append(partition)
+        self.iterations.append(iterations)
+        self.notes.append(notes)
+        self.switch_states.extend(switch_states)
+        self.volts.extend(volts)
+        self.charges.extend(charges)
+        self.displacement.extend(displacement)
+        self.velocity.extend(velocity)
+        self.latched.extend(latched)
+        self.q_in.extend(q_in)
+        self.scale_in.extend(scale_in)
+        self.f_start.append(len(self.q_in))
+        return len(self.phases) - 1
+
+    def _copy(self, r: int, dest: PhaseColumns, phase: Phase, switch_states,
+              notes: tuple[str, ...], state: tuple | None = None) -> int:
+        """Append row r to dest with the given phase, switch states and notes,
+        and optionally another state (as _state returns it; its switch states
+        are not used)."""
+        volts, charges, displacement, velocity, latched, _ = state or self._state(r)
+        a, b = self.f_start[r], self.f_start[r + 1]
+        return dest._append(phase, self.partition[r], self.iterations[r], notes,
+                            switch_states, volts, charges, displacement, velocity,
+                            latched, self.q_in[a:b], self.scale_in[a:b])
+
+    def _charges(self, r: int) -> array:
+        nc = len(self.names)
+        return self.charges[r * nc:(r + 1) * nc]
+
+    def _islands(self, r: int) -> tuple[IslandSolution, ...]:
+        part = self.partitions[self.partition[r]]
+        q = self._charges(r)
+        q_after, _ = _floating_charge(part, q)
+        # pinned-island charge: plates facing other islands
+        q_pinned = [0.0] * len(part.ids)
+        for qk, ia, ib in zip(q, part.plate_a, part.plate_b):
+            if ia != ib:
+                q_pinned[ia] += qk
+                q_pinned[ib] -= qk
+        volts, base = self.volts, r * len(self.nodes)
+        return tuple(
+            IslandSolution(iid, f >= 0, volts[base + node],
+                           q_after[f] if f >= 0 else q_pinned[k])
+            for k, (iid, f, node) in enumerate(zip(part.ids, part.f_index, part.first_node)))
+
+    def _conservation(self, r: int) -> tuple[ConservationRecord, ...]:
+        part = self.partitions[self.partition[r]]
+        q_after, _ = _floating_charge(part, self._charges(r))
+        a = self.f_start[r]
+        return tuple(
+            ConservationRecord(part.ids[k], self.q_in[a + f], q_after[f], self.scale_in[a + f])
+            for f, k in enumerate(part.f_islands))
+
+    def _charge_errors(self) -> Iterable[tuple[float, float]]:
+        """(|q_after - q_before|, scale) for each floating island of each row;
+        the scale is the larger of |q_before| and the largest plate charge
+        entering the transition."""
+        for r, p in enumerate(self.partition):
+            part = self.partitions[p]
+            if not part.f_islands:
+                continue
+            q_after, _ = _floating_charge(part, self._charges(r))
+            a = self.f_start[r]
+            for f, after in enumerate(q_after):
+                before = self.q_in[a + f]
+                yield abs(after - before), max(abs(before), self.scale_in[a + f])
+
+
 class PhaseSolution:
-    phase: Phase
-    node_voltages: dict[str, float]
-    charges: dict[str, float]          # element name -> plate-a / top-plate charge
-    beam_states: dict[str, BeamState]
-    switch_states: dict[str, OhmicSwitchState]
-    islands: tuple[IslandSolution, ...]
-    conservation: tuple[ConservationRecord, ...]
-    iterations: int
-    warnings: tuple[str, ...]
+    """Read-only view of one row of a run's PhaseColumns.
+
+    Fields: phase, node_voltages, charges (element name -> plate-a /
+    top-plate charge), beam_states, switch_states, islands, conservation,
+    iterations and warnings. Each is read from the row when accessed; the
+    maps are read-only. Views compare equal when every field does.
+    """
+
+    __slots__ = ("_columns", "_row")
+    FIELDS = ("phase", "node_voltages", "charges", "beam_states", "switch_states",
+              "islands", "conservation", "iterations", "warnings")
+
+    def __init__(self, columns: PhaseColumns, row: int):
+        self._columns = columns
+        self._row = row
+
+    @property
+    def phase(self) -> Phase:
+        return self._columns.phases[self._row]
+
+    @property
+    def node_voltages(self) -> Mapping[str, float]:
+        cols, r = self._columns, self._row
+        volts, base = cols.volts, r * len(cols.nodes)
+        part = cols.partitions[cols.partition[r]]
+        return _ReadOnlyMap({n: volts[base + i] for n, i in part.node_order})
+
+    @property
+    def charges(self) -> Mapping[str, float]:
+        cols = self._columns
+        return _ReadOnlyMap(dict(zip(cols.names, cols._charges(self._row))))
+
+    @property
+    def beam_states(self) -> Mapping[str, BeamState]:
+        _, _, disp, vel, latched, _ = self._columns._state(self._row)
+        return _ReadOnlyMap({n: BeamState(x, u, bool(flag)) for n, x, u, flag
+                             in zip(self._columns.names, disp, vel, latched)})
+
+    @property
+    def switch_states(self) -> Mapping[str, OhmicSwitchState]:
+        cols = self._columns
+        return _ReadOnlyMap(dict(zip(cols.switch_names, cols._state(self._row)[5])))
+
+    @property
+    def islands(self) -> tuple[IslandSolution, ...]:
+        return self._columns._islands(self._row)
+
+    @property
+    def conservation(self) -> tuple[ConservationRecord, ...]:
+        return self._columns._conservation(self._row)
+
+    @property
+    def iterations(self) -> int:
+        return self._columns.iterations[self._row]
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        return self._columns.notes[self._row]
+
+    def replace(self, *, charges: Mapping[str, float] | None = None,
+                beam_states: Mapping[str, BeamState] | None = None) -> PhaseSolution:
+        """A one-row copy of this solution with the given plate charges and
+        beam states (by element name; the others keep their values), e.g.
+        to start solve_phase from a chosen state."""
+        cols = self._columns
+        volts, q, disp, vel, latched, switch_states = state = cols._state(self._row)
+        index = {n: i for i, n in enumerate(cols.names)}
+        for name, value in (charges or {}).items():
+            q[index[name]] = value
+        for name, beam in (beam_states or {}).items():
+            j = index[name]
+            if j >= cols.n_beams:
+                raise KeyError(name)
+            disp[j], vel[j], latched[j] = beam.displacement, beam.velocity, beam.latched
+        out = PhaseColumns(*cols._layout(), cols.partitions)
+        cols._copy(self._row, out, self.phase, switch_states, self.warnings, state)
+        return PhaseSolution(out, 0)
+
+    def __eq__(self, other):
+        if not isinstance(other, PhaseSolution):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.FIELDS)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return "PhaseSolution(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self.FIELDS) + ")"
 
 
 _MAX_FIXED_POINT = 10_000
@@ -649,7 +906,8 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
 
     The network is read-only input: the phase starts from prior's charges,
     beam and switch states, or from the element fields when prior is None.
-    A plain Network is compiled for this one call; simulate compiles once
+    The solution is a row appended to the compiled network's columns. A
+    plain Network is compiled for this one call; simulate compiles once
     and passes the CompiledNetwork. Pinned islands take their source
     voltage and voltage-driven beams update hysteretically. Each floating
     island keeps its entering plate-charge sum while island voltage,
@@ -660,33 +918,39 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
 
     Each beam law is a pure function of the device and the drive, so within
     a phase it runs once per distinct (device class, drive) key, plus the
-    prior latch state for the voltage law; beams with equal keys share one
-    frozen BeamState. +0.0 and -0.0 drives share a key and both laws map
-    them to the same state; a NaN drive never matches a key.
+    prior latch state for the voltage law. +0.0 and -0.0 drives share a key
+    and both laws map them to the same state; a NaN drive never matches a
+    key.
 
     The solve is a deterministic function of the mask and the entering
     state, so a CompiledNetwork solves each distinct transition once per
     run. Its memo is keyed by the bit patterns of the conduction mask, the
     island voltages (pinned values and the fixed-point guess), the entering
     plate charges and beam states; bit patterns keep +0.0 and -0.0 apart.
-    A repeated transition returns the stored solution's read-only maps,
-    islands, conservation records, iterations and latch-violation notes
-    with this phase's phase and switch states; the settling check runs for
-    every phase. A failed solve is not stored.
+    A repeated transition copies the stored row, its iterations and
+    latch-violation notes with this phase's phase and switch states; the
+    settling check runs for every phase. A failed solve is not stored.
     """
     topo = network if isinstance(network, CompiledNetwork) else CompiledNetwork(network)
     net = topo.network
+    cols = topo.columns
     if prior is None:
         q = [cap.q for cap in net.caps()]
-        beams = [cap.state for cap in net.nems_caps]
-        switch_states = _phase_switch_states(net, phase)
+        entering = [cap.state for cap in net.nems_caps]
+        disp = [b.displacement for b in entering]
+        vel = [b.velocity for b in entering]
+        latched = [b.latched for b in entering]
+        guess = None
+        switch_states = _step_switches(net, phase)
     else:
-        charges, beam_states = prior.charges, prior.beam_states
-        q = [charges[n] for n in topo.names]
-        beams = [beam_states[n] for n in topo.beam_names]
-        switch_states = _phase_switch_states(net, phase, prior.switch_states)
+        rows = prior._columns
+        if rows is not cols and rows._layout() != cols._layout():
+            raise NetworkError("prior solution is of a network with other nodes, "
+                               "elements or switches")
+        guess, q, disp, vel, latched, switch_states = rows._state(prior._row)
+        switch_states = _step_switches(net, phase, switch_states)
     t_end = phase.t_end
-    mask = tuple(switch_is_conducting(switch_states[sw.name], t_end) for sw in net.switches)
+    mask = tuple([switch_is_conducting(st, t_end) for st in switch_states])
     part = topo.partition(mask, phase, switch_states)
 
     # island voltages: pinned ones from this phase's source values, floating
@@ -698,24 +962,22 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
         volts[k] = (values[pinned[0][1]] if len(pinned) == 1 else
                     _pin_value(members, [(name, values[i]) for name, i in pinned]))
     f_islands = part.f_islands
-    if prior is None:
+    if guess is None:
         v = [0.0] * len(f_islands)
     else:
-        guess = prior.node_voltages
-        v = [float(guess.get(part.nodes[k][0], 0.0)) for k in f_islands]
+        first_node = part.first_node
+        v = [guess[first_node[k]] for k in f_islands]
     for f, k in enumerate(f_islands):
         volts[k] = v[f]
 
-    transition = part.transition_key.pack(
-        *mask, *[b.latched for b in beams], *volts, *q,
-        *[b.displacement for b in beams], *[b.velocity for b in beams])
+    transition = part.transition_key.pack(*mask, *latched, *volts, *q, *disp, *vel)
     seen = topo.transitions.get(transition)
     if seen is not None:
-        notes = [w for w in seen.warnings if not w.startswith("settling-violation")]
+        notes = [w for w in cols.notes[seen] if not w.startswith("settling-violation")]
         if part.settling:
-            notes += _settling_notes(net, part, _capacitances(topo, seen.beam_states.values()),
+            notes += _settling_notes(net, part, _capacitances(topo, cols._state(seen)[2]),
                                      phase)
-        return replace(seen, phase=phase, switch_states=switch_states, warnings=tuple(notes))
+        return PhaseSolution(cols, cols._copy(seen, cols, phase, switch_states, tuple(notes)))
     notes = []
 
     q_before, scale_before = _floating_charge(part, q)
@@ -723,22 +985,22 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     # voltage-driven beams: both terminals pinned; one law call per
     # (device class, dv, prior latched) key
     devices, device_class = topo.devices, topo.device_class
-    by_voltage: dict[tuple[int, float, bool], BeamState] = {}
+    by_voltage: dict[tuple[int, float, bool], tuple[float, float, bool]] = {}
     for j, ia, ib in part.voltage_beams:
         dv = volts[ia] - volts[ib]
-        latched = beams[j].latched
-        key = (device_class[j], dv, latched)
+        was_latched = latched[j]
+        key = (device_class[j], dv, was_latched)
         state = by_voltage.get(key)
         if state is None:
             dev = devices[j]
-            if latched and release_holds(dev, dev.k, dev.d_c, dv):
-                state = BeamState(dev.g0, 0.0, True)
+            if was_latched and release_holds(dev, dev.k, dev.d_c, dv):
+                law = BeamState(dev.g0, 0.0, True)
             else:
-                state = static_equilibrium_voltage(dev, dev.k, dv)
-            by_voltage[key] = state
-        beams[j] = state
+                law = static_equilibrium_voltage(dev, dev.k, dv)
+            state = by_voltage[key] = (law.displacement, law.velocity, law.latched)
+        disp[j], vel[j], latched[j] = state
     eps_area, g_eff = topo.eps_area, topo.g_eff
-    caps = _capacitances(topo, beams)
+    caps = _capacitances(topo, disp)
 
     # fixed point over floating island voltages
     plate_a, plate_b = part.plate_a, part.plate_b
@@ -747,9 +1009,9 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     damped = False
     prev_step = math.inf
     converged = not f_islands
-    # (device class, plate charge) -> (beam state, its capacitance), shared by
-    # every iteration of this phase
-    by_charge: dict[tuple[int, float], tuple[BeamState, float]] = {}
+    # (device class, plate charge) -> (displacement, velocity, latched,
+    # capacitance), shared by every iteration of this phase
+    by_charge: dict[tuple[int, float], tuple[float, float, bool, float]] = {}
     for iterations in range(1, _MAX_FIXED_POINT + 1):
         v_new = _solve_floating(part, caps, volts, q_before, v)
         if damped:
@@ -765,15 +1027,14 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
             seated = by_charge.get(key)
             if seated is None:
                 dev = devices[j]
-                state = static_equilibrium_charge(dev, dev.k, q_j)
-                seated = by_charge[key] = (
-                    state, eps_area[j] / (g_eff[j] - state.displacement))
-            was_released = not beams[j].latched
-            state, caps[j] = seated
-            beams[j] = state
-            if was_released and state.latched:
+                law = static_equilibrium_charge(dev, dev.k, q_j)
+                seated = by_charge[key] = (law.displacement, law.velocity, law.latched,
+                                           eps_area[j] / (g_eff[j] - law.displacement))
+            now_latched = seated[2]
+            if now_latched and not latched[j]:
                 notes.append(f"latch-violation: beam {topo.names[j]} re-latched "
                              "during redistribution")
+            disp[j], vel[j], latched[j], caps[j] = seated
         v = v_new
         if iterations >= 2:
             if step <= tol * max(1.0, _max_abs(v)):
@@ -793,38 +1054,19 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     q = [c * (volts[ia] - volts[ib]) for c, ia, ib in zip(caps, plate_a, plate_b)]
     for f, corrector, sign, others in part.correctors:
         q[corrector] = sign * (q_before[f] - math.fsum([s * q[k] for k, s in others]))
-    q_after, _ = _floating_charge(part, q)
-
-    # pinned-island charge: plates facing other islands
-    q_pinned = [0.0] * len(part.ids)
-    for qk, ia, ib in zip(q, plate_a, plate_b):
-        if ia != ib:
-            q_pinned[ia] += qk
-            q_pinned[ib] -= qk
     notes += _settling_notes(net, part, caps, phase)
 
-    solution = topo.transitions[transition] = PhaseSolution(
-        phase=phase,
-        node_voltages={n: volts[k] for n, k in part.node_islands},
-        charges=dict(zip(topo.names, q)),
-        beam_states=dict(zip(topo.beam_names, beams)),
-        switch_states=switch_states,
-        islands=tuple(
-            IslandSolution(iid, f >= 0, volts[k], q_after[f] if f >= 0 else q_pinned[k])
-            for k, (iid, f) in enumerate(zip(part.ids, part.f_index))),
-        conservation=tuple(
-            ConservationRecord(part.ids[k], q_before[f], q_after[f], scale_before[f])
-            for f, k in enumerate(f_islands)),
-        iterations=iterations,
-        warnings=tuple(dict.fromkeys(notes)),  # dedupe, keep order
-    )
-    return solution
+    row = topo.transitions[transition] = cols._append(
+        phase, part.index, iterations, tuple(dict.fromkeys(notes)),  # dedupe, keep order
+        switch_states, [volts[k] for k in part.node_island], q, disp, vel, latched,
+        q_before, scale_before)
+    return PhaseSolution(cols, row)
 
 
-def _capacitances(topo: CompiledNetwork, beams: Iterable[BeamState]) -> list[float]:
+def _capacitances(topo: CompiledNetwork, displacement: Iterable[float]) -> list[float]:
     """Capacitance of every capacitor, in Network.caps() order, with the
-    beams in the given states."""
-    caps = [ea / (g - b.displacement) for ea, g, b in zip(topo.eps_area, topo.g_eff, beams)]
+    beams at the given displacements."""
+    caps = [ea / (g - x) for ea, g, x in zip(topo.eps_area, topo.g_eff, displacement)]
     caps.extend(topo.linear)
     return caps
 
@@ -916,30 +1158,23 @@ def _solve_floating(part: _Partition, caps: list[float], volts: list[float],
 
 @dataclass(frozen=True)
 class SimResult:
-    """Ordered phase solutions plus a zero-order-hold waveform trace."""
+    """A run's phase solutions, as state columns, plus the node names of its
+    zero-order-hold waveform trace."""
 
-    solutions: tuple[PhaseSolution, ...]
+    solutions: PhaseColumns
     nodes: tuple[str, ...]
 
     def conservation_violations(self, rel_tol: float = 1e-15) -> int:
         """Count floating-island transitions whose charge sum moved by more
         than rel_tol relative to the larger of the island sum and its largest
         single plate charge."""
-        count = 0
-        for sol in self.solutions:
-            for rec in sol.conservation:
-                scale = max(abs(rec.q_before), rec.q_scale)
-                if abs(rec.q_after - rec.q_before) > rel_tol * scale:
-                    count += 1
-        return count
+        return sum(err > rel_tol * scale for err, scale in self.solutions._charge_errors())
 
     def max_conservation_error(self) -> float:
         worst = 0.0
-        for sol in self.solutions:
-            for rec in sol.conservation:
-                scale = max(abs(rec.q_before), rec.q_scale)
-                if scale > 0.0:
-                    worst = max(worst, abs(rec.q_after - rec.q_before) / scale)
+        for err, scale in self.solutions._charge_errors():
+            if scale > 0.0:
+                worst = max(worst, err / scale)
         return worst
 
     def phases_of_kind(self, kind: str) -> list[PhaseSolution]:
@@ -950,41 +1185,45 @@ class SimResult:
         names += sorted(n for n in self.nodes if n not in names)
         header = "t_s,phase," + ",".join(f"v{n.upper()}_V" for n in names)
         lines = [header]
-        for sol in self.solutions:
-            for t in (sol.phase.t_start, sol.phase.t_end):
-                row = [format_float(t), sol.phase.kind]
-                row += [format_float(sol.node_voltages[n]) for n in names]
-                lines.append(",".join(row))
+        cols = self.solutions
+        width = len(cols.nodes)
+        index = [cols.nodes.index(n) for n in names]
+        volts = cols.volts
+        for r, ph in enumerate(cols.phases):
+            base = r * width
+            # both rows of a phase hold its node voltages: format them once
+            values = "".join([f",{format_float(volts[base + i])}" for i in index])
+            lines.append(f"{format_float(ph.t_start)},{ph.kind}{values}")
+            lines.append(f"{format_float(ph.t_end)},{ph.kind}{values}")
         return "\n".join(lines) + "\n"
 
     def islands_csv(self) -> str:
         lines = ["t_s,island_id,q_C,v_V"]
-        for sol in self.solutions:
-            for isl in sol.islands:
-                lines.append(",".join([
-                    format_float(sol.phase.t_end), isl.id,
-                    format_float(isl.charge), format_float(isl.voltage)]))
+        cols = self.solutions
+        for r, ph in enumerate(cols.phases):
+            t = format_float(ph.t_end)
+            for isl in cols._islands(r):
+                lines.append(",".join([t, isl.id, format_float(isl.charge),
+                                       format_float(isl.voltage)]))
         return "\n".join(lines) + "\n"
 
     @property
     def warnings(self) -> tuple[str, ...]:
         out: list[str] = []
-        for sol in self.solutions:
-            out.extend(sol.warnings)
+        for notes in self.solutions.notes:
+            out.extend(notes)
         return tuple(dict.fromkeys(out))
 
 
 def simulate(network: Network, schedule: ClockSchedule, t_end: float) -> SimResult:
     """Run the phase sequence over [0, t_end], threading state phase to phase
-    through one CompiledNetwork."""
+    through one CompiledNetwork, whose columns become the result's solutions."""
     phases = schedule.phases(t_end)
     topo = CompiledNetwork(network)
-    solutions: list[PhaseSolution] = []
     prior: PhaseSolution | None = None
     for ph in phases:
         prior = solve_phase(topo, ph, prior)
-        solutions.append(prior)
-    return SimResult(tuple(solutions), tuple(network.nodes))
+    return SimResult(topo.columns, tuple(network.nodes))
 
 
 def apply_parasitics(network: Network, c_gb: float, c_gc: float,

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import pytest
 
@@ -130,6 +132,36 @@ class TestRunSine:
         hold = next(s for s in run.sim.solutions if s.phase.kind == "hold")
         va, vb = hold.node_voltages["a"], hold.node_voltages["b"]
         assert math.isclose(va + vb, 2 * va, rel_tol=1e-12)
+
+
+class TestSolutionStorage:
+    def test_solution_maps_are_read_only(self):
+        # phases 5, 9 and 13 enter the same transition, so the run solves it once
+        sim = run_dc(large_amp(), 0.01, 4).sim
+        solved = [sim.solutions[i].node_voltages["a"] for i in (5, 9, 13)]
+        assert solved[0] == solved[1] == solved[2] != 99.0
+        sol = sim.solutions[5]
+        with pytest.raises(TypeError):
+            sol.node_voltages["a"] = 99.0
+        for field in ("charges", "beam_states", "switch_states"):
+            with pytest.raises(TypeError):
+                getattr(sol, field)["ca"] = None
+        assert [sim.solutions[i].node_voltages["a"] for i in (5, 9, 13)] == solved
+
+    def test_sine_run_retains_at_most_1_kib_per_phase(self):
+        # per-phase state lives in the run's columns, not in per-phase objects
+        amp = large_amp()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run = run_sine(amp, 0.05, 100.0)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(run.sim.solutions) == 4000
+        assert retained <= 1024 * len(run.sim.solutions)
 
 
 class TestGainSweep:

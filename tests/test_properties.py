@@ -7,7 +7,8 @@ deterministic.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nemsim.scnet import ClockSchedule, NemsCap, build_network, islands, simulate
+from nemsim.scnet import (ClockSchedule, NemsCap, PhaseSolution, build_network, islands,
+                          simulate, solve_phase)
 
 SCHEDULE = ClockSchedule(100e3)
 CHARGE = st.floats(-1e-15, 1e-15)
@@ -98,3 +99,19 @@ def test_floating_charge_conserved_and_reruns_byte_identical(case):
     _assert_conserved(net, first)
     again = simulate(_build(description, charges), SCHEDULE, 2 * SCHEDULE.period)
     assert again.waveform_csv() == first.waveform_csv()
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(networks())
+def test_simulate_matches_the_plain_network_path(case):
+    """simulate (columns and transition memo) against solve_phase chained over
+    a plain Network, which compiles per call and never reuses a solution."""
+    description, charges = case
+    run = simulate(_build(description, charges), SCHEDULE, 2 * SCHEDULE.period)
+    net = _build(description, charges)
+    prior = None
+    for got, phase in zip(run.solutions, SCHEDULE.phases(2 * SCHEDULE.period), strict=True):
+        prior = solve_phase(net, phase, prior)
+        for name in PhaseSolution.FIELDS:
+            assert getattr(got, name) == getattr(prior, name), name
+        assert repr(got) == repr(prior)

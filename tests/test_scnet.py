@@ -542,7 +542,7 @@ class TestTransitionMemo:
         for g, w in zip(got, want):
             assert g == w
             assert repr(g) == repr(w)
-        assert simulate(make(), self.SCHED, periods * self.SCHED.period).solutions == tuple(got)
+        assert tuple(simulate(make(), self.SCHED, periods * self.SCHED.period).solutions) == tuple(got)
 
     def test_settling_violations_name_their_own_phase(self):
         net = fig6_network()
@@ -585,9 +585,9 @@ class TestTransitionMemo:
         # (charge of c, velocity of n) entering the second phase
         variants = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)]
         for q, velocity in variants[::-1] if reverse else variants:
-            prior = replace(start, charges={"n": start.charges["n"], "c": q},
-                            beam_states={"n": BeamState(beam.displacement, velocity,
-                                                        beam.latched)})
+            prior = start.replace(charges={"n": start.charges["n"], "c": q},
+                                  beam_states={"n": BeamState(beam.displacement, velocity,
+                                                              beam.latched)})
             assert repr(solve_phase(topo, second, prior)) == repr(
                 solve_phase(net, second, prior))
         assert len(topo.transitions) == 1 + len(variants)
