@@ -789,17 +789,18 @@ class PhaseColumns(Sequence):
 
     def _charge_errors(self) -> Iterable[tuple[float, float]]:
         """(|q_after - q_before|, scale) for each floating island of each row;
-        the scale is the larger of |q_before| and the largest plate charge
-        entering the transition."""
+        the scale is the largest of |q_before| and the island's plate charges
+        entering and leaving the transition. Large cancelling plate charges
+        on either side bound how exactly the sum can be represented."""
         for r, p in enumerate(self.partition):
             part = self.partitions[p]
             if not part.f_islands:
                 continue
-            q_after, _ = _floating_charge(part, self._charges(r))
+            q_after, scale_out = _floating_charge(part, self._charges(r))
             a = self.f_start[r]
             for f, after in enumerate(q_after):
                 before = self.q_in[a + f]
-                yield abs(after - before), max(abs(before), self.scale_in[a + f])
+                yield abs(after - before), max(abs(before), self.scale_in[a + f], scale_out[f])
 
 
 class PhaseSolution:
@@ -1166,11 +1167,13 @@ class SimResult:
 
     def conservation_violations(self, rel_tol: float = 1e-15) -> int:
         """Count floating-island transitions whose charge sum moved by more
-        than rel_tol relative to the larger of the island sum and its largest
-        single plate charge."""
+        than rel_tol relative to the largest of the island sum and its single
+        plate charges entering and leaving the phase."""
         return sum(err > rel_tol * scale for err, scale in self.solutions._charge_errors())
 
     def max_conservation_error(self) -> float:
+        """Largest floating-island charge-sum change, relative to the scale
+        conservation_violations uses."""
         worst = 0.0
         for err, scale in self.solutions._charge_errors():
             if scale > 0.0:

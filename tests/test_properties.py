@@ -7,8 +7,7 @@ deterministic.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nemsim.scnet import (ClockSchedule, NemsCap, PhaseSolution, build_network, islands,
-                          simulate, solve_phase)
+from nemsim.scnet import ClockSchedule, PhaseSolution, build_network, simulate, solve_phase
 
 SCHEDULE = ClockSchedule(100e3)
 CHARGE = st.floats(-1e-15, 1e-15)
@@ -67,36 +66,13 @@ def _build(description, charges):
     return net
 
 
-def _assert_conserved(net, run):
-    """Each floating island keeps its charge to 1e-15 of its largest plate
-    charge entering or leaving the phase.
-
-    `max_conservation_error` scales by the plate charges entering the phase
-    only. An island that enters with almost no charge (down to subnormal)
-    but leaves with large, cancelling plate charges cannot sum back to that
-    charge in float64, so its error against the entering scale can reach
-    1.0 on a correct solve; the leaving plate charges bound it here.
-    """
-    for sol in run.solutions:
-        island_of = {n: isl.id for isl in islands(net, sol.phase, sol.switch_states)
-                     for n in isl.nodes}
-        leaving = dict.fromkeys(island_of.values(), 0.0)
-        for c in net.caps():
-            for node in (c.top, c.bottom) if isinstance(c, NemsCap) else (c.a, c.b):
-                iid = island_of[node]
-                leaving[iid] = max(leaving[iid], abs(sol.charges[c.name]))
-        for rec in sol.conservation:
-            scale = max(rec.q_scale, leaving[rec.island_id])
-            assert abs(rec.q_after - rec.q_before) <= 1e-15 * scale, rec
-
-
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(networks())
 def test_floating_charge_conserved_and_reruns_byte_identical(case):
     description, charges = case
     net = _build(description, charges)
     first = simulate(net, SCHEDULE, 2 * SCHEDULE.period)
-    _assert_conserved(net, first)
+    assert first.max_conservation_error() <= 1e-15
     again = simulate(_build(description, charges), SCHEDULE, 2 * SCHEDULE.period)
     assert again.waveform_csv() == first.waveform_csv()
 

@@ -365,6 +365,25 @@ class TestSolvePhase:
                     assert math.isclose(qc, c * dv, rel_tol=1e-9)
 
 
+class TestConservationScale:
+    @pytest.mark.parametrize("q_enter", [1e-22, 2.2e-309])
+    def test_scaled_by_leaving_plate_charges_too(self, q_enter):
+        # island f enters with almost no charge and leaves with ~0.75 fC of
+        # cancelling plate charges, whose rounding grid cannot hold q_enter
+        net = Network()
+        for n in ("gnd", "s", "f"):
+            net.add_node(n)
+        net.sources.append(VSource("vs", "s", Dc(1.0)))
+        net.linear_caps += [LinearCap("c1", "f", "gnd", 1e-15, q=q_enter),
+                            LinearCap("c2", "f", "s", 3e-15)]
+        res = simulate(net, ClockSchedule(100e3), 1e-5)
+        rec = res.solutions[0].conservation[0]
+        assert rec.q_before == rec.q_scale == q_enter  # the entering scale alone
+        assert abs(rec.q_after - rec.q_before) > 1e-15 * rec.q_scale
+        assert res.conservation_violations(1e-15) == 0
+        assert res.max_conservation_error() <= 1e-15
+
+
 class TestNetworkIsReadOnly:
     """The engine threads state through the PhaseSolution chain; the network
     only supplies initial conditions."""
