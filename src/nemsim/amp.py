@@ -351,7 +351,7 @@ def parasitic_study(amp: Amp, c_gb: float, c_gc: float, m_values: Sequence[int],
     return ParasiticStudy(rows, c_gb, c_gc, c_cal, g_cal, calibration_m)
 
 
-def summary(amp: Amp, gain_dc: float) -> dict:
+def summary(amp: Amp, gain_dc: float | None) -> dict:
     """Structured experiment summary for the JSON artifact."""
     cfg = amp.config
     return {

@@ -167,8 +167,15 @@ def _cmd_amplify(scn: Scenario, args):
         sim, gain_dc, vout = run.sim, run.gain, run.vout
     else:
         sine = amp_mod.run_sine(amp, scn.amplitude, scn.freq, scn.n_periods)
-        dc_ref = amp_mod.run_dc(amp, scn.amplitude)
-        sim, gain_dc, vout = sine.sim, dc_ref.gain, dc_ref.vout
+        sim = sine.sim
+        try:
+            dc_ref = amp_mod.run_dc(amp, scn.amplitude)
+        except (NoLatchError, NoReleaseError):
+            # the peak is out of range: the sine run flags each such sample,
+            # and the DC reference is absent (null in summary.json)
+            gain_dc = vout = None
+        else:
+            gain_dc, vout = dc_ref.gain, dc_ref.vout
     summary = amp_mod.summary(amp, gain_dc)
     summary["vout_V"] = vout
     summary["stimulus"] = scn.stimulus_kind

@@ -86,6 +86,20 @@ class TestAmplify:
         assert json.loads(err)["error"]["kind"] == "solver-error"
         assert not out_dir.exists()
 
+    def test_sine_beyond_dc_range_reports_no_reference(self, tmp_path, capsys):
+        # 0.8 V peaks exceed the large preset's 0.63 V release clamp
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text('device.preset = "large"\nstimulus.kind = sine\n'
+                       "stimulus.amplitude_V = 0.8\nstimulus.freq_hz = 10e3\nrun.n_periods = 1\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["amplify", "--config", str(cfg), "--out-dir", str(out_dir)], capsys)
+        assert code == 0 and err == ""
+        doc = read_json(out_dir / "summary.json")
+        assert doc["gain_dc"] is None and doc["vout_V"] is None
+        assert json.loads(out) == doc
+        assert len((out_dir / "waveforms.csv").read_text().splitlines()) == 1 + 2 * 40
+
     def test_parse_error_carries_line(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text('device.preset = "large"\namp.bogus = 1\n')
