@@ -869,7 +869,7 @@ class PhaseSolution:
         beam states (by element name; the others keep their values), e.g.
         to start solve_phase from a chosen state."""
         cols = self._columns
-        volts, q, disp, vel, latched, switch_states = state = cols._state(self._row)
+        _, q, disp, vel, latched, switch_states = state = cols._state(self._row)
         index = {n: i for i, n in enumerate(cols.names)}
         for name, value in (charges or {}).items():
             q[index[name]] = value
