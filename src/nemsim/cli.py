@@ -60,7 +60,9 @@ def _print_summary(summary: dict, fmt: str) -> None:
     else:
         for key in sorted(summary):
             value = summary[key]
-            if isinstance(value, float):
+            if value is None:
+                value = ""
+            elif isinstance(value, float):
                 value = format_float(value) if math.isfinite(value) else ""
             sys.stdout.write(f"{key},{value}\n")
 

@@ -99,6 +99,10 @@ class TestAmplify:
         assert doc["gain_dc"] is None and doc["vout_V"] is None
         assert json.loads(out) == doc
         assert len((out_dir / "waveforms.csv").read_text().splitlines()) == 1 + 2 * 40
+        code, out, _ = run_cli(["amplify", "--config", str(cfg), "--out-dir", str(out_dir),
+                                "--format", "csv"], capsys)
+        assert code == 0
+        assert {"gain_dc,", "vout_V,"} <= set(out.splitlines())
 
     def test_parse_error_carries_line(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
