@@ -208,9 +208,7 @@ def step_switch(switch: OhmicSwitch, v_gb: float, t: float,
         commanded = False
     if commanded == st.conducting:
         return st
-    return OhmicSwitchState(conducting=commanded,
-                            last_transition_time=t + st.switching_delay,
-                            switching_delay=st.switching_delay)
+    return OhmicSwitchState(commanded, t + st.switching_delay, st.switching_delay)
 
 
 def switch_is_conducting(state: OhmicSwitchState, t: float) -> bool:
@@ -439,8 +437,10 @@ class _Partition:
     node_island: tuple[int, ...]                # island of each node
     first_node: tuple[int, ...]                 # first node of each island
     node_order: tuple[tuple[str, int], ...]     # (name, node) in island order
-    # pinned island, its nodes, (source name, index into the phase's source values)
-    pins: tuple[tuple[int, tuple[str, ...], tuple[tuple[str, int], ...]], ...]
+    pinned: tuple[tuple[int, int], ...]         # (pinned island, its first source's value)
+    # islands pinned by several sources: nodes, (source name, value index) per
+    # source; values index the phase's source values, ground last
+    shared_pins: tuple[tuple[tuple[str, ...], tuple[tuple[str, int], ...]], ...]
     plate_a: tuple[int, ...]                    # island of plate a / top, per capacitor
     plate_b: tuple[int, ...]                    # island of plate b / bottom
     # (capacitor, floating index of plate a or -1, of plate b or -1, island a, island b)
@@ -522,8 +522,7 @@ class CompiledNetwork:
         first_seen = {}
         for n in net.nodes:
             first_seen.setdefault(island_of[n], len(first_seen))
-        pin_list = tuple((k, isles[k].nodes, tuple(pins[k]))
-                         for k in sorted(pins, key=first_seen.__getitem__))
+        order = sorted(pins, key=first_seen.__getitem__)
 
         plate_a = tuple(island_of[a] for a, _ in self.plates)
         plate_b = tuple(island_of[b] for _, b in self.plates)
@@ -552,7 +551,9 @@ class CompiledNetwork:
             node_island=tuple(island_of[n] for n in net.nodes),
             first_node=tuple(node_index[isl.nodes[0]] for isl in isles),
             node_order=tuple((n, node_index[n]) for isl in isles for n in isl.nodes),
-            pins=pin_list,
+            pinned=tuple((k, pins[k][0][1]) for k in order),
+            shared_pins=tuple((isles[k].nodes, tuple(pins[k])) for k in order
+                              if len(pins[k]) > 1),
             plate_a=plate_a,
             plate_b=plate_b,
             stencil=stencil,
@@ -675,6 +676,7 @@ class PhaseColumns(Sequence):
         self.n_beams = n_beams
         self.switch_names = switch_names
         self.partitions = partitions
+        self._widths = (len(nodes), len(names), n_beams, len(switch_names))
         self.phases: list[Phase] = []
         self.volts = array("d")
         self.charges = array("d")
@@ -725,7 +727,7 @@ class PhaseColumns(Sequence):
     def _state(self, r: int) -> tuple:
         """Copies of row r's node voltages, plate charges, beam displacements,
         velocities and latch flags, and switch states."""
-        nn, nc, nb, ns = len(self.nodes), len(self.names), self.n_beams, len(self.switch_names)
+        nn, nc, nb, ns = self._widths
         return (self.volts[r * nn:(r + 1) * nn], self.charges[r * nc:(r + 1) * nc],
                 self.displacement[r * nb:(r + 1) * nb], self.velocity[r * nb:(r + 1) * nb],
                 self.latched[r * nb:(r + 1) * nb], self.switch_states[r * ns:(r + 1) * ns])
@@ -958,10 +960,11 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     # ones from the fixed-point guess (the prior's node voltages)
     values = [src.wave.at(t_end, phase) for src in net.sources]
     values.append(0.0)  # ground
+    for members, pins in part.shared_pins:
+        _pin_value(members, [(name, values[i]) for name, i in pins])
     volts = [0.0] * len(part.ids)
-    for k, members, pinned in part.pins:
-        volts[k] = (values[pinned[0][1]] if len(pinned) == 1 else
-                    _pin_value(members, [(name, values[i]) for name, i in pinned]))
+    for k, i in part.pinned:
+        volts[k] = values[i]
     f_islands = part.f_islands
     if guess is None:
         v = [0.0] * len(f_islands)
@@ -995,10 +998,11 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
         if state is None:
             dev = devices[j]
             if was_latched and release_holds(dev, dev.k, dev.d_c, dv):
-                law = BeamState(dev.g0, 0.0, True)
+                state = (dev.g0, 0.0, True)
             else:
                 law = static_equilibrium_voltage(dev, dev.k, dv)
-            state = by_voltage[key] = (law.displacement, law.velocity, law.latched)
+                state = (law.displacement, law.velocity, law.latched)
+            by_voltage[key] = state
         disp[j], vel[j], latched[j] = state
     eps_area, g_eff = topo.eps_area, topo.g_eff
     caps = _capacitances(topo, disp)
@@ -1059,7 +1063,7 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
 
     row = topo.transitions[transition] = cols._append(
         phase, part.index, iterations, tuple(dict.fromkeys(notes)),  # dedupe, keep order
-        switch_states, [volts[k] for k in part.node_island], q, disp, vel, latched,
+        switch_states, list(map(volts.__getitem__, part.node_island)), q, disp, vel, latched,
         q_before, scale_before)
     return PhaseSolution(cols, row)
 
@@ -1192,12 +1196,16 @@ class SimResult:
         width = len(cols.nodes)
         index = [cols.nodes.index(n) for n in names]
         volts = cols.volts
+        t_prev, t_text = None, ""
         for r, ph in enumerate(cols.phases):
             base = r * width
-            # both rows of a phase hold its node voltages: format them once
+            # both rows of a phase hold its node voltages, and a phase mostly
+            # starts at the instant the previous one ended: format each once
             values = "".join([f",{format_float(volts[base + i])}" for i in index])
-            lines.append(f"{format_float(ph.t_start)},{ph.kind}{values}")
-            lines.append(f"{format_float(ph.t_end)},{ph.kind}{values}")
+            start = t_text if ph.t_start == t_prev else format_float(ph.t_start)
+            t_prev, t_text = ph.t_end, format_float(ph.t_end)
+            lines.append(f"{start},{ph.kind}{values}")
+            lines.append(f"{t_text},{ph.kind}{values}")
         return "\n".join(lines) + "\n"
 
     def islands_csv(self) -> str:
