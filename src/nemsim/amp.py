@@ -15,6 +15,7 @@ from typing import Sequence
 
 from scipy.optimize import brentq
 
+from . import mech
 from .device import EPS0, DeviceParams
 from .errors import ConfigError, NoLatchError, NoReleaseError
 from .ioutil import format_float
@@ -258,12 +259,23 @@ class GainReport:
         return "\n".join(lines) + "\n"
 
 
+def require_sweep_size(n_amplitudes: int, n_periods: int) -> None:
+    """ConfigError if a gain sweep of n_amplitudes DC runs of n_periods clock
+    periods would simulate more than mech.MAX_SWEEP_SIZE phases (4 per period)."""
+    phases = n_amplitudes * 4 * n_periods
+    if phases > mech.MAX_SWEEP_SIZE:
+        raise ConfigError(
+            f"gain sweep of {n_amplitudes} amplitudes x {n_periods} periods spans "
+            f"{phases} phases, more than {mech.MAX_SWEEP_SIZE}")
+
+
 def gain_sweep(amp: Amp, amplitudes: Sequence[float], n_periods: int = 10) -> GainReport:
     """Full-simulation gain at each amplitude, in input order; out-of-range
     entries flagged."""
     amps = list(amplitudes)
     if not amps:
         raise ConfigError("amplitude list must not be empty")
+    require_sweep_size(len(amps), n_periods)
     _require_finite(**{f"amplitudes[{i}]": a for i, a in enumerate(amps)}, n_periods=n_periods)
     if any(a <= 0 for a in amps) or any(b <= a for a, b in zip(amps, amps[1:])):
         raise ConfigError("amplitudes must be positive and strictly ascending")

@@ -114,11 +114,11 @@ def _cmd_device_report(scn: Scenario, args):
 def _transition_voltages(curve) -> tuple[float | None, float | None]:
     mid = 0.5 * (curve.capacitances.min() + curve.capacitances.max())
     up = down = None
-    for v, c, b in zip(curve.voltages, curve.capacitances, curve.branches):
+    for v, c, b in zip(curve.voltages.tolist(), curve.capacitances.tolist(), curve.branches):
         if b == "up" and up is None and c > mid:
-            up = float(v)
+            up = v
         if b == "down" and down is None and c < mid:
-            down = float(v)
+            down = v
     return up, down
 
 
@@ -144,6 +144,8 @@ def _cmd_transient(scn: Scenario, args):
     level = args.level_V if args.level_V is not None else 1.2 * dev.v_pi
     dyn_scale = math.sqrt(DynamicsParams.for_device(geom, dev.k, 1.0).effective_mass / dev.k)
     t_end = args.t_end_s if args.t_end_s is not None else 200.0 * dyn_scale
+    if not (t_end > 0):
+        raise ConfigError(f"--t-end-s (t_end) must be positive, got {t_end!r}")
     dyn = DynamicsParams.for_device(geom, dev.k, t_end / 2000.0)
     if args.drive == "step":
         drive = lambda t: level
@@ -191,6 +193,8 @@ def _cmd_amplify(scn: Scenario, args):
 
 def _sweep_amplitudes(scn: Scenario, args) -> list[float]:
     if args.amplitudes is not None:
+        # bound the token count before splitting the list
+        amp_mod.require_sweep_size(args.amplitudes.count(",") + 1, scn.n_periods)
         amplitudes = []
         for tok in args.amplitudes.split(","):
             if not tok.strip():
@@ -207,6 +211,7 @@ def _sweep_amplitudes(scn: Scenario, args) -> list[float]:
     n = args.n_points
     if n < 2 or not (0 < lo < hi):
         raise ConfigError(f"bad sweep range [{lo}, {hi}] with {n} points")
+    amp_mod.require_sweep_size(n, scn.n_periods)
     ratio = (hi / lo) ** (1.0 / (n - 1))
     return [lo * ratio ** i for i in range(n)]
 

@@ -20,11 +20,15 @@ from scipy.optimize import brentq
 
 from .device import (EPS0, DeviceGeometry, DeviceParams, MaterialProps,
                      derive_geometry_constants)
-from .errors import (ConvergenceError, DisplacementRangeError,
+from .errors import (ConfigError, ConvergenceError, DisplacementRangeError,
                      InvalidGeometryError, StiffnessError)
 from .ioutil import format_float
 
 Device = DeviceGeometry | DeviceParams
+
+# largest sweep one call may ask for: C-V grid points, or the clock phases of
+# a gain sweep (amplitudes x 4 phases x periods)
+MAX_SWEEP_SIZE = 1_000_000
 
 
 def _dims(geom: Device) -> tuple[float, float, float]:
@@ -172,11 +176,19 @@ def release_holds(geom: Device, k: float, d_c: float, v: float) -> bool:
 
 
 def update_beam_voltage(geom: Device, k: float, d_c: float,
-                        prior: BeamState, v: float) -> BeamState:
-    """Hysteretic quasi-static update of a voltage-driven beam."""
+                        prior: BeamState, v: float, *,
+                        settle: Callable[[float], BeamState] | None = None) -> BeamState:
+    """Hysteretic quasi-static update of a voltage-driven beam.
+
+    A beam that is not held latched takes static_equilibrium_voltage at v;
+    settle(v), when given, must return that same state (cv_sweep passes its
+    per-sweep memo of the law).
+    """
     if prior.latched and release_holds(geom, k, d_c, v):
         _, _, g0 = _dims(geom)
         return BeamState(g0, 0.0, True)
+    if settle is not None:
+        return settle(v)
     return static_equilibrium_voltage(geom, k, v)
 
 
@@ -190,7 +202,7 @@ class CVCurve:
 
     def to_csv(self) -> str:
         lines = ["v_V,c_F,branch"]
-        for v, c, b in zip(self.voltages, self.capacitances, self.branches):
+        for v, c, b in zip(self.voltages.tolist(), self.capacitances.tolist(), self.branches):
             lines.append(f"{format_float(v)},{format_float(c)},{b}")
         return "\n".join(lines) + "\n"
 
@@ -201,20 +213,35 @@ def cv_sweep(geom: Device, k: float, d_c: float, v_start: float,
 
     Each point is treated as fully settled. The up branch latches at the
     first sample at or above V_PI; the down branch releases at the first
-    sample where the d_c force balance lets go (below V_PO).
+    sample where the d_c force balance lets go (below V_PO). The voltage
+    law runs once per distinct grid voltage: the down leg reuses the up
+    leg's solutions.
     """
     if n_points < 2:
         raise InvalidGeometryError("cv_sweep needs n_points >= 2")
+    if n_points > MAX_SWEEP_SIZE:
+        raise ConfigError(f"cv_sweep asks for {n_points} points, more than {MAX_SWEEP_SIZE}")
     if direction not in ("up", "down", "both"):
         raise InvalidGeometryError(f"unknown sweep direction {direction!r}")
     _, _, g0 = _dims(geom)
-    grid = np.linspace(v_start, v_end, n_points)
-    legs: list[tuple[str, np.ndarray]] = []
+    grid = np.linspace(v_start, v_end, n_points).tolist()
+    legs: list[tuple[str, list[float]]] = []
     if direction in ("up", "both"):
         legs.append(("up", grid))
     if direction in ("down", "both"):
         legs.append(("down", grid[::-1]))
 
+    # v -> (static_equilibrium_voltage at v, its capacitance), for this sweep
+    settled: dict[float, tuple[BeamState, float]] = {}
+
+    def settle(v: float) -> BeamState:
+        hit = settled.get(v)
+        if hit is None:
+            law = static_equilibrium_voltage(geom, k, v)
+            hit = settled[v] = (law, capacitance_at(geom, law.displacement))
+        return hit[0]
+
+    c_latched = capacitance_at(geom, g0)
     state = BeamState(g0, 0.0, True) if direction == "down" \
         else BeamState(0.0, 0.0, False)
     volts: list[float] = []
@@ -222,10 +249,11 @@ def cv_sweep(geom: Device, k: float, d_c: float, v_start: float,
     tags: list[str] = []
     for tag, leg in legs:
         for v in leg:
-            state = update_beam_voltage(geom, k, d_c, state, float(v))
-            volts.append(float(v))
-            caps.append(capacitance_at(geom, state.displacement))
-            tags.append(tag)
+            state = update_beam_voltage(geom, k, d_c, state, v, settle=settle)
+            # a released state came from settle(v)
+            caps.append(c_latched if state.latched else settled[v][1])
+        volts += leg
+        tags += [tag] * len(leg)
     return CVCurve(np.asarray(volts), np.asarray(caps), tuple(tags))
 
 
@@ -242,12 +270,10 @@ class TransientTrace:
     release_times: tuple[float, ...]
 
     def to_csv(self) -> str:
+        cols = [map(format_float, a.tolist()) for a in (self.t, self.x, self.v, self.c)]
+        flags = ["1" if f else "0" for f in self.latched.tolist()]
         lines = ["t_s,x_m,v_mps,c_F,latched"]
-        for i in range(len(self.t)):
-            lines.append(",".join([
-                format_float(self.t[i]), format_float(self.x[i]),
-                format_float(self.v[i]), format_float(self.c[i]),
-                "1" if self.latched[i] else "0"]))
+        lines += [",".join(row) for row in zip(*cols, flags)]
         return "\n".join(lines) + "\n"
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from nemsim import amp as amp_mod
+from nemsim import mech
 from nemsim.amp import (AmpConfig, build_amp, dynamic_range, gain_oracle,
                         gain_sweep, parasitic_study, power_estimate, run_dc,
                         run_sine, summary, _make_network)
@@ -208,6 +209,19 @@ class TestGainSweep:
             gain_sweep(large_amp(), [0.01, 0.01])
         with pytest.raises(ConfigError):
             gain_sweep(large_amp(), [-0.01, 0.01])
+
+    def test_phase_bound_before_compute(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated")
+
+        amps = [0.01, 0.02, 0.03, 0.04]
+        monkeypatch.setattr(amp_mod, "simulate", no_run)
+        monkeypatch.setattr(mech, "MAX_SWEEP_SIZE", 63)
+        with pytest.raises(ConfigError, match="4 amplitudes x 4 periods spans 64 phases, more than 63"):
+            gain_sweep(large_amp(), amps, n_periods=4)
+        monkeypatch.setattr(mech, "MAX_SWEEP_SIZE", 64)
+        with pytest.raises(AssertionError, match="simulated"):  # at the bound it runs
+            gain_sweep(large_amp(), amps, n_periods=4)
 
     def test_csv(self):
         report = gain_sweep(large_amp(), [1e-3], n_periods=2)

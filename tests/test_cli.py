@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from nemsim import mech
 from nemsim.cli import main
 
 REFERENCE_SETUP = """\
@@ -166,6 +167,21 @@ class TestCvSweepCommand:
         assert abs(doc["down_transition_V"] - 6.2) <= 0.011
         assert (tmp_path / "cv.csv").read_text().startswith("v_V,c_F,branch")
 
+    def test_points_beyond_bound_is_config_error(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(mech, "MAX_SWEEP_SIZE", 40)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["cv-sweep", "--preset", "large", "--n-points", "41", "--out-dir", str(out_dir)],
+            capsys)
+        assert code == 1 and out == ""
+        doc = json.loads(err)["error"]
+        assert doc["kind"] == "config-error" and "41 points, more than 40" in doc["message"]
+        assert not out_dir.exists()
+        code, _, _ = run_cli(
+            ["cv-sweep", "--preset", "large", "--n-points", "40", "--out-dir", str(out_dir)],
+            capsys)
+        assert code == 0
+
 
 class TestTransientCommand:
     def test_step_pullin(self, tmp_path, capsys):
@@ -176,6 +192,18 @@ class TestTransientCommand:
         assert doc["final_latched"] is True
         assert len(doc["contact_times_s"]) == 1
         assert (tmp_path / "transient.csv").read_text().startswith("t_s,x_m,v_mps,c_F,latched")
+
+    @pytest.mark.parametrize("t_end", ["0", "-1"])
+    def test_non_positive_end_time_names_the_option(self, t_end, tmp_path, capsys):
+        code, out, err = run_cli(
+            ["transient", "--preset", "large", "--t-end-s", t_end,
+             "--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 1 and out == ""
+        doc = json.loads(err)["error"]
+        assert doc["kind"] == "config-error"
+        assert "--t-end-s (t_end) must be positive" in doc["message"]
+        assert "integration_dt_max" not in doc["message"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestGainSweepCommand:
@@ -207,6 +235,21 @@ class TestGainSweepCommand:
         doc = json.loads(err)["error"]
         assert doc["kind"] == "config-error" and amplitudes[5:] in doc["message"]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("option, value", [
+        ("--n-points", "4"), ("--amplitudes", "1e-3,2e-3,3e-3,4e-3")])
+    def test_sweep_beyond_bound_is_config_error(self, option, value, monkeypatch,
+                                                tmp_path, capsys):
+        # 4 amplitudes x 4 phases x 10 periods = 160 phases
+        monkeypatch.setattr(mech, "MAX_SWEEP_SIZE", 159)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["gain-sweep", "--preset", "large", option, value, "--out-dir", str(out_dir)],
+            capsys)
+        assert code == 1 and out == ""
+        doc = json.loads(err)["error"]
+        assert doc["kind"] == "config-error" and "160 phases, more than 159" in doc["message"]
+        assert not out_dir.exists()
 
     def test_explicit_amplitudes(self, tmp_path, capsys):
         code, _, _ = run_cli(

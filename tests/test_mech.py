@@ -1,10 +1,13 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from nemsim import mech
 from nemsim.device import EPS0, PRESETS, c_off, c_on, get_preset
-from nemsim.errors import DisplacementRangeError, InvalidGeometryError
+from nemsim.errors import ConfigError, DisplacementRangeError, InvalidGeometryError
+from nemsim.ioutil import format_float
 from nemsim.mech import (BeamState, DynamicsParams, capacitance_at,
                          coenergy_voltage, cv_sweep, energy_charge,
                          force_charge_controlled, force_voltage_controlled,
@@ -197,6 +200,111 @@ class TestCvSweep:
         lines = text.strip().split("\n")
         assert lines[0] == "v_V,c_F,branch"
         assert len(lines) == 12 and lines[1].endswith(",up")
+
+
+def _chained_sweep(geom, v_start, v_end, n, direction):
+    """Reference C-V sweep: one update_beam_voltage call per sample, no memo."""
+    grid = np.linspace(v_start, v_end, n)
+    legs = [("up", grid)] if direction in ("up", "both") else []
+    if direction in ("down", "both"):
+        legs.append(("down", grid[::-1]))
+    state = BeamState(G0, 0.0, True) if direction == "down" else BeamState(0.0, 0.0, False)
+    volts, caps, tags = [], [], []
+    for tag, leg in legs:
+        for v in leg:
+            state = update_beam_voltage(geom, K, DEV.d_c, state, float(v))
+            volts.append(float(v))
+            caps.append(capacitance_at(geom, state.displacement))
+            tags.append(tag)
+    return np.asarray(volts), np.asarray(caps), tuple(tags)
+
+
+class TestCvSweepSolvesEachVoltageOnce:
+    @pytest.mark.parametrize("geom", [DEV, LARGE], ids=["params", "geometry"])
+    @pytest.mark.parametrize("v_start, v_end, n", [
+        (0.0, 12.0, 601),     # through pull-in and release
+        (-12.0, 12.0, 97),    # symmetric: holds -v, +v and 0.0 exactly
+        (12.0, -12.0, 241),   # descending grid
+        (7.0, 7.0, 9),        # v_start == v_end inside the hysteresis window
+        (11.0, 11.0, 5),      # v_start == v_end beyond pull-in
+        (0.0, 5.0, 101),      # never pulls in
+    ])
+    @pytest.mark.parametrize("direction", ["up", "down", "both"])
+    def test_equals_chained_updates_bit_for_bit(self, geom, v_start, v_end, n, direction):
+        curve = cv_sweep(geom, K, DEV.d_c, v_start, v_end, n, direction)
+        volts, caps, tags = _chained_sweep(geom, v_start, v_end, n, direction)
+        assert curve.voltages.tobytes() == volts.tobytes()
+        assert curve.capacitances.tobytes() == caps.tobytes()
+        assert curve.branches == tags
+
+    def test_symmetric_grid_holds_both_signs_and_zero(self):
+        grid = np.linspace(-12.0, 12.0, 97).tolist()
+        assert 0.0 in grid and all(-v in grid for v in grid)
+
+    @pytest.mark.parametrize("v_start, v_end, n", [(0.0, 12.0, 601), (-12.0, 12.0, 97)])
+    def test_voltage_law_runs_once_per_released_voltage(self, monkeypatch, v_start, v_end, n):
+        calls = Counter()
+        law = mech.static_equilibrium_voltage
+
+        def counted(geom, k, v):
+            calls[v] += 1
+            return law(geom, k, v)
+
+        monkeypatch.setattr(mech, "static_equilibrium_voltage", counted)
+        _chained_sweep(DEV, v_start, v_end, n, "both")
+        chained = Counter(calls)
+        calls.clear()
+        cv_sweep(DEV, K, DEV.d_c, v_start, v_end, n, "both")
+        assert sum(chained.values()) > len(chained)  # the chain repeats voltages
+        assert calls == Counter(dict.fromkeys(chained, 1))
+
+    def test_size_bound(self, monkeypatch):
+        monkeypatch.setattr(mech, "MAX_SWEEP_SIZE", 50)
+        assert len(cv_sweep(DEV, K, DEV.d_c, 0.0, 12.0, 50, "up").voltages) == 50
+        with pytest.raises(ConfigError, match="51 points, more than 50"):
+            cv_sweep(DEV, K, DEV.d_c, 0.0, 12.0, 51, "up")
+
+
+def _per_scalar_cv_csv(curve):
+    """The element-by-element formatting the columnar to_csv must reproduce."""
+    lines = ["v_V,c_F,branch"]
+    for v, c, b in zip(curve.voltages, curve.capacitances, curve.branches):
+        lines.append(f"{format_float(v)},{format_float(c)},{b}")
+    return "\n".join(lines) + "\n"
+
+
+def _per_scalar_transient_csv(tr):
+    lines = ["t_s,x_m,v_mps,c_F,latched"]
+    for i in range(len(tr.t)):
+        lines.append(",".join([
+            format_float(tr.t[i]), format_float(tr.x[i]), format_float(tr.v[i]),
+            format_float(tr.c[i]), "1" if tr.latched[i] else "0"]))
+    return "\n".join(lines) + "\n"
+
+
+class TestColumnarCsv:
+    @pytest.mark.parametrize("v_start, v_end, n, direction", [
+        (0.0, 12.0, 1001, "both"), (-12.0, 12.0, 301, "down"), (7.0, 7.0, 3, "up")])
+    def test_cv_csv_matches_per_scalar_formatting(self, v_start, v_end, n, direction):
+        curve = cv_sweep(DEV, K, DEV.d_c, v_start, v_end, n, direction)
+        assert curve.to_csv() == _per_scalar_cv_csv(curve)
+
+    def test_step_transient_csv_matches_per_scalar_formatting(self):
+        tr = transient(LARGE, K, _dyn(2e-6), lambda t: 1.2 * DEV.v_pi, 2e-6, d_c=DEV.d_c)
+        assert tr.contact_times
+        assert tr.to_csv() == _per_scalar_transient_csv(tr)
+
+    def test_sine_transient_csv_matches_per_scalar_formatting(self):
+        t_end = 4e-6
+        level, freq = 1.2 * DEV.v_pi, 0.5e6
+
+        def drive(t):
+            return level * math.sin(2.0 * math.pi * freq * t)
+
+        tr = transient(LARGE, K, _dyn(t_end), drive, t_end)
+        assert len(tr.contact_times) >= 2 and len(tr.release_times) >= 2
+        assert tr.latched.any() and not tr.latched.all()
+        assert tr.to_csv() == _per_scalar_transient_csv(tr)
 
 
 def _dyn(t_end, tol=1e-9):
