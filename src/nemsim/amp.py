@@ -23,6 +23,10 @@ from .scnet import (Clock, ClockSchedule, Dc, Network, NemsCap, OhmicSwitch,
                     SimResult, Sine, VSource, apply_parasitics, simulate)
 
 
+# largest bank: 100x the m = 100 bank, checked before any network is built
+MAX_BANK = 10_000
+
+
 @dataclass(frozen=True)
 class SwitchSpec:
     """Behavioral sampling-relay parameters; thresholds default to the device's."""
@@ -53,6 +57,8 @@ class AmpConfig:
             raise ConfigError(f"unknown drive terminal {self.drive_terminal!r}")
         if self.m < 1:
             raise ConfigError("m must be >= 1")
+        if self.m > MAX_BANK:
+            raise ConfigError(f"m = {self.m} exceeds the largest bank, {MAX_BANK} devices")
         if self.topology == "basic" and self.m != 1:
             raise ConfigError("basic topology uses exactly one device per bank")
         if not (self.v_dc > self.device.v_pi):

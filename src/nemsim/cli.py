@@ -9,6 +9,7 @@ written atomically, so a failing run leaves no partial output. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -313,9 +314,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged, and
+    a device-char run calls main nine times."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         scn = _load_scenario(args)
         if args.out_dir:
             scn = replace(scn, out_dir=args.out_dir)

@@ -205,11 +205,17 @@ class DeviceParams:
 
     @classmethod
     def from_geometry(cls, geom: DeviceGeometry, v_pi: float, v_po: float) -> "DeviceParams":
+        """Calibrate from geometry; CalibrationError also when extreme
+        dimensions leave the float range (g_eff**3 overflows, or a divisor
+        underflows to zero)."""
         area, g_eff = derive_geometry_constants(geom)
-        k = spring_from_pullin(geom, v_pi)
-        d_c = contact_gap_from_pullout(geom, k, v_po)
-        return cls(area=area, g_eff=g_eff, k=k, v_pi=v_pi, v_po=v_po, d_c=d_c,
-                   c_on=c_on(geom), c_off=c_off(geom), gain_max=max_gain(geom))
+        try:
+            k = spring_from_pullin(geom, v_pi)
+            d_c = contact_gap_from_pullout(geom, k, v_po)
+            return cls(area=area, g_eff=g_eff, k=k, v_pi=v_pi, v_po=v_po, d_c=d_c,
+                       c_on=c_on(geom), c_off=c_off(geom), gain_max=max_gain(geom))
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise CalibrationError(f"calibration out of float range: {exc}") from None
 
 
 @dataclass(frozen=True)

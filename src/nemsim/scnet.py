@@ -16,6 +16,8 @@ import warnings
 from array import array
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,9 +72,9 @@ class Clock:
 Waveform = Dc | Sine | Clock
 
 
-@dataclass(frozen=True)
-class Phase:
-    """One quasi-static interval of the two-phase schedule."""
+class Phase(NamedTuple):
+    """One quasi-static interval of the two-phase schedule (a named tuple:
+    cheap to build once per phase, and it reprs like a dataclass)."""
 
     index: int
     kind: str      # "sample" | "hold" | "dead"
@@ -118,19 +120,17 @@ class ClockSchedule:
                 f"({per_period} per {period:.3e} s period)")
         out: list[Phase] = []
         n_periods = int(round(t_end / period))
-        idx = 0
+        half = period / 2
+        make = Phase._make  # cheaper than the keyword-capable constructor
         for p in range(n_periods):
             t0 = p * period
-            marks = [
-                ("sample", t0, t0 + period / 2 - dead, True, False),
-                ("dead", t0 + period / 2 - dead, t0 + period / 2, False, False),
-                ("hold", t0 + period / 2, t0 + period - dead, False, True),
-                ("dead", t0 + period - dead, t0 + period, False, False),
-            ]
-            for kind, a, b, clk, clkb in marks:
+            mid, end = t0 + half, t0 + period
+            for kind, a, b, clk, clkb in (("sample", t0, mid - dead, True, False),
+                                          ("dead", mid - dead, mid, False, False),
+                                          ("hold", mid, end - dead, False, True),
+                                          ("dead", end - dead, end, False, False)):
                 if b > a:
-                    out.append(Phase(idx, kind, a, b, clk, clkb))
-                    idx += 1
+                    out.append(make((len(out), kind, a, b, clk, clkb)))
         return out
 
 
@@ -192,23 +192,33 @@ class VSource:
     wave: Waveform
 
 
+def _relay_step(switch: OhmicSwitch, conducting: bool, last_transition_time: float,
+                switching_delay: float, v_gb: float, t: float) -> tuple[bool, float]:
+    """The relay state machine: (conducting, last_transition_time) after the
+    gate-body voltage v_gb at time t, from the given state. A commanded
+    toggle takes effect switching_delay after t."""
+    last_cross = last_transition_time - switching_delay
+    if t < last_cross and math.isfinite(last_cross):
+        raise InvalidGeometryError(
+            f"switch {switch.name}: non-monotone time {t} < {last_cross}")
+    if conducting:
+        if abs(v_gb) < switch.v_po:
+            return False, t + switching_delay
+    elif abs(v_gb) > switch.v_pi:
+        return True, t + switching_delay
+    return conducting, last_transition_time
+
+
 def step_switch(switch: OhmicSwitch, v_gb: float, t: float,
                 state: OhmicSwitchState | None = None) -> OhmicSwitchState:
     """Advance the relay state machine from state (default: switch.state, the
     initial condition) with the gate-body voltage at time t."""
     st = switch.state if state is None else state
-    last_cross = st.last_transition_time - st.switching_delay
-    if math.isfinite(last_cross) and t < last_cross:
-        raise InvalidGeometryError(
-            f"switch {switch.name}: non-monotone time {t} < {last_cross}")
-    commanded = st.conducting
-    if not st.conducting and abs(v_gb) > switch.v_pi:
-        commanded = True
-    elif st.conducting and abs(v_gb) < switch.v_po:
-        commanded = False
-    if commanded == st.conducting:
+    conducting, when = _relay_step(switch, st.conducting, st.last_transition_time,
+                                   st.switching_delay, v_gb, t)
+    if conducting == st.conducting:
         return st
-    return OhmicSwitchState(commanded, t + st.switching_delay, st.switching_delay)
+    return OhmicSwitchState(conducting, when, st.switching_delay)
 
 
 def switch_is_conducting(state: OhmicSwitchState, t: float) -> bool:
@@ -361,17 +371,6 @@ class _UnionFind:
         self.parent[self.find(b)] = self.find(a)
 
 
-def _step_switches(network: Network, phase: Phase,
-                   prior: Sequence[OhmicSwitchState] | None = None) -> list[OhmicSwitchState]:
-    """Switch states at phase start, in Network.switches order, stepped from
-    prior (same order; default: the network's initial states)."""
-    t = phase.t_start
-    if prior is None:
-        return [step_switch(sw, sw.drive.at(t, phase), t) for sw in network.switches]
-    return [step_switch(sw, sw.drive.at(t, phase), t, st)
-            for sw, st in zip(network.switches, prior)]
-
-
 def _pin_value(members: Sequence[str], pinned: Sequence[tuple[str, float]]) -> float:
     """The value of the sources pinning one island; NetworkError on a pin
     conflict (two sources at different values shorted together)."""
@@ -391,8 +390,9 @@ def islands(network: Network, phase: Phase,
     shorted together).
     """
     if switch_states is None:
-        switch_states = {sw.name: st for sw, st in
-                         zip(network.switches, _step_switches(network, phase))}
+        t = phase.t_start
+        switch_states = {sw.name: step_switch(sw, sw.drive.at(t, phase), t)
+                         for sw in network.switches}
     uf = _UnionFind(network.nodes)
     for sw in network.switches:
         if switch_is_conducting(switch_states[sw.name], phase.t_end):
@@ -434,29 +434,37 @@ class _Partition:
     ids: tuple[str, ...]
     f_islands: tuple[int, ...]                  # island of each floating index
     f_index: tuple[int, ...]                    # floating index of each island, -1 if pinned
+    f_first_node: tuple[int, ...]               # first node of each floating island
     node_island: tuple[int, ...]                # island of each node
     first_node: tuple[int, ...]                 # first node of each island
     node_order: tuple[tuple[str, int], ...]     # (name, node) in island order
-    pinned: tuple[tuple[int, int], ...]         # (pinned island, its first source's value)
+    # per island, its voltage's index in the phase's values: the source
+    # values, then ground, then the fixed-point guess of each floating island;
+    # a pinned island takes its first source's value
+    island_value: tuple[int, ...]
     # islands pinned by several sources: nodes, (source name, value index) per
-    # source; values index the phase's source values, ground last
+    # source
     shared_pins: tuple[tuple[tuple[str, ...], tuple[tuple[str, int], ...]], ...]
     plate_a: tuple[int, ...]                    # island of plate a / top, per capacitor
     plate_b: tuple[int, ...]                    # island of plate b / bottom
     # (capacitor, floating index of plate a or -1, of plate b or -1, island a, island b)
     # for every capacitor between two islands, at least one of them floating
     stencil: tuple[tuple[int, int, int, int, int], ...]
+    # the stencil per floating island: (capacitor, the island across it), in
+    # capacitor order; solves a partition that is not coupled
+    f_stencil: tuple[tuple[tuple[int, int], ...], ...]
     coupled: bool                               # some capacitor joins two floating islands
-    voltage_beams: tuple[tuple[int, int, int], ...]   # (beam, island a, island b), both pinned
-    charge_beams: tuple[int, ...]               # beams with a floating terminal
+    # (beam, island a, island b, device class): both terminals pinned, or some floating
+    voltage_beams: tuple[tuple[int, int, int, int], ...]
+    charge_beams: tuple[tuple[int, int, int, int], ...]
     charge_terms: tuple[tuple[tuple[int, float], ...], ...]  # per floating island: (cap, sign)
     # (floating index, corrector cap, its island-side sign, the island's other (cap, sign))
     correctors: tuple[tuple[int, int, float, tuple[tuple[int, float], ...]], ...]
     # (conducting switch, capacitors on the island of its a terminal, once per plate)
     settling: tuple[tuple[int, tuple[int, ...]], ...]
-    # transition key: conduction mask and entering latch flags ('?'), then island
-    # voltages, plate charges, beam displacements and velocities ('d')
-    transition_key: struct.Struct
+    # the island voltages (pinned values and the fixed-point guess) in the
+    # transition key, after the conduction mask
+    island_key: struct.Struct
 
 
 class CompiledNetwork:
@@ -464,9 +472,11 @@ class CompiledNetwork:
 
     Holds what depends only on topology: node, capacitor, beam and switch
     order, the per-beam EPS0*area and g_eff constants, each beam's device
-    class (one index per distinct DeviceParams value), and one island
-    partition per switch-conduction mask, built by islands() the first time
-    the mask occurs. The network must not change while it is compiled.
+    class (one index per distinct DeviceParams value), each relay's drive
+    and switching delay (from its initial state), each source's waveform,
+    and one island partition per switch-conduction mask, built by islands()
+    the first time the mask occurs. The network must not change while it is
+    compiled.
 
     It also holds the run: `columns`, one row per solved phase, and the
     transition memo, which maps the bit patterns of each solved phase's
@@ -486,24 +496,33 @@ class CompiledNetwork:
         self.eps_area = tuple(EPS0 * dev.area for dev in self.devices)
         self.g_eff = tuple(dev.g_eff for dev in self.devices)
         self.linear = tuple(cap.value for cap in network.linear_caps)
+        # (switch, its drive, switching delay, the conduction test's slack)
+        self.relays = tuple((sw, sw.drive.at, sw.state.switching_delay,
+                             1e-6 * sw.state.switching_delay) for sw in network.switches)
+        self.source_waves = tuple(src.wave.at for src in network.sources)
         self.partitions: list[_Partition] = []
-        self._by_mask: dict[tuple[bool, ...], _Partition] = {}
+        self._by_mask: dict[bytes, _Partition] = {}
         self.columns = PhaseColumns(tuple(network.nodes), self.names, len(self.devices),
                                     tuple(sw.name for sw in network.switches),
+                                    tuple(relay[2] for relay in self.relays),
                                     self.partitions)
         self.transitions: dict[bytes, int] = {}
 
-    def partition(self, mask: tuple[bool, ...], phase: Phase,
-                  switch_states: Sequence[OhmicSwitchState]) -> _Partition:
+    def partition(self, mask: bytes, phase: Phase, conducting: Sequence[bool],
+                  transition_times: Sequence[float]) -> _Partition:
+        """The partition of a conduction mask (one flag per switch), built
+        from the relay states at phase start the first time it occurs."""
         part = self._by_mask.get(mask)
         if part is None:
-            states = dict(zip(self.columns.switch_names, switch_states))
+            states = {name: OhmicSwitchState(bool(on), when, delay) for name, on, when, delay
+                      in zip(self.columns.switch_names, conducting, transition_times,
+                             self.columns.delays)}
             part = self._by_mask[mask] = self._build(
                 islands(self.network, phase, states), mask)
             self.partitions.append(part)
         return part
 
-    def _build(self, isles: list[Island], mask: tuple[bool, ...]) -> _Partition:
+    def _build(self, isles: list[Island], mask: bytes) -> _Partition:
         net = self.network
         island_of = {n: k for k, isl in enumerate(isles) for n in isl.nodes}
         node_index = {n: i for i, n in enumerate(net.nodes)}
@@ -512,6 +531,7 @@ class CompiledNetwork:
         f_index = [-1] * len(isles)
         for f, k in enumerate(f_islands):
             f_index[k] = f
+        first_node = tuple(node_index[isl.nodes[0]] for isl in isles)
 
         # sources in network order, then ground, checked in the order islands()
         # meets the islands (by their first node in Network.nodes)
@@ -529,11 +549,14 @@ class CompiledNetwork:
         stencil = tuple((k, f_index[ia], f_index[ib], ia, ib)
                         for k, (ia, ib) in enumerate(zip(plate_a, plate_b))
                         if ia != ib and (floating[ia] or floating[ib]))
-        n_beams = len(self.devices)
-        voltage_beams = tuple((j, plate_a[j], plate_b[j]) for j in range(n_beams)
-                              if not floating[plate_a[j]] and not floating[plate_b[j]])
-        charge_beams = tuple(j for j in range(n_beams)
-                             if floating[plate_a[j]] or floating[plate_b[j]])
+        f_stencil: list[list[tuple[int, int]]] = [[] for _ in f_islands]
+        for k, fa, fb, ia, ib in stencil:
+            if fa >= 0:
+                f_stencil[fa].append((k, ib))
+            if fb >= 0:
+                f_stencil[fb].append((k, ia))
+        beams = [(j, plate_a[j], plate_b[j], self.device_class[j])
+                 for j in range(len(self.devices))]
 
         terms: list[list[tuple[int, float]]] = [[] for _ in f_islands]
         touching: list[list[int]] = [[] for _ in isles]
@@ -548,25 +571,28 @@ class CompiledNetwork:
             ids=tuple(isl.id for isl in isles),
             f_islands=f_islands,
             f_index=tuple(f_index),
+            f_first_node=tuple(first_node[k] for k in f_islands),
             node_island=tuple(island_of[n] for n in net.nodes),
-            first_node=tuple(node_index[isl.nodes[0]] for isl in isles),
+            first_node=first_node,
             node_order=tuple((n, node_index[n]) for isl in isles for n in isl.nodes),
-            pinned=tuple((k, pins[k][0][1]) for k in order),
+            island_value=tuple(pins[k][0][1] if k in pins
+                               else len(net.sources) + 1 + f_index[k]
+                               for k in range(len(isles))),
             shared_pins=tuple((isles[k].nodes, tuple(pins[k])) for k in order
                               if len(pins[k]) > 1),
             plate_a=plate_a,
             plate_b=plate_b,
             stencil=stencil,
+            f_stencil=tuple(tuple(t) for t in f_stencil),
             coupled=any(fa >= 0 and fb >= 0 for _, fa, fb, _, _ in stencil),
-            voltage_beams=voltage_beams,
-            charge_beams=charge_beams,
+            voltage_beams=tuple(b for b in beams if not floating[b[1]] and not floating[b[2]]),
+            charge_beams=tuple(b for b in beams if floating[b[1]] or floating[b[2]]),
             charge_terms=tuple(tuple(t) for t in terms),
             correctors=_correctors(tuple(isl.id for isl in isles), f_islands, f_index,
                                    plate_a, plate_b),
             settling=tuple((s, tuple(touching[island_of[sw.a]]))
                            for s, sw in enumerate(net.switches) if mask[s]),
-            transition_key=struct.Struct(f"<{len(mask) + n_beams}?"
-                                         f"{len(isles) + len(plate_a) + 2 * n_beams}d"),
+            island_key=struct.Struct(f"<{len(isles)}d"),
         )
 
 
@@ -662,19 +688,22 @@ class PhaseColumns(Sequence):
 
     Each row holds the phase, the node voltages (Network.nodes order), the
     plate charges (Network.caps() order), the beam displacements, velocities
-    and latch flags (Network.nems_caps order), the switch states
-    (Network.switches order), the fixed-point iterations, the index of the
-    phase's partition, its notes, and for each floating island of that
-    partition the entering plate-charge sum and the largest entering plate
-    charge. Only solve_phase appends rows.
+    and latch flags (Network.nems_caps order), each switch's conducting flag
+    and last transition time (Network.switches order; the switching delays
+    are per run), the fixed-point iterations, the index of the phase's
+    partition, its notes, and for each floating island of that partition
+    the entering plate-charge sum and the largest entering plate charge.
+    Only solve_phase appends rows.
     """
 
     def __init__(self, nodes: tuple[str, ...], names: tuple[str, ...], n_beams: int,
-                 switch_names: tuple[str, ...], partitions: list[_Partition]):
+                 switch_names: tuple[str, ...], delays: tuple[float, ...],
+                 partitions: list[_Partition]):
         self.nodes = nodes
         self.names = names
         self.n_beams = n_beams
         self.switch_names = switch_names
+        self.delays = delays
         self.partitions = partitions
         self._widths = (len(nodes), len(names), n_beams, len(switch_names))
         self.phases: list[Phase] = []
@@ -683,7 +712,8 @@ class PhaseColumns(Sequence):
         self.displacement = array("d")
         self.velocity = array("d")
         self.latched = bytearray()
-        self.switch_states: list[OhmicSwitchState] = []
+        self.conducting = bytearray()
+        self.transition_time = array("d")
         self.iterations = array("l")
         self.partition = array("l")
         self.notes: list[tuple[str, ...]] = []
@@ -719,47 +749,59 @@ class PhaseColumns(Sequence):
     def latched_beams(self) -> list[int]:
         """The number of latched beams in every row."""
         nb, latched = self.n_beams, self.latched
-        return [sum(latched[r * nb:(r + 1) * nb]) for r in range(len(self))]
+        counts = [0] * len(self)
+        for j in range(nb):  # beam by beam, each a strided column
+            counts = list(map(add, counts, latched[j::nb]))
+        return counts
 
     def _layout(self) -> tuple:
-        return self.nodes, self.names, self.n_beams, self.switch_names
+        return self.nodes, self.names, self.n_beams, self.switch_names, self.delays
 
     def _state(self, r: int) -> tuple:
-        """Copies of row r's node voltages, plate charges, beam displacements,
-        velocities and latch flags, and switch states."""
-        nn, nc, nb, ns = self._widths
-        return (self.volts[r * nn:(r + 1) * nn], self.charges[r * nc:(r + 1) * nc],
-                self.displacement[r * nb:(r + 1) * nb], self.velocity[r * nb:(r + 1) * nb],
-                self.latched[r * nb:(r + 1) * nb], self.switch_states[r * ns:(r + 1) * ns])
+        """Copies of row r's plate charges, beam displacements, velocities and
+        latch flags, and switch conducting flags and transition times."""
+        _, nc, nb, ns = self._widths
+        c, b, s = r * nc, r * nb, r * ns
+        return (self.charges[c:c + nc], self.displacement[b:b + nb], self.velocity[b:b + nb],
+                self.latched[b:b + nb], self.conducting[s:s + ns],
+                self.transition_time[s:s + ns])
 
     def _append(self, phase: Phase, partition: int, iterations: int,
-                notes: tuple[str, ...], switch_states, volts, charges, displacement,
-                velocity, latched, q_in, scale_in) -> int:
+                notes: tuple[str, ...], conducting: Iterable[bool],
+                transition_time: list[float], volts: list[float], charges: list[float],
+                displacement: list[float], velocity: list[float], latched: Iterable[bool],
+                q_in: list[float], scale_in: list[float]) -> int:
+        """Append one row; float lists go in by fromlist, which is several
+        times cheaper than extend for a short list."""
         self.phases.append(phase)
         self.partition.append(partition)
         self.iterations.append(iterations)
         self.notes.append(notes)
-        self.switch_states.extend(switch_states)
-        self.volts.extend(volts)
-        self.charges.extend(charges)
-        self.displacement.extend(displacement)
-        self.velocity.extend(velocity)
+        self.conducting.extend(conducting)
+        self.transition_time.fromlist(transition_time)
+        self.volts.fromlist(volts)
+        self.charges.fromlist(charges)
+        self.displacement.fromlist(displacement)
+        self.velocity.fromlist(velocity)
         self.latched.extend(latched)
-        self.q_in.extend(q_in)
-        self.scale_in.extend(scale_in)
+        self.q_in.fromlist(q_in)
+        self.scale_in.fromlist(scale_in)
         self.f_start.append(len(self.q_in))
         return len(self.phases) - 1
 
-    def _copy(self, r: int, dest: PhaseColumns, phase: Phase, switch_states,
-              notes: tuple[str, ...], state: tuple | None = None) -> int:
+    def _copy(self, r: int, dest: PhaseColumns, phase: Phase, conducting: list[bool],
+              transition_time: list[float], notes: tuple[str, ...], state: tuple) -> int:
         """Append row r to dest with the given phase, switch states and notes,
-        and optionally another state (as _state returns it; its switch states
-        are not used)."""
-        volts, charges, displacement, velocity, latched, _ = state or self._state(r)
+        and the plate charges and beam states of state (as _state returns
+        them: row r's own, or replacements; its switch states are not used)."""
+        nn = len(self.nodes)
+        charges, displacement, velocity, latched, _, _ = state
         a, b = self.f_start[r], self.f_start[r + 1]
         return dest._append(phase, self.partition[r], self.iterations[r], notes,
-                            switch_states, volts, charges, displacement, velocity,
-                            latched, self.q_in[a:b], self.scale_in[a:b])
+                            conducting, transition_time,
+                            self.volts[r * nn:(r + 1) * nn].tolist(), charges.tolist(),
+                            displacement.tolist(), velocity.tolist(), latched,
+                            self.q_in[a:b].tolist(), self.scale_in[a:b].tolist())
 
     def _charges(self, r: int) -> array:
         nc = len(self.names)
@@ -840,14 +882,18 @@ class PhaseSolution:
 
     @property
     def beam_states(self) -> Mapping[str, BeamState]:
-        _, _, disp, vel, latched, _ = self._columns._state(self._row)
+        _, disp, vel, latched, _, _ = self._columns._state(self._row)
         return _ReadOnlyMap({n: BeamState(x, u, bool(flag)) for n, x, u, flag
                              in zip(self._columns.names, disp, vel, latched)})
 
     @property
     def switch_states(self) -> Mapping[str, OhmicSwitchState]:
-        cols = self._columns
-        return _ReadOnlyMap(dict(zip(cols.switch_names, cols._state(self._row)[5])))
+        cols, r = self._columns, self._row
+        ns = len(cols.switch_names)
+        return _ReadOnlyMap({
+            name: OhmicSwitchState(bool(on), when, delay) for name, on, when, delay in zip(
+                cols.switch_names, cols.conducting[r * ns:(r + 1) * ns],
+                cols.transition_time[r * ns:(r + 1) * ns], cols.delays)})
 
     @property
     def islands(self) -> tuple[IslandSolution, ...]:
@@ -871,7 +917,7 @@ class PhaseSolution:
         beam states (by element name; the others keep their values), e.g.
         to start solve_phase from a chosen state."""
         cols = self._columns
-        _, q, disp, vel, latched, switch_states = state = cols._state(self._row)
+        q, disp, vel, latched, conducting, transition_time = state = cols._state(self._row)
         index = {n: i for i, n in enumerate(cols.names)}
         for name, value in (charges or {}).items():
             q[index[name]] = value
@@ -881,7 +927,8 @@ class PhaseSolution:
                 raise KeyError(name)
             disp[j], vel[j], latched[j] = beam.displacement, beam.velocity, beam.latched
         out = PhaseColumns(*cols._layout(), cols.partitions)
-        cols._copy(self._row, out, self.phase, switch_states, self.warnings, state)
+        cols._copy(self._row, out, self.phase, conducting, transition_time.tolist(),
+                   self.warnings, state)
         return PhaseSolution(out, 0)
 
     def __eq__(self, other):
@@ -938,62 +985,73 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     net = topo.network
     cols = topo.columns
     if prior is None:
-        q = [cap.q for cap in net.caps()]
+        q = array("d", [cap.q for cap in net.caps()])
         entering = [cap.state for cap in net.nems_caps]
-        disp = [b.displacement for b in entering]
-        vel = [b.velocity for b in entering]
-        latched = [b.latched for b in entering]
+        disp = array("d", [b.displacement for b in entering])
+        vel = array("d", [b.velocity for b in entering])
+        latched = bytes([b.latched for b in entering])
+        on = [sw.state.conducting for sw in net.switches]
+        since = [sw.state.last_transition_time for sw in net.switches]
         guess = None
-        switch_states = _step_switches(net, phase)
     else:
-        rows = prior._columns
+        rows, r = prior._columns, prior._row
         if rows is not cols and rows._layout() != cols._layout():
             raise NetworkError("prior solution is of a network with other nodes, "
                                "elements or switches")
-        guess, q, disp, vel, latched, switch_states = rows._state(prior._row)
-        switch_states = _step_switches(net, phase, switch_states)
-    t_end = phase.t_end
-    mask = tuple([switch_is_conducting(st, t_end) for st in switch_states])
-    part = topo.partition(mask, phase, switch_states)
+        q, disp, vel, latched, on, since = rows._state(r)
+        guess, guess_base = rows.volts, r * len(rows.nodes)
+
+    # relays step at phase start; the mask is their conduction at phase end
+    t, t_end = phase.t_start, phase.t_end
+    conducting, transition_time, mask = [], [], []
+    for (sw, drive, delay, slack), c, when in zip(topo.relays, on, since):
+        c, when = _relay_step(sw, c, when, delay, drive(t, phase), t)
+        conducting.append(c)
+        transition_time.append(when)
+        # switch_is_conducting's rule, inline: this loop runs every phase
+        mask.append(c if t_end >= when - slack else not c)
+    mask = bytes(mask)
+    part = topo._by_mask.get(mask) or topo.partition(mask, phase, conducting,
+                                                     transition_time)
 
     # island voltages: pinned ones from this phase's source values, floating
     # ones from the fixed-point guess (the prior's node voltages)
-    values = [src.wave.at(t_end, phase) for src in net.sources]
+    values = [wave(t_end, phase) for wave in topo.source_waves]
     values.append(0.0)  # ground
     for members, pins in part.shared_pins:
         _pin_value(members, [(name, values[i]) for name, i in pins])
-    volts = [0.0] * len(part.ids)
-    for k, i in part.pinned:
-        volts[k] = values[i]
     f_islands = part.f_islands
     if guess is None:
         v = [0.0] * len(f_islands)
     else:
-        first_node = part.first_node
-        v = [guess[first_node[k]] for k in f_islands]
-    for f, k in enumerate(f_islands):
-        volts[k] = v[f]
+        v = [guess[guess_base + node] for node in part.f_first_node]
+    values += v
+    volts = list(map(values.__getitem__, part.island_value))
 
-    transition = part.transition_key.pack(*mask, *latched, *volts, *q, *disp, *vel)
+    transition = b"".join((mask, part.island_key.pack(*volts), latched, q, disp, vel))
     seen = topo.transitions.get(transition)
     if seen is not None:
+        stored = cols._state(seen)
         notes = [w for w in cols.notes[seen] if not w.startswith("settling-violation")]
         if part.settling:
-            notes += _settling_notes(net, part, _capacitances(topo, cols._state(seen)[2]),
-                                     phase)
-        return PhaseSolution(cols, cols._copy(seen, cols, phase, switch_states, tuple(notes)))
+            notes += _settling_notes(net, part, _capacitances(topo, stored[1]), phase)
+        return PhaseSolution(cols, cols._copy(seen, cols, phase, conducting, transition_time,
+                                              tuple(notes), stored))
     notes = []
+    # the beam state is rewritten per beam below: lists index and store
+    # several times faster than array and bytearray
+    disp, vel, latched = disp.tolist(), vel.tolist(), list(latched)
 
     q_before, scale_before = _floating_charge(part, q)
 
     # voltage-driven beams: both terminals pinned; one law call per
     # (device class, dv, prior latched) key
-    devices, device_class = topo.devices, topo.device_class
+    devices = topo.devices
     by_voltage: dict[tuple[int, float, bool], tuple[float, float, bool]] = {}
-    for j, ia, ib in part.voltage_beams:
+    for j, ia, ib, cls in part.voltage_beams:
         dv = volts[ia] - volts[ib]
         was_latched = latched[j]
-        key = (device_class[j], dv, was_latched)
+        key = (cls, dv, was_latched)
         state = by_voltage.get(key)
         if state is None:
             dev = devices[j]
@@ -1004,67 +1062,80 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
                 state = (law.displacement, law.velocity, law.latched)
             by_voltage[key] = state
         disp[j], vel[j], latched[j] = state
-    eps_area, g_eff = topo.eps_area, topo.g_eff
     caps = _capacitances(topo, disp)
 
     # fixed point over floating island voltages
-    plate_a, plate_b = part.plate_a, part.plate_b
     tol = net.solver_tol
-    iterations = 0
-    damped = False
-    prev_step = math.inf
-    converged = not f_islands
-    # (device class, plate charge) -> (displacement, velocity, latched,
-    # capacitance), shared by every iteration of this phase
-    by_charge: dict[tuple[int, float], tuple[float, float, bool, float]] = {}
-    for iterations in range(1, _MAX_FIXED_POINT + 1):
-        v_new = _solve_floating(part, caps, volts, q_before, v)
-        if damped:
-            v_new = [0.5 * (a + b) for a, b in zip(v_new, v)]
-        step = _max_abs([a - b for a, b in zip(v_new, v)])
-        for f, k in enumerate(f_islands):
-            volts[k] = v_new[f]
-        # charge-driven beams re-seat from their plate charge; the plate
-        # charges themselves are assigned once, after convergence
-        for j in part.charge_beams:
-            q_j = caps[j] * (volts[plate_a[j]] - volts[plate_b[j]])
-            key = (device_class[j], q_j)
-            seated = by_charge.get(key)
-            if seated is None:
-                dev = devices[j]
-                law = static_equilibrium_charge(dev, dev.k, q_j)
-                seated = by_charge[key] = (law.displacement, law.velocity, law.latched,
-                                           eps_area[j] / (g_eff[j] - law.displacement))
-            now_latched = seated[2]
-            if now_latched and not latched[j]:
-                notes.append(f"latch-violation: beam {topo.names[j]} re-latched "
-                             "during redistribution")
-            disp[j], vel[j], latched[j], caps[j] = seated
-        v = v_new
-        if iterations >= 2:
-            if step <= tol * max(1.0, _max_abs(v)):
-                converged = True
-                break
-            if step >= prev_step:
-                damped = True
-        prev_step = step
-    if not converged:
-        worst = part.ids[f_islands[int(np.argmax(np.abs(v)))]]
-        raise ConvergenceError(
-            f"phase {phase.index} ({phase.kind}, t = {phase.t_start:.6e} s): island "
-            f"{worst} did not converge after {_MAX_FIXED_POINT} iterations (last step "
-            f"{prev_step:.3e}, tol {tol})", residual=prev_step, tolerance=tol)
+    if not f_islands:
+        # nothing floats: the loop below would stop after two empty passes,
+        # which is what the row records
+        iterations = 2
+    else:
+        eps_area, g_eff = topo.eps_area, topo.g_eff
+        damped = False
+        prev_step = math.inf
+        converged = False
+        # (device class, plate charge) -> (displacement, velocity, latched,
+        # capacitance), shared by every iteration of this phase
+        by_charge: dict[tuple[int, float], tuple[float, float, bool, float]] = {}
+        for iterations in range(1, _MAX_FIXED_POINT + 1):
+            v_new = _solve_floating(part, caps, volts, q_before, v)
+            if damped:
+                v_new = [0.5 * (a + b) for a, b in zip(v_new, v)]
+            # largest step (NaN sticks) and largest magnitude of the iterate
+            step = size = 0.0
+            for k, a, b in zip(f_islands, v_new, v):
+                volts[k] = a
+                d = abs(a - b)
+                if d > step or d != d:
+                    step = d
+                a = abs(a)
+                if a > size:
+                    size = a
+            # charge-driven beams re-seat from their plate charge; the plate
+            # charges themselves are assigned once, after convergence
+            for j, ia, ib, cls in part.charge_beams:
+                q_j = caps[j] * (volts[ia] - volts[ib])
+                key = (cls, q_j)
+                seated = by_charge.get(key)
+                if seated is None:
+                    dev = devices[j]
+                    law = static_equilibrium_charge(dev, dev.k, q_j)
+                    seated = by_charge[key] = (law.displacement, law.velocity, law.latched,
+                                               eps_area[j] / (g_eff[j] - law.displacement))
+                if seated[2] and not latched[j]:
+                    notes.append(f"latch-violation: beam {topo.names[j]} re-latched "
+                                 "during redistribution")
+                disp[j], vel[j], latched[j], caps[j] = seated
+            v = v_new
+            if iterations >= 2:
+                # a NaN iterate makes step NaN, so size's NaN handling is moot
+                if step <= tol * (size if size > 1.0 else 1.0):
+                    converged = True
+                    break
+                if step >= prev_step:
+                    damped = True
+            prev_step = step
+        if not converged:
+            worst = part.ids[f_islands[int(np.argmax(np.abs(v)))]]
+            raise ConvergenceError(
+                f"phase {phase.index} ({phase.kind}, t = {phase.t_start:.6e} s): island "
+                f"{worst} did not converge after {_MAX_FIXED_POINT} iterations (last step "
+                f"{prev_step:.3e}, tol {tol})", residual=prev_step, tolerance=tol)
 
     # final assignment with per-island exact remainder so conservation is bitwise
-    q = [c * (volts[ia] - volts[ib]) for c, ia, ib in zip(caps, plate_a, plate_b)]
+    q = [c * (volts[ia] - volts[ib]) for c, ia, ib in zip(caps, part.plate_a, part.plate_b)]
     for f, corrector, sign, others in part.correctors:
-        q[corrector] = sign * (q_before[f] - math.fsum([s * q[k] for k, s in others]))
-    notes += _settling_notes(net, part, caps, phase)
+        rest = math.fsum([s * q[k] for k, s in others]) if others else 0.0
+        q[corrector] = sign * (q_before[f] - rest)
+    if part.settling:
+        notes += _settling_notes(net, part, caps, phase)
+    notes = tuple(dict.fromkeys(notes)) if notes else ()  # dedupe, keep order
 
     row = topo.transitions[transition] = cols._append(
-        phase, part.index, iterations, tuple(dict.fromkeys(notes)),  # dedupe, keep order
-        switch_states, list(map(volts.__getitem__, part.node_island)), q, disp, vel, latched,
-        q_before, scale_before)
+        phase, part.index, iterations, notes,
+        conducting, transition_time, list(map(volts.__getitem__, part.node_island)),
+        q, disp, vel, latched, q_before, scale_before)
     return PhaseSolution(cols, row)
 
 
@@ -1081,12 +1152,13 @@ def _settling_notes(net: Network, part: _Partition, caps: list[float],
     """Settling assertion: each closed switch must settle well inside the
     phase; one note and one SettlingWarning per switch that does not."""
     notes = []
+    limit = 0.01 * phase.duration
     for s, touching in part.settling:
         c_island = 0.0
         for k in touching:
             c_island += caps[k]
         sw = net.switches[s]
-        if sw.r_on * c_island > 0.01 * phase.duration:
+        if sw.r_on * c_island > limit:
             msg = (f"settling-violation: switch {sw.name} R_on*C = "
                    f"{sw.r_on * c_island:.3e} s exceeds 1% of phase {phase.index}")
             notes.append(msg)
@@ -1094,29 +1166,20 @@ def _settling_notes(net: Network, part: _Partition, caps: list[float],
     return notes
 
 
-def _floating_charge(part: _Partition, q: list[float]) -> tuple[list[float], list[float]]:
+def _floating_charge(part: _Partition, q: Sequence[float]) -> tuple[list[float], list[float]]:
     """Per floating island: the exactly-rounded plate-charge sum, and the
     largest single plate charge."""
     sums, scales = [], []
     for terms in part.charge_terms:
-        sums.append(math.fsum([sign * q[k] for k, sign in terms]))
+        plates = [sign * q[k] for k, sign in terms]
+        sums.append(math.fsum(plates))
         scale = 0.0
-        for k, _ in terms:
-            scale = max(scale, abs(q[k]))
+        for x in plates:
+            x = abs(x)
+            if x > scale:
+                scale = x
         scales.append(scale)
     return sums, scales
-
-
-def _max_abs(values: list[float]) -> float:
-    """Largest magnitude (0 for none); NaN propagates as in numpy's max."""
-    out = 0.0
-    for x in values:
-        a = abs(x)
-        if a != a:
-            return a
-        if a > out:
-            out = a
-    return out
 
 
 def _solve_floating(part: _Partition, caps: list[float], volts: list[float],
@@ -1127,19 +1190,17 @@ def _solve_floating(part: _Partition, caps: list[float], volts: list[float],
     Islands not coupled to another floating island solve by division; a
     partition with coupled floating islands solves the full system.
     """
-    n = len(guess)
     if not part.coupled:
-        diag = [0.0] * n
-        rhs = list(q_before)
-        for k, fa, fb, ia, ib in part.stencil:
-            c = caps[k]
-            if fa >= 0:
-                diag[fa] += c
-                rhs[fa] += c * volts[ib]
-            else:
-                diag[fb] += c
-                rhs[fb] += c * volts[ia]
-        return [r / d if d != 0.0 else g for r, d, g in zip(rhs, diag, guess)]
+        out = []
+        for terms, rhs, g in zip(part.f_stencil, q_before, guess):
+            diag = 0.0
+            for k, other in terms:
+                c = caps[k]
+                diag += c
+                rhs += c * volts[other]
+            out.append(rhs / diag if diag != 0.0 else g)
+        return out
+    n = len(guess)
     mat = np.zeros((n, n))
     rhs = np.array(q_before)
     for k, fa, fb, ia, ib in part.stencil:

@@ -42,6 +42,17 @@ class TestConfig:
         assert len(net.nems_caps) == 20
         assert len(net.switches) == 3
 
+    def test_bank_size_bounded_before_any_network(self, monkeypatch):
+        monkeypatch.setattr(amp_mod, "MAX_BANK", 4)
+
+        def no_network(*args):
+            raise AssertionError("network built for an out-of-bound bank")
+
+        monkeypatch.setattr(amp_mod, "_make_network", no_network)
+        assert AmpConfig(device=DEV, topology="modified", m=4).m == 4
+        with pytest.raises(ConfigError, match="m = 5 exceeds the largest bank, 4 devices"):
+            AmpConfig(device=DEV, topology="modified", m=5)
+
     def test_basic_network_shape(self):
         net = _make_network(AmpConfig(device=DEV), 0.01, None)
         assert len(net.nems_caps) == 2

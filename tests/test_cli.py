@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nemsim import mech
+from nemsim import amp, cli, mech
 from nemsim.cli import main
 
 REFERENCE_SETUP = """\
@@ -303,6 +303,48 @@ class TestUsageErrors:
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["kind"] == "config-error"
         assert list(tmp_path.iterdir()) == []
+
+
+class TestParserReuse:
+    """main builds the argparse parser once per process and reuses it."""
+
+    def test_built_once_across_calls(self, monkeypatch, tmp_path, capsys):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            for argv in (["power", "--preset", "large"], ["device-report", "--preset", "large"],
+                         ["power", "--preset", "lv-high-gain"]):
+                code, _, _ = run_cli(argv + ["--out-dir", str(tmp_path)], capsys)
+                assert code == 0
+        finally:
+            cli._parser.cache_clear()  # later tests build from the real function
+        assert built == [1]
+
+    def test_usage_error_leaves_the_parser_usable(self, tmp_path, capsys):
+        code, out, err = run_cli(["power", "--jobs", "2", "--out-dir", str(tmp_path)], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["kind"] == "config-error"
+        code, out, err = run_cli(["power", "--preset", "large", "--out-dir", str(tmp_path)],
+                                 capsys)
+        assert code == 0 and err == ""
+        assert read_json(tmp_path / "summary.json")["m"] == 1
+
+
+class TestBankBound:
+    def test_bank_beyond_bound_is_config_error_before_any_network(self, monkeypatch,
+                                                                  tmp_path, capsys):
+        monkeypatch.setattr(amp, "MAX_BANK", 4)
+        monkeypatch.setattr(amp, "_make_network", lambda *args: pytest.fail("network built"))
+        cfg = tmp_path / "bank.cfg"
+        cfg.write_text('device.preset = "large"\namp.topology = modified\namp.m = 5\n')
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(["amplify", "--config", str(cfg), "--out-dir", str(out_dir)],
+                                 capsys)
+        assert code == 1 and out == ""
+        assert "exceeds the largest bank" in json.loads(err)["error"]["message"]
+        assert not out_dir.exists()
 
 
 class TestNonFiniteFloatOptions:

@@ -187,6 +187,13 @@ class TestDeviceParams:
         with pytest.raises(CalibrationError):
             DeviceParams.from_geometry(LARGE, 6.2, 9.6)  # swapped
 
+    @pytest.mark.parametrize("gap", [4.3e103, 1e-120])
+    def test_gap_beyond_float_range_is_calibration_error(self, gap):
+        # g_eff**3 overflows (OverflowError) or underflows to a zero divisor
+        geom = DeviceGeometry(8.5e-6, 1.6e-6, 100e-9, 7.9e-6, gap, gap, 7.6)
+        with pytest.raises(CalibrationError, match="out of float range"):
+            DeviceParams.from_geometry(geom, 9.6, 6.2)
+
     def test_unknown_preset(self):
         with pytest.raises(InvalidGeometryError):
             get_preset("medium")

@@ -7,6 +7,10 @@ deterministic.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nemsim.amp import AmpConfig, build_amp, dynamic_range, run_dc
+from nemsim.device import get_preset
+from nemsim.errors import ScenarioError
+from nemsim.scenario import parse_scenario
 from nemsim.scnet import ClockSchedule, PhaseSolution, build_network, simulate, solve_phase
 
 SCHEDULE = ClockSchedule(100e3)
@@ -91,3 +95,86 @@ def test_simulate_matches_the_plain_network_path(case):
         for name in PhaseSolution.FIELDS:
             assert getattr(got, name) == getattr(prior, name), name
         assert repr(got) == repr(prior)
+
+
+DEV = get_preset("large").params()
+VDC_REF = 10.0
+
+
+@st.composite
+def dc_operating_points(draw):
+    """(vin, V_DC) with V_DC above pull-in and |vin| inside the dynamic range
+    at both V_DC and the reference V_DC."""
+    v_dc = draw(st.floats(DEV.v_pi + 0.05, 3.0 * DEV.v_pi))
+    top = min(dynamic_range(build_amp(AmpConfig(device=DEV, v_dc=v)))[1]
+              for v in (v_dc, VDC_REF))
+    return draw(st.floats(1e-4, 0.95 * top)), v_dc
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(dc_operating_points())
+def test_dc_output_is_bitwise_odd_and_free_of_vdc(point):
+    """Criteria 7 (V_DC invariance, 1e-9) and the odd symmetry of the output,
+    over generated operating points rather than hand-picked ones."""
+    vin, v_dc = point
+    amp = build_amp(AmpConfig(device=DEV, v_dc=v_dc))
+    up, down = run_dc(amp, vin), run_dc(amp, -vin)
+    assert down.vout == -up.vout
+    assert down.displacement == up.displacement
+    reference = run_dc(build_amp(AmpConfig(device=DEV, v_dc=VDC_REF)), vin).vout
+    assert abs(up.vout - reference) <= 1e-9 * abs(reference)
+
+
+# a valid custom device and operating point; the fuzzer gives one or two of
+# its lines hostile values and, in half the texts, drops a line or adds
+# hostile ones, so the text reaches every stage of the parse (lines, keys,
+# values, device calibration, the V_DC check)
+_CUSTOM = {"device.L_um": "5", "device.W_um": "1", "device.t_nm": "75", "device.Le_um": "4",
+           "device.g0_nm": "50", "device.td_nm": "10", "device.eps_d": "7.6",
+           "device.vpi_V": "3.8", "device.vpo_V": "2.4", "amp.vdc_V": "10",
+           "amp.m": "3", "amp.topology": "modified", "stimulus.kind": "sine"}
+_KEYS = [*_CUSTOM, "device.preset", "amp.fclk_hz", "amp.nonoverlap_frac", "amp.parasitics",
+         "amp.cgb_fF", "amp.cgc_fF", "amp.drive_terminal", "stimulus.amplitude_V",
+         "stimulus.freq_hz", "run.n_periods", "run.out_dir", "device.bogus", "amp.", "x.y"]
+_EXTREMES = st.sampled_from(["1e300", "1e200", "1e-200", "1e-300", "1e-320", "1e309",
+                             "-0.0", "0", "-1", "nan", "inf", "-inf"])
+_VALUES = st.one_of(
+    _EXTREMES,
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**30, 10**30).map(str),
+    st.sampled_from(['"large"', '"lv-high-gain"', "large", '"huge"', "basic", "modified",
+                     "on", "off", "gate", "body", "dc", "sine", '""', '"', "#", "0x10",
+                     "1_000", " "]),
+    st.text(max_size=12),
+)
+_LINES = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(_KEYS), _VALUES),
+    st.builds("{}={}".format, st.sampled_from(_KEYS), _VALUES),
+    st.text(max_size=30),
+    st.sampled_from(["", "# comment", 'device.preset = "large"', "   ", "=", "a.b ="]),
+)
+
+
+@st.composite
+def scenario_texts(draw):
+    keys = list(_CUSTOM)
+    lines = [f"{key} = {value}" for key, value in _CUSTOM.items()]
+    for _ in range(draw(st.integers(1, 2))):  # hostile values for one or two keys
+        i = draw(st.integers(0, len(keys) - 1))
+        lines[i] = f"{keys[i]} = {draw(st.one_of(_EXTREMES, _VALUES))}"
+    if draw(st.booleans()):  # and, in half the texts, damage to the lines
+        if draw(st.booleans()):
+            del lines[draw(st.integers(0, len(lines) - 1))]
+        lines += draw(st.lists(_LINES, min_size=1, max_size=2))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(scenario_texts())
+def test_fuzzed_scenario_text_raises_only_scenario_errors(text):
+    """Hostile scenario text is rejected at the parse boundary with a
+    ScenarioError, never another exception."""
+    try:
+        parse_scenario(text)
+    except ScenarioError:
+        pass

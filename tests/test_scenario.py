@@ -92,6 +92,12 @@ class TestParse:
             parse_scenario(bad)
         assert exc.value.kind == "unit-violation"
 
+    def test_dielectric_beyond_float_range_is_constraint(self):
+        bad = CUSTOM_HIGH_GAIN.replace("device.td_nm = 10", "device.td_nm = 4.3e112")
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(bad)
+        assert exc.value.kind == "constraint-violation"
+
     def test_vdc_below_pullin_is_constraint(self):
         with pytest.raises(ScenarioError) as exc:
             parse_scenario('device.preset = "large"\namp.vdc_V = 5\n')

@@ -67,6 +67,13 @@ class TestClockSchedule:
         assert math.isclose(phases[0].duration, 4.9e-6)
         assert math.isclose(phases[-1].t_end, 2 * sched.period)
 
+    def test_phase_is_a_named_tuple_with_the_record_repr(self):
+        first = ClockSchedule(100e3).phases(1e-5)[0]
+        assert repr(first) == ("Phase(index=0, kind='sample', t_start=0.0, "
+                               "t_end=4.9000000000000005e-06, clk_on=True, clkb_on=False)")
+        assert first == Phase(0, "sample", 0.0, 4.9000000000000005e-06, True, False)
+        assert first.duration == first.t_end
+
     def test_zero_nonoverlap_drops_dead_phases(self):
         phases = ClockSchedule(100e3, 0.0).phases(1e-5)
         assert [p.kind for p in phases] == ["sample", "hold"]
@@ -223,6 +230,37 @@ class TestStepSwitch:
         sw.state = step_switch(sw, 10.0, 1e-6)
         with pytest.raises(InvalidGeometryError):
             step_switch(sw, 0.0, 0.5e-6)
+
+
+class TestRelayColumns:
+    """Relay state lives in the run's columns: a conducting flag and a
+    transition time per switch, the switching delays per run."""
+
+    def test_switch_states_read_back_as_records(self):
+        net = fig6_network()
+        sols = chained(CompiledNetwork(net), ClockSchedule(100e3).phases(1e-5))
+        sample, hold = sols[0], sols[2]
+        assert sample.switch_states["s_in_a"] == OhmicSwitchState(True, 1e-7, 100e-9)
+        assert sample.switch_states["s_hold"] == OhmicSwitchState()
+        assert hold.switch_states["s_hold"] == OhmicSwitchState(
+            True, sols[2].phase.t_start + 100e-9, 100e-9)
+        assert not hold.switch_states["s_in_a"].conducting
+
+    def test_prior_with_other_switching_delays_is_rejected(self):
+        def net_with(t_sw):
+            return build_network({"elements": [
+                {"type": "linear_cap", "name": "c", "a": "x", "b": "gnd", "value": 1e-15},
+                {"type": "source", "name": "v", "node": "y", "wave": {"kind": "dc", "value": 1.0}},
+                {"type": "switch", "name": "s", "a": "x", "b": "y", "t_sw": t_sw,
+                 "drive": {"kind": "clock", "phase": "clk", "high": 10.0},
+                 "v_pi": 9.6, "v_po": 6.2}]})
+
+        first, second = ClockSchedule(100e3).phases(1e-5)[:2]
+        prior = solve_phase(net_with(100e-9), first)
+        same = solve_phase(net_with(100e-9), second, prior).switch_states["s"]
+        assert same == OhmicSwitchState(False, second.t_start + 100e-9, 100e-9)
+        with pytest.raises(NetworkError, match="other nodes, elements or switches"):
+            solve_phase(net_with(50e-9), second, prior)
 
 
 class TestIslands:
