@@ -13,6 +13,10 @@ def format_float(x: float) -> str:
     return f"{float(x):.11e}"
 
 
+# format_float's format in %-style, so that one operation formats a row of floats
+FLOAT_FORMAT = "%.11e"
+
+
 def dump_json(obj) -> str:
     """Stable JSON rendering: sorted keys, LF, trailing newline."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -23,7 +23,7 @@ import numpy as np
 
 from .device import EPS0, DeviceParams, get_preset
 from .errors import ConfigError, ConvergenceError, InvalidGeometryError, NetworkError
-from .ioutil import format_float
+from .ioutil import FLOAT_FORMAT, format_float
 from .mech import (BeamState, release_holds, static_equilibrium_charge,
                    static_equilibrium_voltage)
 
@@ -1255,16 +1255,15 @@ class SimResult:
         lines = [header]
         cols = self.solutions
         width = len(cols.nodes)
-        index = [cols.nodes.index(n) for n in names]
-        volts = cols.volts
+        values_format = ("," + FLOAT_FORMAT) * len(names)
+        rows = zip(*[cols.volts[cols.nodes.index(n)::width] for n in names])
         t_prev, t_text = None, ""
-        for r, ph in enumerate(cols.phases):
-            base = r * width
+        for ph, values in zip(cols.phases, rows):
             # both rows of a phase hold its node voltages, and a phase mostly
             # starts at the instant the previous one ended: format each once
-            values = "".join([f",{format_float(volts[base + i])}" for i in index])
-            start = t_text if ph.t_start == t_prev else format_float(ph.t_start)
-            t_prev, t_text = ph.t_end, format_float(ph.t_end)
+            values = values_format % values
+            start = t_text if ph.t_start == t_prev else FLOAT_FORMAT % ph.t_start
+            t_prev, t_text = ph.t_end, FLOAT_FORMAT % ph.t_end
             lines.append(f"{start},{ph.kind}{values}")
             lines.append(f"{t_text},{ph.kind}{values}")
         return "\n".join(lines) + "\n"

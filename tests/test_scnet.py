@@ -8,6 +8,7 @@ import pytest
 from nemsim import scnet
 from nemsim.device import get_preset
 from nemsim.errors import ConfigError, ConvergenceError, InvalidGeometryError, NetworkError
+from nemsim.ioutil import FLOAT_FORMAT, format_float
 from nemsim.mech import BeamState, static_equilibrium_charge, static_equilibrium_voltage
 from nemsim.scnet import (Clock, ClockSchedule, CompiledNetwork, Dc, LinearCap,
                           Network, NemsCap, OhmicSwitch, OhmicSwitchState, Phase,
@@ -779,6 +780,20 @@ class TestWaveformOutputs:
         lines = res.waveform_csv().strip().split("\n")
         assert lines[0].startswith("t_s,phase,vA_V,vB_V")
         assert len(lines) == 1 + 2 * len(res.solutions)
+
+    def test_waveform_csv_is_the_per_value_formatting(self):
+        net = apply_parasitics(fig6_network(vin=0.02, freq=7e3), 1e-15, 1e-15, "gate")
+        sched = ClockSchedule(100e3)
+        res = simulate(net, sched, 3 * sched.period)
+        names = ["a", "b", *sorted(n for n in net.nodes if n not in ("a", "b"))]
+        want = ["t_s,phase," + ",".join(f"v{n.upper()}_V" for n in names)]
+        for sol in res.solutions:
+            values = "".join(f",{format_float(sol.node_voltages[n])}" for n in names)
+            for t in (sol.phase.t_start, sol.phase.t_end):
+                want.append(f"{format_float(t)},{sol.phase.kind}{values}")
+        assert res.waveform_csv() == "\n".join(want) + "\n"
+        for x in (0.0, -0.0, 5e-324, -1.5e-300, 1e308, math.inf, -math.inf, math.nan, 1 / 3):
+            assert FLOAT_FORMAT % x == format_float(x)
 
     def test_islands_csv(self):
         net = fig6_network()
