@@ -126,8 +126,7 @@ def _transition_voltages(curve) -> tuple[float | None, float | None]:
 def _cmd_cv_sweep(scn: Scenario, args):
     dev = scn.device_params()
     v_end = args.v_end if args.v_end is not None else 1.25 * dev.v_pi
-    curve = cv_sweep(dev, dev.k, dev.d_c, args.v_start, v_end,
-                     args.n_points, args.direction)
+    curve = cv_sweep(dev, args.v_start, v_end, args.n_points, args.direction)
     up, down = _transition_voltages(curve)
     summary = {
         "device": scn.device_name(), "v_pi_V": dev.v_pi, "v_po_V": dev.v_po,
@@ -141,7 +140,7 @@ def _cmd_cv_sweep(scn: Scenario, args):
 
 def _cmd_transient(scn: Scenario, args):
     dev = scn.device_params()
-    geom = scn.geometry()
+    geom = scn.geometry()  # the beam mass needs its length, width and thickness
     level = args.level_V if args.level_V is not None else 1.2 * dev.v_pi
     dyn_scale = math.sqrt(DynamicsParams.for_device(geom, dev.k, 1.0).effective_mass / dev.k)
     t_end = args.t_end_s if args.t_end_s is not None else 200.0 * dyn_scale
@@ -153,7 +152,7 @@ def _cmd_transient(scn: Scenario, args):
     else:
         freq = scn.freq
         drive = lambda t: level * math.sin(2.0 * math.pi * freq * t)
-    trace = transient(geom, dev.k, dyn, drive, t_end, d_c=dev.d_c)
+    trace = transient(dev, dyn, drive, t_end, d_c=dev.d_c)
     summary = {
         "device": scn.device_name(), "drive": args.drive, "level_V": level,
         "t_end_s": t_end, "dt_max_s": dyn.integration_dt_max,
@@ -297,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--drive", choices=("step", "sine"), default="step")
     p.add_argument("--level-V", type=_finite_float, default=None, help="default 1.2 * V_PI")
-    p.add_argument("--t-end-s", type=_finite_float, default=None)
+    p.add_argument("--t-end-s", type=_finite_float, default=None,
+                   help="default 200 * sqrt(m_eff / k), for either drive")
 
     p = sub.add_parser("amplify", help="run the discrete-time amplifier")
     common(p)

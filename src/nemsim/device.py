@@ -8,6 +8,7 @@ calibration voltages (pull-in, pull-out). All quantities SI.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -193,9 +194,10 @@ class DeviceParams:
         if not (self.c_off < self.c_on):
             raise CalibrationError("C_off must be below C_on")
 
-    @property
+    @functools.cached_property
     def g0(self) -> float:
-        """Rest air gap (m); contact hard stop. g_eff - td/eps_d with td/eps_d = eps0*A/C_on."""
+        """Rest air gap (m); contact hard stop. g_eff - td/eps_d with td/eps_d = eps0*A/C_on.
+        Computed on first read and kept: the beam laws read it on every call."""
         return self.g_eff - EPS0 * self.area / self.c_on
 
     @property

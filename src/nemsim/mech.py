@@ -18,25 +18,14 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .device import (EPS0, DeviceGeometry, DeviceParams, MaterialProps,
-                     derive_geometry_constants)
+from .device import EPS0, DeviceGeometry, DeviceParams, MaterialProps
 from .errors import (ConfigError, ConvergenceError, DisplacementRangeError,
                      InvalidGeometryError, StiffnessError)
 from .ioutil import format_float
 
-Device = DeviceGeometry | DeviceParams
-
 # largest sweep one call may ask for: C-V grid points, or the clock phases of
 # a gain sweep (amplitudes x 4 phases x periods)
 MAX_SWEEP_SIZE = 1_000_000
-
-
-def _dims(geom: Device) -> tuple[float, float, float]:
-    """(area, g_eff, g0) from either a drawn geometry or a derived bundle."""
-    if isinstance(geom, DeviceParams):
-        return geom.area, geom.g_eff, geom.g0
-    area, g_eff = derive_geometry_constants(geom)
-    return area, g_eff, geom.air_gap
 
 
 @dataclass(frozen=True)
@@ -69,71 +58,65 @@ class DynamicsParams:
             raise InvalidGeometryError("solver_tol must be <= 1e-6")
 
     @classmethod
-    def for_device(cls, geom: DeviceGeometry, k: float, dt_max: float, *,
-                   q_factor: float = 2.0, material: MaterialProps = MaterialProps(),
-                   tol: float = 1e-9) -> "DynamicsParams":
-        """Defaults from the fundamental clamped-clamped mode: m_eff = 0.4*rho*L*W*t,
-        b = omega0*m_eff/Q."""
-        m_eff = 0.4 * material.density * geom.beam_length * geom.beam_width * geom.beam_thickness
+    def for_device(cls, geom: DeviceGeometry, k: float, dt_max: float) -> "DynamicsParams":
+        """Defaults from the fundamental clamped-clamped mode: m_eff = 0.4*rho*L*W*t
+        with the default material's density, b = omega0*m_eff/Q with Q = 2."""
+        m_eff = (0.4 * MaterialProps().density
+                 * geom.beam_length * geom.beam_width * geom.beam_thickness)
         omega0 = math.sqrt(k / m_eff)
-        return cls(effective_mass=m_eff, damping_b=omega0 * m_eff / q_factor,
-                   integration_dt_max=dt_max, solver_tol=tol)
+        return cls(effective_mass=m_eff, damping_b=omega0 * m_eff / 2.0,
+                   integration_dt_max=dt_max)
 
 
-def capacitance_at(geom: Device, x: float) -> float:
+def capacitance_at(dev: DeviceParams, x: float) -> float:
     """Capacitance at displacement x: eps0*A/(g_eff - x).
 
     Exactly c_off at x = 0 and c_on at x = g0 (where the remaining gap is
     the dielectric's equivalent air thickness).
     """
-    area, g_eff, g0 = _dims(geom)
-    if not (0.0 <= x <= g0):
-        raise DisplacementRangeError(f"displacement {x!r} outside [0, g0 = {g0}]")
-    return EPS0 * area / (g_eff - x)
+    if not (0.0 <= x <= dev.g0):
+        raise DisplacementRangeError(f"displacement {x!r} outside [0, g0 = {dev.g0}]")
+    return EPS0 * dev.area / (dev.g_eff - x)
 
 
-def force_voltage_controlled(geom: Device, x: float, v: float) -> float:
+def force_voltage_controlled(dev: DeviceParams, x: float, v: float) -> float:
     """Attractive plate force under fixed voltage: eps0*A*V^2/(2*(g_eff - x)^2). Even in V."""
-    area, g_eff, _ = _dims(geom)
-    return EPS0 * area * v * v / (2.0 * (g_eff - x) ** 2)
+    return EPS0 * dev.area * v * v / (2.0 * (dev.g_eff - x) ** 2)
 
 
-def force_charge_controlled(geom: Device, q: float) -> float:
+def force_charge_controlled(dev: DeviceParams, q: float) -> float:
     """Plate force under fixed charge: q^2/(2*eps0*A), independent of position.
 
     The position independence is what keeps released beams stable at large
     hold-phase voltages.
     """
-    area, _, _ = _dims(geom)
-    return q * q / (2.0 * EPS0 * area)
+    return q * q / (2.0 * EPS0 * dev.area)
 
 
-def coenergy_voltage(geom: Device, x: float, v: float) -> float:
+def coenergy_voltage(dev: DeviceParams, x: float, v: float) -> float:
     """Potential for the voltage-controlled force: -eps0*A*V^2/(2*(g_eff - x)).
 
     force_voltage_controlled == -d/dx of this.
     """
-    area, g_eff, _ = _dims(geom)
-    return -EPS0 * area * v * v / (2.0 * (g_eff - x))
+    return -EPS0 * dev.area * v * v / (2.0 * (dev.g_eff - x))
 
 
-def energy_charge(geom: Device, x: float, q: float) -> float:
+def energy_charge(dev: DeviceParams, x: float, q: float) -> float:
     """Field energy at fixed charge: q^2*(g_eff - x)/(2*eps0*A).
 
     force_charge_controlled == -d/dx of this.
     """
-    area, g_eff, _ = _dims(geom)
-    return q * q * (g_eff - x) / (2.0 * EPS0 * area)
+    return q * q * (dev.g_eff - x) / (2.0 * EPS0 * dev.area)
 
 
-def static_equilibrium_voltage(geom: Device, k: float, v: float) -> BeamState:
+def static_equilibrium_voltage(dev: DeviceParams, v: float) -> BeamState:
     """Stable displacement under a fixed voltage, or the latched state past pull-in.
 
     For |v| < V_PI the stable root of k*x = F(x, v) lies in [0, g_eff/3);
     at or beyond V_PI the fold has annihilated it and the beam snaps to
     contact.
     """
-    area, g_eff, g0 = _dims(geom)
+    area, g_eff, g0, k = dev.area, dev.g_eff, dev.g0, dev.k
     v_pi = math.sqrt(8.0 * k * g_eff ** 3 / (27.0 * EPS0 * area))
     if abs(v) >= v_pi:
         return BeamState(g0, 0.0, True)
@@ -156,27 +139,24 @@ def static_equilibrium_voltage(geom: Device, k: float, v: float) -> BeamState:
     return BeamState(min(x, g0), 0.0, False)
 
 
-def static_equilibrium_charge(geom: Device, k: float, q: float) -> BeamState:
+def static_equilibrium_charge(dev: DeviceParams, q: float) -> BeamState:
     """Displacement under fixed plate charge: x = q^2/(2*eps0*A*k), clamped at contact."""
-    area, _, g0 = _dims(geom)
-    x = q * q / (2.0 * EPS0 * area * k)
-    if x >= g0:
-        return BeamState(g0, 0.0, True)
+    x = q * q / (2.0 * EPS0 * dev.area * dev.k)
+    if x >= dev.g0:
+        return BeamState(dev.g0, 0.0, True)
     return BeamState(x, 0.0, False)
 
 
-def release_holds(geom: Device, k: float, d_c: float, v: float) -> bool:
+def release_holds(dev: DeviceParams, v: float) -> bool:
     """True if a latched beam stays latched at voltage v under the d_c release model.
 
     Latch persists while the electrostatic force at separation d_c meets the
     fully stretched spring force k*g0.
     """
-    area, _, g0 = _dims(geom)
-    return EPS0 * area * v * v / (2.0 * d_c * d_c) >= k * g0
+    return EPS0 * dev.area * v * v / (2.0 * dev.d_c * dev.d_c) >= dev.k * dev.g0
 
 
-def update_beam_voltage(geom: Device, k: float, d_c: float,
-                        prior: BeamState, v: float, *,
+def update_beam_voltage(dev: DeviceParams, prior: BeamState, v: float, *,
                         settle: Callable[[float], BeamState] | None = None) -> BeamState:
     """Hysteretic quasi-static update of a voltage-driven beam.
 
@@ -184,12 +164,11 @@ def update_beam_voltage(geom: Device, k: float, d_c: float,
     settle(v), when given, must return that same state (cv_sweep passes its
     per-sweep memo of the law).
     """
-    if prior.latched and release_holds(geom, k, d_c, v):
-        _, _, g0 = _dims(geom)
-        return BeamState(g0, 0.0, True)
+    if prior.latched and release_holds(dev, v):
+        return BeamState(dev.g0, 0.0, True)
     if settle is not None:
         return settle(v)
-    return static_equilibrium_voltage(geom, k, v)
+    return static_equilibrium_voltage(dev, v)
 
 
 @dataclass(frozen=True)
@@ -207,8 +186,8 @@ class CVCurve:
         return "\n".join(lines) + "\n"
 
 
-def cv_sweep(geom: Device, k: float, d_c: float, v_start: float,
-             v_end: float, n_points: int, direction: str = "both") -> CVCurve:
+def cv_sweep(dev: DeviceParams, v_start: float, v_end: float, n_points: int,
+             direction: str = "both") -> CVCurve:
     """Quasi-static C-V sweep with latched-state memory.
 
     Each point is treated as fully settled. The up branch latches at the
@@ -223,7 +202,6 @@ def cv_sweep(geom: Device, k: float, d_c: float, v_start: float,
         raise ConfigError(f"cv_sweep asks for {n_points} points, more than {MAX_SWEEP_SIZE}")
     if direction not in ("up", "down", "both"):
         raise InvalidGeometryError(f"unknown sweep direction {direction!r}")
-    _, _, g0 = _dims(geom)
     grid = np.linspace(v_start, v_end, n_points).tolist()
     legs: list[tuple[str, list[float]]] = []
     if direction in ("up", "both"):
@@ -237,19 +215,19 @@ def cv_sweep(geom: Device, k: float, d_c: float, v_start: float,
     def settle(v: float) -> BeamState:
         hit = settled.get(v)
         if hit is None:
-            law = static_equilibrium_voltage(geom, k, v)
-            hit = settled[v] = (law, capacitance_at(geom, law.displacement))
+            law = static_equilibrium_voltage(dev, v)
+            hit = settled[v] = (law, capacitance_at(dev, law.displacement))
         return hit[0]
 
-    c_latched = capacitance_at(geom, g0)
-    state = BeamState(g0, 0.0, True) if direction == "down" \
+    c_latched = capacitance_at(dev, dev.g0)
+    state = BeamState(dev.g0, 0.0, True) if direction == "down" \
         else BeamState(0.0, 0.0, False)
     volts: list[float] = []
     caps: list[float] = []
     tags: list[str] = []
     for tag, leg in legs:
         for v in leg:
-            state = update_beam_voltage(geom, k, d_c, state, v, settle=settle)
+            state = update_beam_voltage(dev, state, v, settle=settle)
             # a released state came from settle(v)
             caps.append(c_latched if state.latched else settled[v][1])
         volts += leg
@@ -277,24 +255,24 @@ class TransientTrace:
         return "\n".join(lines) + "\n"
 
 
-def mechanical_energy(geom: Device, k: float, dyn: DynamicsParams,
+def mechanical_energy(dev: DeviceParams, dyn: DynamicsParams,
                       x: float, v: float, drive_value: float,
                       mode: str = "voltage") -> float:
     """Kinetic + spring + field potential; decays monotonically between
     contact events when the drive is constant and damping positive."""
     kinetic = 0.5 * dyn.effective_mass * v * v
-    spring = 0.5 * k * x * x
+    spring = 0.5 * dev.k * x * x
     if mode == "voltage":
-        field = coenergy_voltage(geom, x, drive_value)
+        field = coenergy_voltage(dev, x, drive_value)
     else:
-        field = energy_charge(geom, x, drive_value)
+        field = energy_charge(dev, x, drive_value)
     return kinetic + spring + field
 
 
 _MAX_SEGMENTS = 100_000
 
 
-def transient(geom: Device, k: float, dyn: DynamicsParams,
+def transient(dev: DeviceParams, dyn: DynamicsParams,
               drive: Callable[[float], float], t_end: float, *,
               mode: str = "voltage", d_c: float | None = None,
               x0: float = 0.0, v0: float = 0.0) -> TransientTrace:
@@ -311,7 +289,7 @@ def transient(geom: Device, k: float, dyn: DynamicsParams,
         raise InvalidGeometryError(f"unknown drive mode {mode!r}")
     if not (t_end > 0):
         raise InvalidGeometryError("t_end must be positive")
-    area, g_eff, g0 = _dims(geom)
+    area, g_eff, g0, k = dev.area, dev.g_eff, dev.g0, dev.k
     if not (0.0 <= x0 <= g0):
         raise DisplacementRangeError(f"x0 = {x0!r} outside [0, g0]")
     if d_c is None:

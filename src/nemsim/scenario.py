@@ -67,7 +67,9 @@ class Scenario:
         return self.device_geometry
 
     def to_text(self) -> str:
-        """Canonical serialization; parse_scenario(to_text()) returns an equal Scenario."""
+        """Canonical serialization. For a scenario parsed from text,
+        parse_scenario(to_text()) returns an equal Scenario; an SI value set
+        through the library may not survive the unit round trip (x / 1e-6 * 1e-6)."""
         lines = []
         if self.device_preset:
             lines.append(f'device.preset = "{self.device_preset}"')

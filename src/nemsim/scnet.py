@@ -1055,10 +1055,10 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
         state = by_voltage.get(key)
         if state is None:
             dev = devices[j]
-            if was_latched and release_holds(dev, dev.k, dev.d_c, dv):
+            if was_latched and release_holds(dev, dv):
                 state = (dev.g0, 0.0, True)
             else:
-                law = static_equilibrium_voltage(dev, dev.k, dv)
+                law = static_equilibrium_voltage(dev, dv)
                 state = (law.displacement, law.velocity, law.latched)
             by_voltage[key] = state
         disp[j], vel[j], latched[j] = state
@@ -1100,7 +1100,7 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
                 seated = by_charge.get(key)
                 if seated is None:
                     dev = devices[j]
-                    law = static_equilibrium_charge(dev, dev.k, q_j)
+                    law = static_equilibrium_charge(dev, q_j)
                     seated = by_charge[key] = (law.displacement, law.velocity, law.latched,
                                                eps_area[j] / (g_eff[j] - law.displacement))
                 if seated[2] and not latched[j]:

@@ -85,7 +85,7 @@ def test_criterion_5_cv_hysteresis():
     details = []
     for name in TABLE:
         dev = get_preset(name).params()
-        curve = cv_sweep(dev, dev.k, dev.d_c, 0.0, 1.25 * dev.v_pi, 1001, "both")
+        curve = cv_sweep(dev, 0.0, 1.25 * dev.v_pi, 1001, "both")
         c_mid = 0.5 * (dev.c_on + dev.c_off)
         v_up = next(v for v, c, b in zip(curve.voltages, curve.capacitances,
                                          curve.branches) if b == "up" and c > c_mid)
@@ -98,11 +98,11 @@ def test_criterion_5_cv_hysteresis():
     lo, hi = 1.0, 2.0 * LARGE.v_pi
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if static_equilibrium_voltage(LARGE, LARGE.k, mid).latched:
+        if static_equilibrium_voltage(LARGE, mid).latched:
             hi = mid
         else:
             lo = mid
-    x_fold = static_equilibrium_voltage(LARGE, LARGE.k, lo).displacement
+    x_fold = static_equilibrium_voltage(LARGE, lo).displacement
     ok = ok and abs(lo - LARGE.v_pi) <= 1e-3 * LARGE.v_pi
     ok = ok and abs(x_fold - LARGE.g_eff / 3.0) <= 5e-3 * (LARGE.g_eff / 3.0)
     _criterion(5, "C-V transitions within 1%, fold displacement g_eff/3 within 0.5%",
@@ -143,7 +143,7 @@ def test_criterion_9_transient_properties():
     dyn = DynamicsParams.for_device(geom, k, 2e-9)
     times = []
     for factor in (1.1, 1.3, 1.6, 2.0):
-        tr = transient(geom, k, dyn, lambda t, f=factor: f * LARGE.v_pi, 2e-6,
+        tr = transient(LARGE, dyn, lambda t, f=factor: f * LARGE.v_pi, 2e-6,
                        d_c=LARGE.d_c)
         assert tr.contact_times, "no pull-in under overdrive"
         times.append(tr.contact_times[0])
@@ -170,7 +170,7 @@ def test_criterion_9_transient_properties():
             t_ref += dt * (g0 - y[0]) / (y_new[0] - y[0])
             break
         y, t_ref = y_new, t_ref + dt
-    tr = transient(geom, k, dyn, lambda t: v, 2e-6, d_c=LARGE.d_c)
+    tr = transient(LARGE, dyn, lambda t: v, 2e-6, d_c=LARGE.d_c)
     agreement = abs(tr.contact_times[0] - t_ref) / t_ref
     ok = monotone and agreement <= 0.01
     _criterion(9, "finite pull-in, monotone in overdrive, RK4 agreement within 1%",

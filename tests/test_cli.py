@@ -1,9 +1,12 @@
+import csv
 import json
 
 import pytest
 
 from nemsim import amp, cli, mech
 from nemsim.cli import main
+from nemsim.scenario import parse_scenario
+from test_scenario import CUSTOM_HIGH_GAIN
 
 REFERENCE_SETUP = """\
 device.preset = "large"
@@ -204,6 +207,36 @@ class TestTransientCommand:
         assert "--t-end-s (t_end) must be positive" in doc["message"]
         assert "integration_dt_max" not in doc["message"]
         assert not (tmp_path / "out").exists()
+
+
+class TestCustomGeometry:
+    """transient and cv-sweep on a drawn geometry read the contact stop and
+    the switching thresholds of the scenario's calibrated DeviceParams."""
+
+    TEXT = CUSTOM_HIGH_GAIN + "amp.vdc_V = 5\n"
+
+    def _run(self, command, tmp_path, capsys):
+        cfg = tmp_path / "custom.cfg"
+        cfg.write_text(self.TEXT)
+        code, _, _ = run_cli([command, "--config", str(cfg), "--out-dir", str(tmp_path)],
+                             capsys)
+        return code, read_json(tmp_path / "summary.json")
+
+    def test_transient_latches_at_c_on(self, tmp_path, capsys):
+        code, doc = self._run("transient", tmp_path, capsys)
+        assert code == 0 and len(doc["contact_times_s"]) == 1
+        c_on = parse_scenario(self.TEXT).device_params().c_on
+        with open(tmp_path / "transient.csv", newline="") as f:
+            latched = [float(row["c_F"]) for row in csv.DictReader(f) if row["latched"] == "1"]
+        assert latched
+        assert all(abs(c - c_on) <= 1e-11 * c_on for c in latched)
+
+    def test_cv_transitions_at_calibrated_thresholds(self, tmp_path, capsys):
+        code, doc = self._run("cv-sweep", tmp_path, capsys)
+        dev = parse_scenario(self.TEXT).device_params()
+        assert code == 0
+        assert abs(doc["up_transition_V"] - dev.v_pi) <= 0.01 * dev.v_pi
+        assert abs(doc["down_transition_V"] - dev.v_po) <= 0.01 * dev.v_po
 
 
 class TestGainSweepCommand:

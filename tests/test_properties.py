@@ -4,11 +4,11 @@ Hypothesis runs a fixed, derandomized set of examples so the suite stays
 deterministic.
 """
 
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from nemsim.amp import AmpConfig, build_amp, dynamic_range, run_dc
-from nemsim.device import get_preset
+from nemsim.device import PRESETS, get_preset
 from nemsim.errors import ScenarioError
 from nemsim.scenario import parse_scenario
 from nemsim.scnet import ClockSchedule, PhaseSolution, build_network, simulate, solve_phase
@@ -178,3 +178,52 @@ def test_fuzzed_scenario_text_raises_only_scenario_errors(text):
         parse_scenario(text)
     except ScenarioError:
         pass
+
+
+def _decimal(lo, hi, places=3):
+    return st.decimals(lo, hi, places=places).map(str)
+
+
+# the nine custom device keys; V_PI stays below the lowest generated V_DC
+_DEVICE_KEYS = {"device.L_um": _decimal(3, 10), "device.W_um": _decimal("0.5", 2),
+                "device.t_nm": _decimal(50, 150, 1), "device.Le_um": _decimal(1, 3),
+                "device.g0_nm": _decimal(30, 150, 1), "device.td_nm": _decimal(5, 30, 1),
+                "device.eps_d": _decimal(2, 10, 2), "device.vpi_V": _decimal(2, "9.9", 2),
+                "device.vpo_V": _decimal(1, 6, 2)}
+_RUN_KEYS = {"amp.topology": st.sampled_from(["basic", "modified"]),
+             "amp.m": st.integers(1, 200).map(str),
+             "amp.vdc_V": _decimal(10, 30),
+             "amp.fclk_hz": _decimal(1000, 1000000, 1),
+             "amp.nonoverlap_frac": _decimal(0, "0.49", 4),
+             "amp.parasitics": st.sampled_from(["on", "off"]),
+             "amp.cgb_fF": _decimal(0, 10), "amp.cgc_fF": _decimal(0, 10),
+             "amp.drive_terminal": st.sampled_from(["gate", "body"]),
+             "stimulus.kind": st.sampled_from(["dc", "sine"]),
+             "stimulus.amplitude_V": _decimal(-1, 1, 5),
+             "stimulus.freq_hz": _decimal(1, 100000, 2),
+             "run.n_periods": st.integers(1, 100).map(str),
+             "run.out_dir": st.text("abc_-./0123", min_size=1, max_size=8).map('"{}"'.format)}
+
+
+@st.composite
+def valid_scenario_texts(draw):
+    """A preset or the nine custom device keys, plus any subset of the amp,
+    stimulus and run keys, every number written as a decimal."""
+    if draw(st.booleans()):
+        lines = [f'device.preset = "{draw(st.sampled_from(sorted(PRESETS)))}"']
+    else:
+        lines = [f"{key} = {draw(value)}" for key, value in _DEVICE_KEYS.items()]
+    for key, value in _RUN_KEYS.items():
+        if draw(st.booleans()):
+            lines.append(f"{key} = {draw(value)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(valid_scenario_texts())
+def test_parsed_scenario_round_trips_through_its_text(text):
+    try:
+        scn = parse_scenario(text)
+    except ScenarioError:
+        reject()  # an infeasible custom device
+    assert parse_scenario(scn.to_text()) == scn

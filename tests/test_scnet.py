@@ -527,8 +527,8 @@ class TestBeamLawMemo:
         for name in ("static_equilibrium_charge", "static_equilibrium_voltage"):
             law = getattr(scnet, name)
             monkeypatch.setattr(scnet, name,
-                                lambda dev, k, drive, _law=law, _name=name:
-                                calls.append((_name, dev, drive)) or _law(dev, k, drive))
+                                lambda dev, drive, _law=law, _name=name:
+                                calls.append((_name, dev, drive)) or _law(dev, drive))
         sched = ClockSchedule(100e3)
         topo = CompiledNetwork(bank_network(10))
         prior, total = None, 0
@@ -575,7 +575,7 @@ class TestBeamLawMemo:
         assert [math.copysign(1.0, d) for d in drives.values()] == [-1.0, 1.0, -1.0, 1.0]
         for name, drive in drives.items():
             law = static_equilibrium_voltage if name[0] == "v" else static_equilibrium_charge
-            assert repr(sol.beam_states[name]) == repr(law(DEV, DEV.k, drive))
+            assert repr(sol.beam_states[name]) == repr(law(DEV, drive))
 
 
 class TestTransitionMemo:
