@@ -10,7 +10,7 @@ across the small released capacitance, amplified by about C_on/C_off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from scipy.optimize import brentq
@@ -28,13 +28,6 @@ MAX_BANK = 10_000
 
 
 @dataclass(frozen=True)
-class SwitchSpec:
-    """Behavioral sampling-relay parameters; thresholds default to the device's."""
-
-    r_on: float = 1e3     # ohm, settling assertion only
-
-
-@dataclass(frozen=True)
 class AmpConfig:
     device: DeviceParams
     topology: str = "basic"       # basic | modified
@@ -47,7 +40,6 @@ class AmpConfig:
     c_gc: float = 1e-15
     drive_terminal: str = "gate"  # gate | body
     clock_high: float | None = None  # None: reuse v_dc
-    switch: SwitchSpec = field(default_factory=SwitchSpec)
     device_name: str = "custom"
 
     def __post_init__(self):
@@ -86,7 +78,8 @@ def build_amp(config: AmpConfig) -> Amp:
 
 def _make_network(config: AmpConfig, stim_amplitude: float, stim_freq: float | None) -> Network:
     """Amplifier core: stacked drive rails at vin +- V_DC, grounded bottom
-    plates, three shared relays (in-a, in-b on CLK; hold a-b on CLKB)."""
+    plates, three shared relays (in-a, in-b on CLK; hold a-b on CLKB) with the
+    device's thresholds and OhmicSwitch's default R_on."""
     dev = config.device
     net = Network()
     for n in ("gnd", "sp", "sm", "a", "b"):
@@ -99,13 +92,12 @@ def _make_network(config: AmpConfig, stim_amplitude: float, stim_freq: float | N
                                    Sine(stim_amplitude, stim_freq, offset=config.v_dc)))
         net.sources.append(VSource("src_m", "sm",
                                    Sine(stim_amplitude, stim_freq, offset=-config.v_dc)))
-    sw = config.switch
     for name, a, b, phase in (("s_in_a", "sp", "a", "clk"),
                               ("s_in_b", "sm", "b", "clk"),
                               ("s_hold", "a", "b", "clkb")):
         net.switches.append(OhmicSwitch(
             name, a, b, Clock(phase, config.clock_level),
-            v_pi=dev.v_pi, v_po=dev.v_po, r_on=sw.r_on))
+            v_pi=dev.v_pi, v_po=dev.v_po))
     for i in range(config.m):
         suffix = "" if config.m == 1 else f"_{i}"
         net.nems_caps.append(NemsCap(f"ca{suffix}", "a", "gnd", dev))
@@ -336,18 +328,24 @@ class ParasiticStudy:
     note: str = "calibration target, not a prediction"
 
 
-def _study_gain(base: AmpConfig, m: int, c_gb: float, c_gc: float, vin: float,
-                n_periods: int) -> float:
+# the parasitic study's DC input, and its calibration: the published 15% gain
+# drop at m = 10
+_STUDY_VIN = 1e-3
+_DROP_TARGET = 0.15
+_CALIBRATION_M = 10
+
+
+def _study_gain(base: AmpConfig, m: int, c_gb: float, c_gc: float, n_periods: int) -> float:
     cfg = replace(base, topology="modified", m=m, parasitics=True,
                   c_gb=c_gb, c_gc=c_gc)
-    return _dc_detail(build_amp(cfg), vin, n_periods).gain
+    return _dc_detail(build_amp(cfg), _STUDY_VIN, n_periods).gain
 
 
 def parasitic_study(amp: Amp, c_gb: float, c_gc: float, m_values: Sequence[int],
-                    vin: float = 1e-3, drop_target: float = 0.15,
-                    calibration_m: int = 10, n_periods: int = 4) -> ParasiticStudy:
-    """Gain versus parallel-device count at fixed parasitics, plus the C_p
-    calibrated to reproduce the target gain drop at m = calibration_m.
+                    n_periods: int = 4) -> ParasiticStudy:
+    """Gain at a 1 mV DC input versus parallel-device count at fixed
+    parasitics, plus the C_p calibrated to reproduce the published 15% gain
+    drop at m = 10.
 
     The published drop is treated as a calibration target because no
     parasitic values are published.
@@ -355,18 +353,18 @@ def parasitic_study(amp: Amp, c_gb: float, c_gc: float, m_values: Sequence[int],
     if c_gb < 0 or c_gc < 0:
         raise ConfigError("parasitic capacitances must be non-negative")
     base = amp.config
-    rows = tuple(ParasiticRow(m, _study_gain(base, m, c_gb, c_gc, vin, n_periods))
+    rows = tuple(ParasiticRow(m, _study_gain(base, m, c_gb, c_gc, n_periods))
                  for m in m_values)
-    target = (1.0 - drop_target) * base.device.gain_max
+    target = (1.0 - _DROP_TARGET) * base.device.gain_max
 
     def miss(c_p_fF: float) -> float:
         c_p = c_p_fF * 1e-15
-        return _study_gain(base, calibration_m, c_p, c_p, vin, n_periods) - target
+        return _study_gain(base, _CALIBRATION_M, c_p, c_p, n_periods) - target
 
     # solve in fF so brentq's absolute xtol is meaningful at this scale
     c_cal = brentq(miss, 1e-4, 1e3, rtol=1e-12) * 1e-15
-    g_cal = _study_gain(base, calibration_m, c_cal, c_cal, vin, n_periods)
-    return ParasiticStudy(rows, c_gb, c_gc, c_cal, g_cal, calibration_m)
+    g_cal = _study_gain(base, _CALIBRATION_M, c_cal, c_cal, n_periods)
+    return ParasiticStudy(rows, c_gb, c_gc, c_cal, g_cal, _CALIBRATION_M)
 
 
 def summary(amp: Amp, gain_dc: float | None) -> dict:

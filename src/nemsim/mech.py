@@ -27,6 +27,10 @@ from .ioutil import format_float
 # a gain sweep (amplitudes x 4 phases x periods)
 MAX_SWEEP_SIZE = 1_000_000
 
+# transient's relative tolerance, and its absolute one in units of g0 (and
+# of g0 * omega0 for the velocity)
+_SOLVER_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class BeamState:
@@ -43,19 +47,16 @@ class BeamState:
 
 @dataclass(frozen=True)
 class DynamicsParams:
-    """Mass, damping and solver controls for transient runs."""
+    """Mass, damping and output step for transient runs."""
 
     effective_mass: float      # kg
     damping_b: float           # N*s/m
     integration_dt_max: float  # s, output sampling and max internal step
-    solver_tol: float = 1e-9   # relative
 
     def __post_init__(self):
-        for name in ("effective_mass", "damping_b", "integration_dt_max", "solver_tol"):
+        for name in ("effective_mass", "damping_b", "integration_dt_max"):
             if not (getattr(self, name) > 0):
                 raise InvalidGeometryError(f"{name} must be strictly positive")
-        if self.solver_tol > 1e-6:
-            raise InvalidGeometryError("solver_tol must be <= 1e-6")
 
     @classmethod
     def for_device(cls, geom: DeviceGeometry, k: float, dt_max: float) -> "DynamicsParams":
@@ -256,17 +257,12 @@ class TransientTrace:
 
 
 def mechanical_energy(dev: DeviceParams, dyn: DynamicsParams,
-                      x: float, v: float, drive_value: float,
-                      mode: str = "voltage") -> float:
-    """Kinetic + spring + field potential; decays monotonically between
-    contact events when the drive is constant and damping positive."""
+                      x: float, v: float, voltage: float) -> float:
+    """Kinetic + spring + voltage co-energy; decays monotonically between
+    contact events when the voltage is constant and damping positive."""
     kinetic = 0.5 * dyn.effective_mass * v * v
     spring = 0.5 * dev.k * x * x
-    if mode == "voltage":
-        field = coenergy_voltage(dev, x, drive_value)
-    else:
-        field = energy_charge(dev, x, drive_value)
-    return kinetic + spring + field
+    return kinetic + spring + coenergy_voltage(dev, x, voltage)
 
 
 _MAX_SEGMENTS = 100_000
@@ -274,9 +270,9 @@ _MAX_SEGMENTS = 100_000
 
 def transient(dev: DeviceParams, dyn: DynamicsParams,
               drive: Callable[[float], float], t_end: float, *,
-              mode: str = "voltage", d_c: float | None = None,
-              x0: float = 0.0, v0: float = 0.0) -> TransientTrace:
-    """Integrate m*x'' + b*x' + k*x = F(x, drive(t)) with hard stops at both ends.
+              mode: str = "voltage", d_c: float | None = None) -> TransientTrace:
+    """Integrate m*x'' + b*x' + k*x = F(x, drive(t)) with hard stops at both
+    ends, from rest (x = 0, velocity 0, released) at t = 0.
 
     mode selects the force law: "voltage" (drive is V(t)) or "charge"
     (drive is q(t)). Contact at x = g0 is perfectly inelastic and sets the
@@ -290,8 +286,6 @@ def transient(dev: DeviceParams, dyn: DynamicsParams,
     if not (t_end > 0):
         raise InvalidGeometryError("t_end must be positive")
     area, g_eff, g0, k = dev.area, dev.g_eff, dev.g0, dev.k
-    if not (0.0 <= x0 <= g0):
-        raise DisplacementRangeError(f"x0 = {x0!r} outside [0, g0]")
     if d_c is None:
         d_c = g_eff - g0  # bare dielectric equivalent separation td/eps_d
     m = dyn.effective_mass
@@ -331,7 +325,7 @@ def transient(dev: DeviceParams, dyn: DynamicsParams,
             hold = u * u / (2.0 * EPS0 * area)
         return hold - k * g0
 
-    atol = (dyn.solver_tol * g0, dyn.solver_tol * g0 * math.sqrt(k / m))
+    atol = (_SOLVER_TOL * g0, _SOLVER_TOL * g0 * math.sqrt(k / m))
 
     ts: list[np.ndarray] = []
     xs: list[np.ndarray] = []
@@ -347,7 +341,7 @@ def transient(dev: DeviceParams, dyn: DynamicsParams,
         ls.append(np.full(len(t_arr), latched))
 
     t_now = 0.0
-    state = BeamState(x0, v0, x0 >= g0)
+    state = BeamState(0.0, 0.0, False)
     for _ in range(_MAX_SEGMENTS):
         if t_now >= t_end:
             break
@@ -381,7 +375,7 @@ def transient(dev: DeviceParams, dyn: DynamicsParams,
             continue
 
         sol = solve_ivp(rhs, (t_now, t_end), (state.displacement, state.velocity),
-                        method="RK45", max_step=dt, rtol=dyn.solver_tol, atol=atol,
+                        method="RK45", max_step=dt, rtol=_SOLVER_TOL, atol=atol,
                         events=(hit_contact, hit_floor), dense_output=True)
         if sol.status == -1:
             raise StiffnessError(

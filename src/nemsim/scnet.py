@@ -58,15 +58,15 @@ class Sine:
 
 @dataclass(frozen=True)
 class Clock:
-    """Two-level rail tied to one of the schedule's phases ("clk" or "clkb")."""
+    """Rail tied to one of the schedule's phases ("clk" or "clkb"): high
+    while that phase is on, 0 V otherwise."""
 
     phase: str
     high: float
-    low: float = 0.0
 
     def at(self, t: float, phase: "Phase") -> float:
         on = phase.clk_on if self.phase == "clk" else phase.clkb_on
-        return self.high if on else self.low
+        return self.high if on else 0.0
 
 
 Waveform = Dc | Sine | Clock
@@ -209,11 +209,10 @@ def _relay_step(switch: OhmicSwitch, conducting: bool, last_transition_time: flo
     return conducting, last_transition_time
 
 
-def step_switch(switch: OhmicSwitch, v_gb: float, t: float,
-                state: OhmicSwitchState | None = None) -> OhmicSwitchState:
-    """Advance the relay state machine from state (default: switch.state, the
-    initial condition) with the gate-body voltage at time t."""
-    st = switch.state if state is None else state
+def step_switch(switch: OhmicSwitch, v_gb: float, t: float) -> OhmicSwitchState:
+    """Advance the relay state machine from switch.state, the initial
+    condition, with the gate-body voltage at time t."""
+    st = switch.state
     conducting, when = _relay_step(switch, st.conducting, st.last_transition_time,
                                    st.switching_delay, v_gb, t)
     if conducting == st.conducting:
@@ -237,15 +236,14 @@ def switch_is_conducting(state: OhmicSwitchState, t: float) -> bool:
 
 @dataclass
 class Network:
-    """Nodes, elements and ground: read-only input to the engine.
+    """Nodes and elements: read-only input to the engine. The ground node is
+    GROUND ("gnd").
 
     Element fields that evolve (capacitor ``q``, beam ``state``, switch
     ``state``) hold the initial conditions; the engine never writes them and
     threads the evolving state through the PhaseSolution chain instead.
     """
 
-    ground: str = GROUND
-    solver_tol: float = 1e-12
     nodes: list[str] = field(default_factory=list)
     nems_caps: list[NemsCap] = field(default_factory=list)
     linear_caps: list[LinearCap] = field(default_factory=list)
@@ -264,8 +262,8 @@ class Network:
         return [*self.nems_caps, *self.linear_caps, *self.switches, *self.sources]
 
     def validate(self) -> None:
-        if self.ground not in self.nodes:
-            raise NetworkError(f"no-ground: node {self.ground!r} not present")
+        if GROUND not in self.nodes:
+            raise NetworkError(f"no-ground: node {GROUND!r} not present")
         known = set(self.nodes)
         touched: set[str] = set()
         names: set[str] = set()
@@ -284,20 +282,18 @@ class Network:
                 raise NetworkError(f"dangling-element: {el.name!r} shorts node {pins[0]!r} to itself")
             touched.update(pins)
         for n in self.nodes:
-            if n != self.ground and n not in touched:
+            if n != GROUND and n not in touched:
                 raise NetworkError(f"dangling-element: node {n!r} has no attached element")
 
 
 def build_network(description: Mapping) -> Network:
     """Validated Network from a plain-dict description.
 
-    Keys: "ground" (default "gnd"), optional "nodes" list, "elements" list of
-    typed dicts (nems_cap / linear_cap / switch / source), optional
-    "solver_tol". Device references are either {"preset": name} or inline
-    DeviceParams fields.
+    Keys: optional "nodes" list, "elements" list of typed dicts (nems_cap /
+    linear_cap / switch / source). Device references are either
+    {"preset": name} or inline DeviceParams fields. The ground node is "gnd".
     """
-    net = Network(ground=description.get("ground", GROUND),
-                  solver_tol=description.get("solver_tol", 1e-12))
+    net = Network()
     for n in description.get("nodes", []):
         net.add_node(n)
     declared = set(net.nodes)
@@ -315,7 +311,7 @@ def build_network(description: Mapping) -> Network:
             return Sine(float(entry["amplitude"]), float(entry["freq_hz"]),
                         float(entry.get("offset", 0.0)))
         if kind == "clock":
-            return Clock(entry["phase"], float(entry["high"]), float(entry.get("low", 0.0)))
+            return Clock(entry["phase"], float(entry["high"]))
         raise NetworkError(f"unknown waveform kind {kind!r}")
 
     for el in description.get("elements", []):
@@ -405,8 +401,8 @@ def islands(network: Network, phase: Phase,
     for src in network.sources:
         pins.setdefault(uf.find(src.node), []).append(
             (src.name, src.wave.at(phase.t_end, phase)))
-    if network.ground in uf.parent:
-        pins.setdefault(uf.find(network.ground), []).append(("ground", 0.0))
+    if GROUND in uf.parent:
+        pins.setdefault(uf.find(GROUND), []).append(("ground", 0.0))
 
     out: list[Island] = []
     for root, members in groups.items():
@@ -538,7 +534,7 @@ class CompiledNetwork:
         pins: dict[int, list[tuple[str, int]]] = {}
         for s, src in enumerate(net.sources):
             pins.setdefault(island_of[src.node], []).append((src.name, s))
-        pins.setdefault(island_of[net.ground], []).append(("ground", len(net.sources)))
+        pins.setdefault(island_of[GROUND], []).append(("ground", len(net.sources)))
         first_seen = {}
         for n in net.nodes:
             first_seen.setdefault(island_of[n], len(first_seen))
@@ -944,6 +940,7 @@ class PhaseSolution:
 
 
 _MAX_FIXED_POINT = 10_000
+_SOLVER_TOL = 1e-12  # fixed-point step, relative to the iterate's size when above 1 V
 
 
 def _plate_nodes(cap: NemsCap | LinearCap) -> tuple[str, str]:
@@ -1065,7 +1062,7 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     caps = _capacitances(topo, disp)
 
     # fixed point over floating island voltages
-    tol = net.solver_tol
+    tol = _SOLVER_TOL
     if not f_islands:
         # nothing floats: the loop below would stop after two empty passes,
         # which is what the row records
@@ -1248,8 +1245,10 @@ class SimResult:
     def phases_of_kind(self, kind: str) -> list[PhaseSolution]:
         return [s for s in self.solutions if s.phase.kind == kind]
 
-    def waveform_csv(self, lead: Sequence[str] = ("a", "b")) -> str:
-        names = [n for n in lead if n in self.nodes]
+    def waveform_csv(self) -> str:
+        """Zero-order-hold node voltages, two rows per phase; the columns are
+        a and b (where present), then the other nodes by name."""
+        names = [n for n in ("a", "b") if n in self.nodes]
         names += sorted(n for n in self.nodes if n not in names)
         header = "t_s,phase," + ",".join(f"v{n.upper()}_V" for n in names)
         lines = [header]
@@ -1326,13 +1325,13 @@ def apply_parasitics(network: Network, c_gb: float, c_gc: float,
 
     for sw in network.switches:
         clock_node = rail_node(sw.drive)
-        signal_side = clock_node if drive_terminal == "gate" else network.ground
+        signal_side = clock_node if drive_terminal == "gate" else GROUND
         if c_gc > 0.0:
             for term in (sw.a, sw.b):
                 network.linear_caps.append(
                     LinearCap(f"cgc_{sw.name}_{term}", signal_side, term, c_gc))
         if c_gb > 0.0:
             network.linear_caps.append(
-                LinearCap(f"cgb_{sw.name}", clock_node, network.ground, c_gb))
+                LinearCap(f"cgb_{sw.name}", clock_node, GROUND, c_gb))
     network.validate()
     return network

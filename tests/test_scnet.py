@@ -20,9 +20,9 @@ DEV = get_preset("large").params()
 VDC = 10.0
 
 
-def fig6_network(vin=0.01, freq=None, solver_tol=1e-12):
+def fig6_network(vin=0.01, freq=None):
     """Basic amplifier wiring: stacked rails at vin +- V_DC, grounded bottoms."""
-    net = Network(solver_tol=solver_tol)
+    net = Network()
     for n in ("gnd", "sp", "sm", "a", "b"):
         net.add_node(n)
     if freq is None:
@@ -473,7 +473,7 @@ class TestConvergenceError:
         assert msg.startswith("phase 1 (dead, t = 4.900000e-06 s): island a ")
         assert msg.count("phase") == 1
         assert exc.value.residual is not None and math.isfinite(exc.value.residual)
-        assert exc.value.tolerance == net.solver_tol
+        assert exc.value.tolerance == scnet._SOLVER_TOL
 
 
 class TestDampedFixedPoint:
