@@ -64,6 +64,10 @@ class Clock:
     phase: str
     high: float
 
+    def __post_init__(self):
+        if self.phase not in ("clk", "clkb"):
+            raise NetworkError(f"unknown clock phase {self.phase!r} (clk or clkb)")
+
     def at(self, t: float, phase: "Phase") -> float:
         on = phase.clk_on if self.phase == "clk" else phase.clkb_on
         return self.high if on else 0.0
@@ -286,13 +290,66 @@ class Network:
                 raise NetworkError(f"dangling-element: node {n!r} has no attached element")
 
 
+# the keys build_network reads: (required, optional) per element type and
+# per waveform kind, besides "type" and "kind" themselves
+_ELEMENT_KEYS = {
+    "nems_cap": (("name", "top", "bottom"), ("preset", "device")),
+    "linear_cap": (("name", "a", "b", "value"), ()),
+    "switch": (("name", "a", "b", "drive", "v_pi", "v_po"), ("r_on", "t_sw")),
+    "source": (("name", "node", "wave"), ()),
+}
+_WAVE_KEYS = {
+    "dc": (("value",), ()),
+    "sine": (("amplitude", "freq_hz"), ("offset",)),
+    "clock": (("phase", "high"), ()),
+}
+
+
+def _check_keys(entry: Mapping, required: Sequence[str], optional: Sequence[str],
+                what: str) -> None:
+    """NetworkError if entry lacks a required key or has one it is not read for."""
+    missing = [k for k in required if k not in entry]
+    if missing:
+        raise NetworkError(f"missing-key: {what} needs {', '.join(map(repr, missing))}")
+    unknown = [k for k in entry if k not in required and k not in optional]
+    if unknown:
+        raise NetworkError(f"unknown-key: {what} does not read {', '.join(map(repr, unknown))}")
+
+
+def _number(entry: Mapping, key: str, what: str, default: float | None = None) -> float:
+    """entry[key], or default when it is absent, as a finite float."""
+    if key not in entry:
+        return default
+    try:
+        value = float(entry[key])
+    except (TypeError, ValueError):
+        raise NetworkError(f"{what}: {key} = {entry[key]!r} is not a number") from None
+    if not math.isfinite(value):
+        raise NetworkError(f"{what}: {key} = {entry[key]!r} is not finite")
+    return value
+
+
 def build_network(description: Mapping) -> Network:
     """Validated Network from a plain-dict description.
 
-    Keys: optional "nodes" list, "elements" list of typed dicts (nems_cap /
-    linear_cap / switch / source). Device references are either
-    {"preset": name} or inline DeviceParams fields. The ground node is "gnd".
+    Reads two keys, both optional: "nodes", a list of node names (when
+    given, every element pin must be in it), and "elements", a list of
+    dicts, each with a "type" and a "name":
+
+    - nems_cap: "top", "bottom", and one of "preset" (a preset name) or
+      "device" (a DeviceParams);
+    - linear_cap: "a", "b", "value" (F);
+    - switch: "a", "b", "drive" (a waveform), "v_pi", "v_po", optional
+      "r_on" (ohm, default 1e3) and "t_sw" (s, default 100e-9);
+    - source: "node", "wave" (a waveform).
+
+    A waveform is a dict with a "kind": dc ("value"), sine ("amplitude",
+    "freq_hz", optional "offset") or clock ("phase", "clk" or "clkb", and
+    "high"; the rail is 0 V while its phase is off). The ground node is
+    "gnd". Any other key, a missing one or a non-finite number raises
+    NetworkError, as does every check of Network.validate.
     """
+    _check_keys(description, (), ("nodes", "elements"), "description")
     net = Network()
     for n in description.get("nodes", []):
         net.add_node(n)
@@ -303,36 +360,45 @@ def build_network(description: Mapping) -> Network:
             raise NetworkError(f"unknown-node: {name!r} not in declared node list")
         return net.add_node(name)
 
-    def wave_of(entry: Mapping) -> Waveform:
+    def wave_of(entry: Mapping, what: str) -> Waveform:
         kind = entry.get("kind")
+        if kind not in _WAVE_KEYS:
+            raise NetworkError(f"unknown waveform kind {kind!r}")
+        what = f"{what} {kind} waveform"
+        required, optional = _WAVE_KEYS[kind]
+        _check_keys(entry, required, (*optional, "kind"), what)
         if kind == "dc":
-            return Dc(float(entry["value"]))
+            return Dc(_number(entry, "value", what))
         if kind == "sine":
-            return Sine(float(entry["amplitude"]), float(entry["freq_hz"]),
-                        float(entry.get("offset", 0.0)))
-        if kind == "clock":
-            return Clock(entry["phase"], float(entry["high"]))
-        raise NetworkError(f"unknown waveform kind {kind!r}")
+            return Sine(_number(entry, "amplitude", what), _number(entry, "freq_hz", what),
+                        _number(entry, "offset", what, 0.0))
+        return Clock(entry["phase"], _number(entry, "high", what))
 
     for el in description.get("elements", []):
         etype = el.get("type")
+        if etype not in _ELEMENT_KEYS:
+            raise NetworkError(f"unknown element type {etype!r}")
+        required, optional = _ELEMENT_KEYS[etype]
+        what = f"{etype} {el.get('name')!r}"
+        _check_keys(el, required, (*optional, "type"), what)
         if etype == "nems_cap":
-            dev = (get_preset(el["preset"]).params() if "preset" in el
-                   else el["device"])
+            if ("preset" in el) == ("device" in el):
+                raise NetworkError(f"{what}: give one of 'preset' or 'device'")
+            dev = get_preset(el["preset"]).params() if "preset" in el else el["device"]
+            if not isinstance(dev, DeviceParams):
+                raise NetworkError(f"{what}: device must be a DeviceParams")
             net.nems_caps.append(NemsCap(el["name"], node(el["top"]), node(el["bottom"]), dev))
         elif etype == "linear_cap":
             net.linear_caps.append(LinearCap(el["name"], node(el["a"]), node(el["b"]),
-                                             float(el["value"])))
+                                             _number(el, "value", what)))
         elif etype == "switch":
             net.switches.append(OhmicSwitch(
-                el["name"], node(el["a"]), node(el["b"]), wave_of(el["drive"]),
-                v_pi=float(el["v_pi"]), v_po=float(el["v_po"]),
-                r_on=float(el.get("r_on", 1e3)),
-                state=OhmicSwitchState(switching_delay=float(el.get("t_sw", 100e-9)))))
-        elif etype == "source":
-            net.sources.append(VSource(el["name"], node(el["node"]), wave_of(el["wave"])))
+                el["name"], node(el["a"]), node(el["b"]), wave_of(el["drive"], what),
+                v_pi=_number(el, "v_pi", what), v_po=_number(el, "v_po", what),
+                r_on=_number(el, "r_on", what, 1e3),
+                state=OhmicSwitchState(switching_delay=_number(el, "t_sw", what, 100e-9))))
         else:
-            raise NetworkError(f"unknown element type {etype!r}")
+            net.sources.append(VSource(el["name"], node(el["node"]), wave_of(el["wave"], what)))
     net.validate()
     return net
 

@@ -208,6 +208,18 @@ class TestTransientCommand:
         assert "integration_dt_max" not in doc["message"]
         assert not (tmp_path / "out").exists()
 
+    def test_event_chatter_is_solver_error(self, monkeypatch, tmp_path, capsys):
+        # the step drive's free flight to contact is one segment: the latched
+        # march after it is one too many
+        monkeypatch.setattr(mech, "_MAX_SEGMENTS", 1)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["transient", "--preset", "large", "--out-dir", str(out_dir)], capsys)
+        assert code == 2 and out == ""
+        doc = json.loads(err)["error"]
+        assert doc["kind"] == "solver-error" and "event chatter" in doc["message"]
+        assert not out_dir.exists()
+
 
 class TestCustomGeometry:
     """transient and cv-sweep on a drawn geometry read the contact stop and

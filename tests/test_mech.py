@@ -6,7 +6,8 @@ import pytest
 
 from nemsim import mech
 from nemsim.device import EPS0, PRESETS, c_off, c_on, get_preset
-from nemsim.errors import ConfigError, DisplacementRangeError, InvalidGeometryError
+from nemsim.errors import (ConfigError, DisplacementRangeError, InvalidGeometryError,
+                           StiffnessError)
 from nemsim.ioutil import format_float
 from nemsim.mech import (BeamState, DynamicsParams, capacitance_at,
                          coenergy_voltage, cv_sweep, energy_charge,
@@ -396,6 +397,24 @@ class TestTransient:
     def test_csv_header(self):
         tr = transient(DEV, _dyn(1e-7), lambda t: 0.0, 1e-7)
         assert tr.to_csv().startswith("t_s,x_m,v_mps,c_F,latched\n")
+
+    def test_nan_drive_fails_the_first_step(self):
+        with pytest.raises(StiffnessError, match=r"^integration step failed at t = 0") as exc:
+            transient(DEV, _dyn(2e-6), lambda t: math.nan, 2e-6)
+        assert exc.value.t == 0.0
+
+    def test_event_chatter_beyond_the_segment_bound(self, monkeypatch):
+        # a 1 MHz square drive: free flight to contact, then the latched march
+        # to the release at 0.5 us, then no segment left
+        monkeypatch.setattr(mech, "_MAX_SEGMENTS", 2)
+        level = 1.2 * DEV.v_pi
+
+        def square(t):
+            return level if (t * 1e6) % 1.0 < 0.5 else 0.0
+
+        with pytest.raises(StiffnessError, match=r"^event chatter: more than 2 segments") as exc:
+            transient(DEV, _dyn(4e-6), square, 4e-6, d_c=DEV.d_c)
+        assert exc.value.t == 5e-7
 
 
 class TestHystereticUpdate:

@@ -195,6 +195,99 @@ class TestBuildNetwork:
             })
 
 
+def _small_description():
+    """A valid build_network description using every element type and
+    waveform kind."""
+    return {
+        "nodes": ["gnd", "a", "b", "d"],
+        "elements": [
+            {"type": "source", "name": "v", "node": "a", "wave": {"kind": "dc", "value": 1.0}},
+            {"type": "source", "name": "w", "node": "d",
+             "wave": {"kind": "sine", "amplitude": 0.1, "freq_hz": 1e3}},
+            {"type": "switch", "name": "s", "a": "a", "b": "b",
+             "drive": {"kind": "clock", "phase": "clk", "high": 10.0},
+             "v_pi": 9.6, "v_po": 6.2},
+            {"type": "linear_cap", "name": "c", "a": "b", "b": "gnd", "value": 1e-15},
+            {"type": "nems_cap", "name": "n", "top": "b", "bottom": "gnd", "preset": "large"},
+        ],
+    }
+
+
+def _top(key, value):
+    return lambda d: d.__setitem__(key, value)
+
+
+def _element(index, key, value, wave=None):
+    """Set key on element index, or on its waveform entry wave."""
+    def edit(d):
+        entry = d["elements"][index]
+        (entry[wave] if wave else entry)[key] = value
+    return edit
+
+
+def _inline_device(device):
+    """Give the nems_cap an inline device in place of its preset."""
+    def edit(d):
+        entry = d["elements"][4]
+        del entry["preset"]
+        entry["device"] = device
+    return edit
+
+
+class TestBuildNetworkBoundary:
+    """build_network reads only the keys it knows and only finite numbers;
+    every other input is a NetworkError before a network is returned."""
+
+    def test_the_base_description_builds(self):
+        net = build_network(_small_description())
+        assert [sw.drive for sw in net.switches] == [Clock("clk", 10.0)]
+        desc = _small_description()
+        _inline_device(DEV)(desc)
+        assert build_network(desc).nems_caps[0].device is DEV
+
+    @pytest.mark.parametrize("edit, match", [
+        (_top("solver_tl", 1e-12), "unknown-key: description does not read 'solver_tl'"),
+        (_top("solver_tol", 1e-12), "unknown-key: description does not read 'solver_tol'"),
+        (_top("ground", "gnd"), "unknown-key: description does not read 'ground'"),
+        (_element(3, "valu", 1e-15), "unknown-key: linear_cap 'c' does not read 'valu'"),
+        (_element(2, "low", 0.0, "drive"), "unknown-key: switch 's' clock waveform does not read 'low'"),
+        (_element(4, "device", DEV), "nems_cap 'n': give one of 'preset' or 'device'"),
+        (lambda d: d["elements"][3].pop("value"), "missing-key: linear_cap 'c' needs 'value'"),
+        (_inline_device({"area": 1e-12}), "nems_cap 'n': device must be a DeviceParams"),
+        (_element(0, "value", math.nan, "wave"), r"value = nan is not finite"),
+        (_element(0, "value", math.inf, "wave"), r"value = inf is not finite"),
+        (_element(0, "value", "one", "wave"), r"value = 'one' is not a number"),
+        (_element(1, "offset", -math.inf, "wave"), r"offset = -inf is not finite"),
+        (_element(1, "freq_hz", math.nan, "wave"), r"freq_hz = nan is not finite"),
+        (_element(2, "high", math.inf, "drive"), r"high = inf is not finite"),
+        (_element(2, "v_pi", math.nan), r"switch 's': v_pi = nan is not finite"),
+        (_element(2, "r_on", math.inf), r"r_on = inf is not finite"),
+        (_element(2, "t_sw", math.nan), r"t_sw = nan is not finite"),
+        (_element(3, "value", math.inf), r"linear_cap 'c': value = inf is not finite"),
+    ])
+    def test_rejected(self, edit, match):
+        desc = _small_description()
+        edit(desc)
+        with pytest.raises(NetworkError, match=match):
+            build_network(desc)
+
+
+class TestClock:
+    def test_rail_is_zero_while_its_phase_is_off(self):
+        clk, clkb = Clock("clk", 10.0), Clock("clkb", 10.0)
+        volts = [(clk.at(ph.t_end, ph), clkb.at(ph.t_end, ph))
+                 for ph in ClockSchedule(100e3).phases(1e-5)]
+        assert volts == [(10.0, 0.0), (0.0, 0.0), (0.0, 10.0), (0.0, 0.0)]
+
+    def test_unknown_phase_rejected(self):
+        with pytest.raises(NetworkError, match="unknown clock phase 'clk2'"):
+            Clock("clk2", 10.0)
+        desc = _small_description()
+        desc["elements"][2]["drive"]["phase"] = "clk2"
+        with pytest.raises(NetworkError, match="unknown clock phase 'clk2'"):
+            build_network(desc)
+
+
 class TestStepSwitch:
     def test_off_at_zero(self):
         sw = OhmicSwitch("s", "a", "b", Dc(0.0), v_pi=9.6, v_po=6.2)
