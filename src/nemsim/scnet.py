@@ -291,17 +291,17 @@ class Network:
 
 
 # the keys build_network reads: (required, optional) per element type and
-# per waveform kind, besides "type" and "kind" themselves
+# per waveform kind
 _ELEMENT_KEYS = {
-    "nems_cap": (("name", "top", "bottom"), ("preset", "device")),
-    "linear_cap": (("name", "a", "b", "value"), ()),
-    "switch": (("name", "a", "b", "drive", "v_pi", "v_po"), ("r_on", "t_sw")),
-    "source": (("name", "node", "wave"), ()),
+    "nems_cap": (("type", "name", "top", "bottom"), ("preset", "device")),
+    "linear_cap": (("type", "name", "a", "b", "value"), ()),
+    "switch": (("type", "name", "a", "b", "drive", "v_pi", "v_po"), ("r_on", "t_sw")),
+    "source": (("type", "name", "node", "wave"), ()),
 }
 _WAVE_KEYS = {
-    "dc": (("value",), ()),
-    "sine": (("amplitude", "freq_hz"), ("offset",)),
-    "clock": (("phase", "high"), ()),
+    "dc": (("kind", "value"), ()),
+    "sine": (("kind", "amplitude", "freq_hz"), ("offset",)),
+    "clock": (("kind", "phase", "high"), ()),
 }
 
 
@@ -365,8 +365,7 @@ def build_network(description: Mapping) -> Network:
         if kind not in _WAVE_KEYS:
             raise NetworkError(f"unknown waveform kind {kind!r}")
         what = f"{what} {kind} waveform"
-        required, optional = _WAVE_KEYS[kind]
-        _check_keys(entry, required, (*optional, "kind"), what)
+        _check_keys(entry, *_WAVE_KEYS[kind], what)
         if kind == "dc":
             return Dc(_number(entry, "value", what))
         if kind == "sine":
@@ -378,9 +377,8 @@ def build_network(description: Mapping) -> Network:
         etype = el.get("type")
         if etype not in _ELEMENT_KEYS:
             raise NetworkError(f"unknown element type {etype!r}")
-        required, optional = _ELEMENT_KEYS[etype]
         what = f"{etype} {el.get('name')!r}"
-        _check_keys(el, required, (*optional, "type"), what)
+        _check_keys(el, *_ELEMENT_KEYS[etype], what)
         if etype == "nems_cap":
             if ("preset" in el) == ("device" in el):
                 raise NetworkError(f"{what}: give one of 'preset' or 'device'")
