@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from operator import add
 from typing import NamedTuple
 
-import numpy as np
-
 from .device import EPS0, DeviceParams, get_preset
 from .errors import ConfigError, ConvergenceError, InvalidGeometryError, NetworkError
 from .ioutil import FLOAT_FORMAT, format_float
@@ -285,9 +283,27 @@ class Network:
             if len(pins) == 2 and pins[0] == pins[1]:
                 raise NetworkError(f"dangling-element: {el.name!r} shorts node {pins[0]!r} to itself")
             touched.update(pins)
+            _check_values(el)
         for n in self.nodes:
             if n != GROUND and n not in touched:
                 raise NetworkError(f"dangling-element: node {n!r} has no attached element")
+
+
+def _check_values(el: NemsCap | LinearCap | OhmicSwitch | VSource) -> None:
+    """NetworkError for a linear capacitor that is not finite and positive
+    (the floating-island solve relies on positive capacitances), or a relay
+    value out of range."""
+    if isinstance(el, LinearCap) and not 0.0 < el.value < math.inf:
+        raise NetworkError(f"bad-value: {el.name!r} value = {el.value!r} "
+                           "must be finite and > 0")
+    if isinstance(el, OhmicSwitch):
+        delay = el.state.switching_delay
+        if not (0.0 < el.v_po < el.v_pi < math.inf and 0.0 < el.r_on < math.inf
+                and 0.0 <= delay < math.inf):
+            raise NetworkError(
+                f"bad-value: switch {el.name!r} needs finite values with 0 < v_po < v_pi, "
+                f"r_on > 0 and switching delay >= 0, got v_pi = {el.v_pi!r}, "
+                f"v_po = {el.v_po!r}, r_on = {el.r_on!r}, switching delay = {delay!r}")
 
 
 # the keys build_network reads: (required, optional) per element type and
@@ -314,6 +330,12 @@ def _check_keys(entry: Mapping, required: Sequence[str], optional: Sequence[str]
     unknown = [k for k in entry if k not in required and k not in optional]
     if unknown:
         raise NetworkError(f"unknown-key: {what} does not read {', '.join(map(repr, unknown))}")
+
+
+def _mapping(entry: object, what: str) -> None:
+    """NetworkError if entry is not a mapping."""
+    if not isinstance(entry, Mapping):
+        raise NetworkError(f"not-a-mapping: {what} must be a mapping, got {entry!r}")
 
 
 def _number(entry: Mapping, key: str, what: str, default: float | None = None) -> float:
@@ -346,9 +368,11 @@ def build_network(description: Mapping) -> Network:
     A waveform is a dict with a "kind": dc ("value"), sine ("amplitude",
     "freq_hz", optional "offset") or clock ("phase", "clk" or "clkb", and
     "high"; the rail is 0 V while its phase is off). The ground node is
-    "gnd". Any other key, a missing one or a non-finite number raises
-    NetworkError, as does every check of Network.validate.
+    "gnd". A description, element or waveform that is not a mapping, any
+    other key, a missing one or a non-finite number raises NetworkError, as
+    does every check of Network.validate.
     """
+    _mapping(description, "description")
     _check_keys(description, (), ("nodes", "elements"), "description")
     net = Network()
     for n in description.get("nodes", []):
@@ -361,6 +385,7 @@ def build_network(description: Mapping) -> Network:
         return net.add_node(name)
 
     def wave_of(entry: Mapping, what: str) -> Waveform:
+        _mapping(entry, f"{what} waveform")
         kind = entry.get("kind")
         if kind not in _WAVE_KEYS:
             raise NetworkError(f"unknown waveform kind {kind!r}")
@@ -374,6 +399,7 @@ def build_network(description: Mapping) -> Network:
         return Clock(entry["phase"], _number(entry, "high", what))
 
     for el in description.get("elements", []):
+        _mapping(el, "element")
         etype = el.get("type")
         if etype not in _ELEMENT_KEYS:
             raise NetworkError(f"unknown element type {etype!r}")
@@ -507,13 +533,12 @@ class _Partition:
     shared_pins: tuple[tuple[tuple[str, ...], tuple[tuple[str, int], ...]], ...]
     plate_a: tuple[int, ...]                    # island of plate a / top, per capacitor
     plate_b: tuple[int, ...]                    # island of plate b / bottom
-    # (capacitor, floating index of plate a or -1, of plate b or -1, island a, island b)
-    # for every capacitor between two islands, at least one of them floating
-    stencil: tuple[tuple[int, int, int, int, int], ...]
-    # the stencil per floating island: (capacitor, the island across it), in
-    # capacitor order; solves a partition that is not coupled
+    # per floating island: (capacitor, the pinned island across it), in
+    # capacitor order
     f_stencil: tuple[tuple[tuple[int, int], ...], ...]
-    coupled: bool                               # some capacitor joins two floating islands
+    # (capacitor, floating index of plate a, of plate b) for each capacitor
+    # joining two floating islands; empty when no floating island is coupled
+    f_links: tuple[tuple[int, int, int], ...]
     # (beam, island a, island b, device class): both terminals pinned, or some floating
     voltage_beams: tuple[tuple[int, int, int, int], ...]
     charge_beams: tuple[tuple[int, int, int, int], ...]
@@ -606,14 +631,16 @@ class CompiledNetwork:
 
         plate_a = tuple(island_of[a] for a, _ in self.plates)
         plate_b = tuple(island_of[b] for _, b in self.plates)
-        stencil = tuple((k, f_index[ia], f_index[ib], ia, ib)
-                        for k, (ia, ib) in enumerate(zip(plate_a, plate_b))
-                        if ia != ib and (floating[ia] or floating[ib]))
         f_stencil: list[list[tuple[int, int]]] = [[] for _ in f_islands]
-        for k, fa, fb, ia, ib in stencil:
-            if fa >= 0:
+        f_links = []
+        for k, (ia, ib) in enumerate(zip(plate_a, plate_b)):
+            fa, fb = f_index[ia], f_index[ib]
+            if fa >= 0 and fb >= 0:
+                if ia != ib:
+                    f_links.append((k, fa, fb))
+            elif fa >= 0:
                 f_stencil[fa].append((k, ib))
-            if fb >= 0:
+            elif fb >= 0:
                 f_stencil[fb].append((k, ia))
         beams = [(j, plate_a[j], plate_b[j], self.device_class[j])
                  for j in range(len(self.devices))]
@@ -642,9 +669,8 @@ class CompiledNetwork:
                               if len(pins[k]) > 1),
             plate_a=plate_a,
             plate_b=plate_b,
-            stencil=stencil,
             f_stencil=tuple(tuple(t) for t in f_stencil),
-            coupled=any(fa >= 0 and fb >= 0 for _, fa, fb, _, _ in stencil),
+            f_links=tuple(f_links),
             voltage_beams=tuple(b for b in beams if not floating[b[1]] and not floating[b[2]]),
             charge_beams=tuple(b for b in beams if floating[b[1]] or floating[b[2]]),
             charge_terms=tuple(tuple(t) for t in terms),
@@ -1024,8 +1050,7 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     island keeps its entering plate-charge sum while island voltage,
     per-element charges and charge-driven beam positions relax together:
     distribute charge by capacitance, re-seat every beam, recompute
-    capacitances, repeat (damped 0.5 once the iteration stops contracting,
-    hard cap 10^4).
+    capacitances, repeat (hard cap 10^4).
 
     Each beam law is a pure function of the device and the drive, so within
     a phase it runs once per distinct (device class, drive) key, plus the
@@ -1133,16 +1158,11 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
         iterations = 2
     else:
         eps_area, g_eff = topo.eps_area, topo.g_eff
-        damped = False
-        prev_step = math.inf
-        converged = False
         # (device class, plate charge) -> (displacement, velocity, latched,
         # capacitance), shared by every iteration of this phase
         by_charge: dict[tuple[int, float], tuple[float, float, bool, float]] = {}
         for iterations in range(1, _MAX_FIXED_POINT + 1):
             v_new = _solve_floating(part, caps, volts, q_before, v)
-            if damped:
-                v_new = [0.5 * (a + b) for a, b in zip(v_new, v)]
             # largest step (NaN sticks) and largest magnitude of the iterate
             step = size = 0.0
             for k, a, b in zip(f_islands, v_new, v):
@@ -1169,20 +1189,17 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
                                  "during redistribution")
                 disp[j], vel[j], latched[j], caps[j] = seated
             v = v_new
-            if iterations >= 2:
-                # a NaN iterate makes step NaN, so size's NaN handling is moot
-                if step <= tol * (size if size > 1.0 else 1.0):
-                    converged = True
-                    break
-                if step >= prev_step:
-                    damped = True
-            prev_step = step
-        if not converged:
-            worst = part.ids[f_islands[int(np.argmax(np.abs(v)))]]
+            # a NaN iterate makes step NaN, so size's NaN handling is moot
+            if iterations >= 2 and step <= tol * (size if size > 1.0 else 1.0):
+                break
+        else:
+            # the first NaN island, else the first of largest |v|
+            nan = [f for f, x in enumerate(v) if x != x]
+            worst = nan[0] if nan else max(range(len(v)), key=lambda f: abs(v[f]))
             raise ConvergenceError(
                 f"phase {phase.index} ({phase.kind}, t = {phase.t_start:.6e} s): island "
-                f"{worst} did not converge after {_MAX_FIXED_POINT} iterations (last step "
-                f"{prev_step:.3e}, tol {tol})", residual=prev_step, tolerance=tol)
+                f"{part.ids[f_islands[worst]]} did not converge after {_MAX_FIXED_POINT} "
+                f"iterations (last step {step:.3e}, tol {tol})", residual=step, tolerance=tol)
 
     # final assignment with per-island exact remainder so conservation is bitwise
     q = [c * (volts[ia] - volts[ib]) for c, ia, ib in zip(caps, part.plate_a, part.plate_b)]
@@ -1248,10 +1265,17 @@ def _solve_floating(part: _Partition, caps: list[float], volts: list[float],
     """Floating island voltages from charge conservation at fixed capacitances.
 
     Islands that touch no capacitance keep their guess (isolated, charge-free).
-    Islands not coupled to another floating island solve by division; a
-    partition with coupled floating islands solves the full system.
+    Islands not coupled to another floating island solve by division. A
+    partition with coupled floating islands solves the full system by
+    Gaussian elimination without pivoting, which is stable for a diagonally
+    dominant matrix (Golub & Van Loan, Matrix Computations, §3.4).
+    Capacitances are positive (Network.validate), so the capacitance matrix
+    is diagonally dominant, and every coupled group has a capacitive path to
+    a pinned island (_correctors), so in exact arithmetic every pivot is
+    positive. A pivot that rounds to zero (capacitance to pinned islands
+    below the rounding of the coupling) raises NetworkError.
     """
-    if not part.coupled:
+    if not part.f_links:
         out = []
         for terms, rhs, g in zip(part.f_stencil, q_before, guess):
             diag = 0.0
@@ -1262,22 +1286,40 @@ def _solve_floating(part: _Partition, caps: list[float], volts: list[float],
             out.append(rhs / diag if diag != 0.0 else g)
         return out
     n = len(guess)
-    mat = np.zeros((n, n))
-    rhs = np.array(q_before)
-    for k, fa, fb, ia, ib in part.stencil:
+    # the matrix rows, each with its right-hand side appended
+    rows = [[0.0] * n + [q] for q in q_before]
+    for f, terms in enumerate(part.f_stencil):
+        row = rows[f]
+        for k, other in terms:
+            c = caps[k]
+            row[f] += c
+            row[n] += c * volts[other]
+    for k, fa, fb in part.f_links:
         c = caps[k]
-        for me, other, other_island in ((fa, fb, ib), (fb, fa, ia)):
-            if me < 0:
+        rows[fa][fa] += c
+        rows[fb][fb] += c
+        rows[fa][fb] -= c
+        rows[fb][fa] -= c
+    for f, row in enumerate(rows):
+        if row[f] == 0.0:  # touches no capacitance, so no link either
+            row[f], row[n] = 1.0, guess[f]
+    for p, pivot_row in enumerate(rows):
+        if pivot_row[p] == 0.0:
+            raise NetworkError(
+                f"floating-group: the charge balance of island {part.ids[part.f_islands[p]]} "
+                "is singular in floating point: its capacitance to pinned islands is "
+                "below the rounding of its coupling")
+        for row in rows[p + 1:]:
+            if row[p] == 0.0:  # not coupled to island p: nothing to eliminate
                 continue
-            mat[me, me] += c
-            if other >= 0:
-                mat[me, other] -= c
-            else:
-                rhs[me] += c * volts[other_island]
-    for i in np.where(np.diag(mat) == 0.0)[0]:
-        mat[i, i] = 1.0
-        rhs[i] = guess[i]
-    return np.linalg.solve(mat, rhs).tolist()
+            m = row[p] / pivot_row[p]
+            for j in range(p, n + 1):
+                row[j] -= m * pivot_row[j]
+    out = [0.0] * n
+    for p in range(n - 1, -1, -1):
+        row = rows[p]
+        out[p] = (row[n] - sum(row[j] * out[j] for j in range(p + 1, n))) / row[p]
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -4,14 +4,18 @@ Hypothesis runs a fixed, derandomized set of examples so the suite stays
 deterministic.
 """
 
+import numpy as np
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from nemsim import scnet
 from nemsim.amp import AmpConfig, build_amp, dynamic_range, run_dc
 from nemsim.device import PRESETS, get_preset
 from nemsim.errors import ScenarioError
 from nemsim.scenario import parse_scenario
-from nemsim.scnet import ClockSchedule, PhaseSolution, build_network, simulate, solve_phase
+from nemsim.scnet import (ClockSchedule, CompiledNetwork, Dc, LinearCap, Network,
+                          PhaseSolution, VSource, build_network, islands, simulate,
+                          solve_phase)
 
 SCHEDULE = ClockSchedule(100e3)
 CHARGE = st.floats(-1e-15, 1e-15)
@@ -95,6 +99,58 @@ def test_simulate_matches_the_plain_network_path(case):
         for name in PhaseSolution.FIELDS:
             assert getattr(got, name) == getattr(prior, name), name
         assert repr(got) == repr(prior)
+
+
+@st.composite
+def coupled_networks(draw):
+    """2-6 floating nodes joined by linear capacitors of 0.1-10 fF, with
+    initial charges, and no switch, so each node is its own island: f0 hangs
+    off ground or a DC rail, every other floating node off an earlier one
+    (so at least one capacitor joins two floating islands), plus up to four
+    extra capacitors."""
+    floating = [f"f{i}" for i in range(draw(st.integers(2, 6)))]
+    pinned = ["gnd", "s"]
+    pairs = [(floating[0], draw(st.sampled_from(pinned)))]
+    pairs += [(f, draw(st.sampled_from(floating[:i]))) for i, f in enumerate(floating) if i]
+    pairs += [(a, b) for a, b in draw(st.lists(st.tuples(st.sampled_from(floating),
+                                                         st.sampled_from(floating + pinned)),
+                                               max_size=4)) if a != b]
+    net = Network()
+    for node in pinned + floating:
+        net.add_node(node)
+    net.sources.append(VSource("vs", "s", Dc(draw(VOLTAGE))))
+    net.linear_caps += [LinearCap(f"c{k}", a, b, draw(st.floats(0.1e-15, 10e-15)),
+                                  q=draw(CHARGE))
+                        for k, (a, b) in enumerate(pairs)]
+    return net
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(coupled_networks())
+def test_coupled_solve_matches_numpy_and_conserves(net):
+    """The in-repo elimination against numpy's LU on the same capacitance
+    system, built here from the plates rather than the partition's stencil."""
+    phase = SCHEDULE.phases(SCHEDULE.period)[0]
+    part = CompiledNetwork(net).partition(b"", phase, [], [])
+    assert part.f_links
+    caps = [cap.value for cap in net.linear_caps]
+    volts = [0.0 if isl.floating else isl.pinned_voltage for isl in islands(net, phase)]
+    q_before, _ = scnet._floating_charge(part, [cap.q for cap in net.linear_caps])
+    n = len(part.f_islands)
+    mat, rhs = np.zeros((n, n)), np.array(q_before)
+    for c, ia, ib in zip(caps, part.plate_a, part.plate_b):
+        for me, other in ((ia, ib), (ib, ia)):
+            f, g = part.f_index[me], part.f_index[other]
+            if f >= 0:
+                mat[f, f] += c
+                if g >= 0:
+                    mat[f, g] -= c
+                else:
+                    rhs[f] += c * volts[other]
+    want = np.linalg.solve(mat, rhs)
+    got = np.array(scnet._solve_floating(part, caps, volts, q_before, [0.0] * n))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert simulate(net, SCHEDULE, 2 * SCHEDULE.period).max_conservation_error() <= 1e-15
 
 
 DEV = get_preset("large").params()

@@ -1,6 +1,9 @@
+import ast
 import math
+import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from nemsim.ioutil import FLOAT_FORMAT, format_float
 from nemsim.mech import BeamState, static_equilibrium_charge, static_equilibrium_voltage
 from nemsim.scnet import (Clock, ClockSchedule, CompiledNetwork, Dc, LinearCap,
                           Network, NemsCap, OhmicSwitch, OhmicSwitchState, Phase,
-                          SettlingWarning, Sine, VSource, apply_parasitics,
+                          SettlingWarning, SimResult, Sine, VSource, apply_parasitics,
                           build_network, islands, simulate, solve_phase,
                           step_switch, switch_is_conducting)
 
@@ -264,12 +267,99 @@ class TestBuildNetworkBoundary:
         (_element(2, "r_on", math.inf), r"r_on = inf is not finite"),
         (_element(2, "t_sw", math.nan), r"t_sw = nan is not finite"),
         (_element(3, "value", math.inf), r"linear_cap 'c': value = inf is not finite"),
+        (_element(3, "value", 0.0), r"^bad-value: 'c' value = 0.0 must be finite and > 0"),
+        (_element(3, "value", -0.0), r"^bad-value: 'c' value = -0.0 must be"),
+        (_element(3, "value", -1e-15), r"^bad-value: 'c' value = -1e-15 must be"),
+        (_element(2, "r_on", -1), r"^bad-value: switch 's' needs .*, got .*r_on = -1.0,"),
+        (_element(2, "r_on", 0), r"^bad-value: switch 's' needs .*r_on = 0.0,"),
+        (_element(2, "t_sw", -1), r"^bad-value: switch 's' needs .*switching delay = -1.0"),
+        (lambda d: d["elements"][2].update(v_pi=1, v_po=2),
+         r"^bad-value: switch 's' needs .*v_pi = 1.0, v_po = 2.0,"),
+        (lambda d: d["elements"].append("x"),
+         r"^not-a-mapping: element must be a mapping, got 'x'"),
+        (_element(2, "drive", "5"),
+         r"^not-a-mapping: switch 's' waveform must be a mapping, got '5'"),
+        (_element(0, "wave", 5.0),
+         r"^not-a-mapping: source 'v' waveform must be a mapping, got 5.0"),
     ])
     def test_rejected(self, edit, match):
         desc = _small_description()
         edit(desc)
         with pytest.raises(NetworkError, match=match):
             build_network(desc)
+
+    def test_description_that_is_not_a_mapping(self):
+        with pytest.raises(NetworkError, match=r"^not-a-mapping: description must be a "):
+            build_network(["gnd"])
+
+
+def _chain(c1, c12, c2, switch=None):
+    """gnd - c1 - f1 - c12 - f2 - c2 - gnd, with an optional switch from f1 to
+    gnd."""
+    net = Network()
+    for n in ("gnd", "f1", "f2"):
+        net.add_node(n)
+    net.linear_caps += [LinearCap("c1", "f1", "gnd", c1, q=1e-15),
+                        LinearCap("c12", "f1", "f2", c12),
+                        LinearCap("c2", "f2", "gnd", c2)]
+    if switch is not None:
+        net.switches.append(switch)
+    return net
+
+
+def _switch(**values):
+    return OhmicSwitch("s", "f1", "gnd", Clock("clk", 10.0),
+                       **{"v_pi": 9.6, "v_po": 6.2, **values})
+
+
+class TestValueBoundary:
+    """Network.validate rejects capacitor and relay values out of range, so
+    hand-built networks fail before any phase is solved (the described ones
+    are in TestBuildNetworkBoundary)."""
+
+    @pytest.fixture
+    def no_phase_solved(self, monkeypatch):
+        def solve(*args):
+            raise AssertionError("a phase was solved")
+
+        monkeypatch.setattr(scnet, "solve_phase", solve)
+
+    @pytest.mark.parametrize("values, match", [
+        ((0.0, 1e-15, 0.0), r"'c1' value = 0.0 must be finite and > 0"),
+        ((-1e-15, 1e-15, 2e-15), r"'c1' value = -1e-15 must be finite and > 0"),
+        ((1e-15, 1e-15, 0.0), r"'c2' value = 0.0 must be finite and > 0"),
+        ((1e-15, -1e-15, 1e-15), r"'c12' value = -1e-15 must be finite and > 0"),
+        ((1e-15, math.nan, 1e-15), r"'c12' value = nan must be finite and > 0"),
+        ((math.inf, 1e-15, 1e-15), r"'c1' value = inf must be finite and > 0"),
+    ])
+    def test_linear_cap_through_simulate(self, no_phase_solved, values, match):
+        sched = ClockSchedule(100e3)
+        with pytest.raises(NetworkError, match="^bad-value: " + match):
+            simulate(_chain(*values), sched, sched.period)
+
+    @pytest.mark.parametrize("values, got", [
+        ({"r_on": -1.0}, "v_pi = 9.6, v_po = 6.2, r_on = -1.0, switching delay = 1e-07"),
+        ({"r_on": 0.0}, "r_on = 0.0,"),
+        ({"r_on": math.nan}, "r_on = nan,"),
+        ({"state": OhmicSwitchState(switching_delay=-1.0)}, "switching delay = -1.0"),
+        ({"v_pi": 1.0, "v_po": 2.0}, "v_pi = 1.0, v_po = 2.0,"),
+        ({"v_po": 9.6}, "v_pi = 9.6, v_po = 9.6,"),
+        ({"v_po": 0.0}, "v_pi = 9.6, v_po = 0.0,"),
+        ({"v_pi": math.inf}, "v_pi = inf, v_po = 6.2,"),
+    ])
+    def test_relay_through_simulate(self, no_phase_solved, values, got):
+        sched = ClockSchedule(100e3)
+        net = _chain(1e-15, 1e-15, 1e-15, _switch(**values))
+        with pytest.raises(NetworkError, match=r"^bad-value: switch 's' needs finite values "
+                                               r"with 0 < v_po < v_pi, r_on > 0 and switching "
+                                               r"delay >= 0, got .*" + re.escape(got)):
+            simulate(net, sched, sched.period)
+
+    def test_the_accepted_extremes(self):
+        sched = ClockSchedule(100e3)
+        net = _chain(1e-15, 1e-15, 1e-15, _switch(v_po=1e-3, state=OhmicSwitchState(
+            switching_delay=0.0)))
+        assert len(simulate(net, sched, sched.period).solutions) == 4
 
 
 class TestClock:
@@ -569,8 +659,10 @@ class TestConvergenceError:
         assert exc.value.tolerance == scnet._SOLVER_TOL
 
 
-class TestDampedFixedPoint:
-    def test_damped_iteration_converges_and_conserves(self, monkeypatch):
+class TestUndampedFixedPoint:
+    @pytest.mark.parametrize("rail, q_frac, max_iterations", [(-10.0, 0.5, 26),
+                                                               (-20.0, 0.2, 10)])
+    def test_each_iterate_is_the_plain_solve(self, monkeypatch, rail, q_frac, max_iterations):
         log = []  # (iterate passed in, solve result) per fixed-point iteration
         real = scnet._solve_floating
 
@@ -580,26 +672,28 @@ class TestDampedFixedPoint:
             return out
 
         monkeypatch.setattr(scnet, "_solve_floating", record)
-        # island f: a beam to ground holding half the clamp charge and a
-        # released beam to a -10 V rail, which pulls in as the charge moves
+        # island f: a beam to ground holding part of the clamp charge and a
+        # released beam to a negative rail, which pulls in as the charge moves
         net = Network()
         for n in ("gnd", "s", "f"):
             net.add_node(n)
-        net.sources.append(VSource("vs", "s", Dc(-10.0)))
-        net.nems_caps += [NemsCap("n1", "f", "gnd", DEV, q=0.5 * DEV.q_clamp),
+        net.sources.append(VSource("vs", "s", Dc(rail)))
+        net.nems_caps += [NemsCap("n1", "f", "gnd", DEV, q=q_frac * DEV.q_clamp),
                           NemsCap("n2", "f", "s", DEV)]
         sol = solve_phase(net, ClockSchedule(100e3).phases(1e-5)[0])
 
-        steps = [abs(out[0] - guess[0]) for guess, out in log]
-        assert steps[1] >= steps[0]  # the undamped iteration stopped contracting
-        assert log[1][0] == log[0][1] and log[2][0] == log[1][1]
-        # from the third iteration on, each iterate is the mean of the solve
-        # and the previous iterate
-        for (guess, out), (nxt, _) in zip(log[2:], log[3:]):
-            assert nxt == [0.5 * (a + b) for a, b in zip(out, guess)]
-        assert sol.iterations == len(log) > 3
+        for (_, out), (nxt, _) in zip(log, log[1:]):
+            assert nxt == out
+        assert 2 < sol.iterations == len(log) <= max_iterations
         rec, = sol.conservation
-        assert abs(rec.q_after - rec.q_before) <= 1e-15 * max(abs(rec.q_before), rec.q_scale)
+        if rail == -10.0:
+            assert abs(rec.q_after - rec.q_before) <= 1e-15 * max(abs(rec.q_before),
+                                                                  rec.q_scale)
+        else:
+            # the leaving plates, ~3.2e-13 C, cancel to a 4.0e-15 C island sum
+            # and round at their own size (3.8e-15 of the entering scale), so
+            # this case takes the library metric, whose scale includes them
+            assert SimResult(sol._columns, tuple(net.nodes)).max_conservation_error() <= 1e-15
 
 
 class TestBeamLawMemo:
@@ -774,6 +868,14 @@ class TestFloatingGroup:
         with pytest.raises(NetworkError, match="floating-group"):
             solve_phase(net, sched.phases(sched.period)[0])
 
+    def test_coupling_that_rounds_the_path_to_ground_away(self):
+        # c12 + c1 == c12 in floating point, so the second pivot is zero
+        net = _chain(1e-30, 1e-12, 1e-30)
+        sched = ClockSchedule(100e3)
+        with pytest.raises(NetworkError, match="^floating-group: the charge balance of "
+                                               "island f2 is singular in floating point"):
+            simulate(net, sched, sched.period)
+
     def test_isolated_island_keeps_its_guess(self):
         # y touches only an open switch; f1 and f2 are coupled to ground
         net = Network()
@@ -828,11 +930,7 @@ class TestPartitionCache:
         with pytest.raises(NetworkError, match="pin conflict"):
             simulate(net, ClockSchedule(100e3), 1e-5)
 
-    def test_coupled_floating_chain_solves_the_full_system(self, monkeypatch):
-        shapes = []
-        real_solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve",
-                            lambda a, b: shapes.append(a.shape) or real_solve(a, b))
+    def test_coupled_floating_chain_solves_the_full_system(self):
         c1, c12, c2 = 2e-15, 1e-15, 3e-15
         q1, q12, q2 = 1.5e-15, -0.4e-15, 0.7e-15
         net = Network()
@@ -843,7 +941,9 @@ class TestPartitionCache:
                             LinearCap("c2", "f2", "gnd", c2, q=q2)]
         sched = ClockSchedule(100e3)
         res = simulate(net, sched, sched.period)
-        assert shapes and set(shapes) == {(2, 2)}
+        # one partition, whose one floating-floating link is c12 (capacitor 1)
+        # between f1 and f2 (floating indices 0 and 1)
+        assert [part.f_links for part in res.solutions.partitions] == [((1, 0, 1),)]
         # closed-form charge sharing of the two island charges
         qa, qb = q1 + q12, q2 - q12
         det = (c1 + c12) * (c2 + c12) - c12 * c12
@@ -854,15 +954,21 @@ class TestPartitionCache:
             assert math.isclose(sol.node_voltages["f2"], v2, rel_tol=1e-12)
         assert res.max_conservation_error() <= 1e-15
 
-    def test_uncoupled_islands_solve_by_division(self, monkeypatch):
-        def no_solve(a, b):
-            raise AssertionError("np.linalg.solve called for uncoupled islands")
-
-        monkeypatch.setattr(np.linalg, "solve", no_solve)
+    def test_uncoupled_islands_solve_by_division(self):
         sched = ClockSchedule(100e3)
         res = simulate(apply_parasitics(fig6_network(), 1e-15, 1e-15, "gate"), sched,
                        2 * sched.period)
+        partitions = res.solutions.partitions
+        assert len(partitions) == 3 and not any(part.f_links for part in partitions)
         assert res.max_conservation_error() == 0.0
+
+    def test_engine_imports_neither_numpy_nor_scipy(self):
+        tree = ast.parse(Path(scnet.__file__).read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module}
+        assert imported and not {name.split(".")[0] for name in imported} & {"numpy", "scipy"}
 
 
 class TestWaveformOutputs:
