@@ -55,17 +55,14 @@ def _emit_error(kind: str, exc: Exception) -> None:
     sys.stderr.write(dump_json(payload))
 
 
-def _print_summary(summary: dict, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(dump_json(_json_safe(summary)))
-    else:
-        for key in sorted(summary):
-            value = summary[key]
-            if value is None:
-                value = ""
-            elif isinstance(value, float):
-                value = format_float(value) if math.isfinite(value) else ""
-            sys.stdout.write(f"{key},{value}\n")
+def _print_csv_summary(summary: dict) -> None:
+    for key in sorted(summary):
+        value = summary[key]
+        if value is None:
+            value = ""
+        elif isinstance(value, float):
+            value = format_float(value) if math.isfinite(value) else ""
+        sys.stdout.write(f"{key},{value}\n")
 
 
 def _load_scenario(args) -> Scenario:
@@ -95,7 +92,7 @@ def _amp_for(scn: Scenario):
 
 
 # --------------------------------------------------------------------------
-# command handlers: return (summary, artifacts)
+# command handlers: return (summary, artifacts); main adds summary.json
 
 def _cmd_device_report(scn: Scenario, args):
     dev = scn.device_params()
@@ -109,7 +106,7 @@ def _cmd_device_report(scn: Scenario, args):
         checks = compare_to_reference(scn.device_preset)
         summary["reference_check"] = checks
         summary["reference_pass"] = all(c["passed"] for c in checks)
-    return summary, {"summary.json": dump_json(_json_safe(summary))}
+    return summary, {}
 
 
 def _transition_voltages(curve) -> tuple[float | None, float | None]:
@@ -134,19 +131,19 @@ def _cmd_cv_sweep(scn: Scenario, args):
         "direction": args.direction,
         "up_transition_V": up, "down_transition_V": down,
     }
-    return summary, {"cv.csv": curve.to_csv(),
-                     "summary.json": dump_json(_json_safe(summary))}
+    return summary, {"cv.csv": curve.to_csv()}
 
 
 def _cmd_transient(scn: Scenario, args):
     dev = scn.device_params()
     geom = scn.geometry()  # the beam mass needs its length, width and thickness
     level = args.level_V if args.level_V is not None else 1.2 * dev.v_pi
-    dyn_scale = math.sqrt(DynamicsParams.for_device(geom, dev.k, 1.0).effective_mass / dev.k)
-    t_end = args.t_end_s if args.t_end_s is not None else 200.0 * dyn_scale
+    dyn = DynamicsParams.for_device(geom, dev.k, 1.0)
+    t_end = args.t_end_s if args.t_end_s is not None \
+        else 200.0 * math.sqrt(dyn.effective_mass / dev.k)
     if not (t_end > 0):
         raise ConfigError(f"--t-end-s (t_end) must be positive, got {t_end!r}")
-    dyn = DynamicsParams.for_device(geom, dev.k, t_end / 2000.0)
+    dyn = replace(dyn, integration_dt_max=t_end / 2000.0)
     if args.drive == "step":
         drive = lambda t: level
     else:
@@ -160,8 +157,7 @@ def _cmd_transient(scn: Scenario, args):
         "release_times_s": list(trace.release_times),
         "final_x_m": float(trace.x[-1]), "final_latched": bool(trace.latched[-1]),
     }
-    return summary, {"transient.csv": trace.to_csv(),
-                     "summary.json": dump_json(_json_safe(summary))}
+    return summary, {"transient.csv": trace.to_csv()}
 
 
 def _cmd_amplify(scn: Scenario, args):
@@ -184,8 +180,7 @@ def _cmd_amplify(scn: Scenario, args):
     summary["vout_V"] = vout
     summary["stimulus"] = scn.stimulus_kind
     summary["amplitude_V"] = scn.amplitude
-    artifacts = {"waveforms.csv": sim.waveform_csv(),
-                 "summary.json": dump_json(_json_safe(summary))}
+    artifacts = {"waveforms.csv": sim.waveform_csv()}
     if args.islands:
         artifacts["islands.csv"] = sim.islands_csv()
     return summary, artifacts
@@ -227,8 +222,7 @@ def _cmd_gain_sweep(scn: Scenario, args):
     summary["gain_last"] = valid[-1].gain if valid else None
     if len(valid) >= 2:
         summary["gain_drop_frac"] = 1.0 - valid[-1].gain / valid[0].gain
-    return summary, {"gain_sweep.csv": report.to_csv(),
-                     "summary.json": dump_json(_json_safe(summary))}
+    return summary, {"gain_sweep.csv": report.to_csv()}
 
 
 def _cmd_power(scn: Scenario, args):
@@ -238,7 +232,7 @@ def _cmd_power(scn: Scenario, args):
         "device": scn.device_name(), "m": scn.m, "c_A_F": dev.c_on,
         "fclk_hz": scn.f_clk, "vdc_V": scn.v_dc, "power_W": p,
     }
-    return summary, {"summary.json": dump_json(_json_safe(summary))}
+    return summary, {}
 
 
 _COMMANDS = {
@@ -328,6 +322,7 @@ def main(argv=None) -> int:
         if args.out_dir:
             scn = replace(scn, out_dir=args.out_dir)
         summary, artifacts = _COMMANDS[args.command](scn, args)
+        artifacts["summary.json"] = dump_json(_json_safe(summary))
     except _CONFIG_ERRORS as exc:
         _emit_error("config-error", exc)
         return EXIT_CONFIG
@@ -344,7 +339,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         _emit_error("io-error", exc)
         return EXIT_IO
-    _print_summary(summary, args.format)
+    if args.format == "json":
+        sys.stdout.write(artifacts["summary.json"])
+    else:
+        _print_csv_summary(summary)
     return 0
 
 

@@ -3,30 +3,20 @@
 Keys carry their unit in the suffix (human units of the device tables:
 micrometres, nanometres, volts, femtofarads); values are converted to SI
 right here at the parse boundary. Comments start with ``#``; unknown keys
-are rejected with the offending line number.
+are rejected with the offending line number. Each key is one row of
+``_KEYS``, which both ``parse_scenario`` and ``Scenario.to_text`` read.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 from .device import DeviceGeometry, DeviceParams, PRESETS, get_preset
 from .errors import InvalidGeometryError, CalibrationError, ScenarioError
 
 _LINE = re.compile(r"^(?P<section>[a-z_]+)\.(?P<key>[A-Za-z_0-9]+)\s*=\s*(?P<value>.+)$")
-
-_GEOMETRY_KEYS = {
-    # key -> (geometry field, scale to SI)
-    "L_um": ("beam_length", 1e-6),
-    "W_um": ("beam_width", 1e-6),
-    "t_nm": ("beam_thickness", 1e-9),
-    "Le_um": ("electrode_length", 1e-6),
-    "g0_nm": ("air_gap", 1e-9),
-    "td_nm": ("dielectric_thickness", 1e-9),
-    "eps_d": ("dielectric_constant", 1.0),
-}
 
 
 @dataclass(frozen=True)
@@ -70,39 +60,65 @@ class Scenario:
         """Canonical serialization. For a scenario parsed from text,
         parse_scenario(to_text()) returns an equal Scenario; an SI value set
         through the library may not survive the unit round trip (x / 1e-6 * 1e-6)."""
-        lines = []
-        if self.device_preset:
-            lines.append(f'device.preset = "{self.device_preset}"')
-        else:
-            g = self.device_geometry
-            lines += [
-                f"device.L_um = {g.beam_length / 1e-6!r}",
-                f"device.W_um = {g.beam_width / 1e-6!r}",
-                f"device.t_nm = {g.beam_thickness / 1e-9!r}",
-                f"device.Le_um = {g.electrode_length / 1e-6!r}",
-                f"device.g0_nm = {g.air_gap / 1e-9!r}",
-                f"device.td_nm = {g.dielectric_thickness / 1e-9!r}",
-                f"device.eps_d = {g.dielectric_constant!r}",
-                f"device.vpi_V = {self.device_v_pi!r}",
-                f"device.vpo_V = {self.device_v_po!r}",
-            ]
-        lines += [
-            f"amp.topology = {self.topology}",
-            f"amp.m = {self.m}",
-            f"amp.vdc_V = {self.v_dc!r}",
-            f"amp.fclk_hz = {self.f_clk!r}",
-            f"amp.nonoverlap_frac = {self.nonoverlap_frac!r}",
-            f"amp.parasitics = {'on' if self.parasitics else 'off'}",
-            f"amp.cgb_fF = {self.c_gb / 1e-15!r}",
-            f"amp.cgc_fF = {self.c_gc / 1e-15!r}",
-            f"amp.drive_terminal = {self.drive_terminal}",
-            f"stimulus.kind = {self.stimulus_kind}",
-            f"stimulus.amplitude_V = {self.amplitude!r}",
-            f"stimulus.freq_hz = {self.freq!r}",
-            f"run.n_periods = {self.n_periods}",
-            f"run.out_dir = \"{self.out_dir}\"",
-        ]
+        lines, preset = [], bool(self.device_preset)
+        for name, (field, kind, scale, _) in _KEYS.items():
+            if name.startswith("device.") and (field == "device_preset") != preset:
+                continue  # the preset, or else the custom device keys
+            value = getattr(self.device_geometry if field in _GEOMETRY else self, field)
+            if kind is bool:
+                value = "on" if value else "off"
+            elif kind is str:
+                value = f'"{value}"'
+            elif scale != 1.0:
+                value = value / scale
+            lines.append(f"{name} = {value}")
         return "\n".join(lines) + "\n"
+
+
+_POSITIVE = ("unit-violation", "{key} must be positive", lambda v: v > 0)
+_DIMENSION = ("unit-violation", "{key} must be strictly positive, got {raw}", lambda v: v > 0)
+_AT_LEAST_ONE = ("constraint-violation", "{key} must be >= 1", lambda v: v >= 1)
+_NON_NEGATIVE = ("unit-violation", "{key} must be >= 0", lambda v: v >= 0)
+
+# Every scenario key, in to_text's order: section.key -> (Scenario or
+# DeviceGeometry field, value kind, scale to SI, range rule). A kind is float,
+# int, bool (on/off), str (quotes stripped) or a tuple of tokens. A rule is
+# (error kind, message, test); the test sees the value before scaling.
+_KEYS = {
+    "device.preset": ("device_preset", str, 1.0,
+                      ("constraint-violation", "unknown preset {value!r}",
+                       lambda v: v in PRESETS)),
+    "device.L_um": ("beam_length", float, 1e-6, _DIMENSION),
+    "device.W_um": ("beam_width", float, 1e-6, _DIMENSION),
+    "device.t_nm": ("beam_thickness", float, 1e-9, _DIMENSION),
+    "device.Le_um": ("electrode_length", float, 1e-6, _DIMENSION),
+    "device.g0_nm": ("air_gap", float, 1e-9, _DIMENSION),
+    "device.td_nm": ("dielectric_thickness", float, 1e-9, _DIMENSION),
+    "device.eps_d": ("dielectric_constant", float, 1.0, _DIMENSION),
+    "device.vpi_V": ("device_v_pi", float, 1.0, _POSITIVE),
+    "device.vpo_V": ("device_v_po", float, 1.0, _POSITIVE),
+    "amp.topology": ("topology", ("basic", "modified"), 1.0, None),
+    "amp.m": ("m", int, 1.0, _AT_LEAST_ONE),
+    "amp.vdc_V": ("v_dc", float, 1.0, None),
+    "amp.fclk_hz": ("f_clk", float, 1.0, _POSITIVE),
+    "amp.nonoverlap_frac": ("nonoverlap_frac", float, 1.0,
+                            ("constraint-violation", "{key} must lie in [0, 0.5)",
+                             lambda v: 0.0 <= v < 0.5)),
+    "amp.parasitics": ("parasitics", bool, 1.0, None),
+    "amp.cgb_fF": ("c_gb", float, 1e-15, _NON_NEGATIVE),
+    "amp.cgc_fF": ("c_gc", float, 1e-15, _NON_NEGATIVE),
+    "amp.drive_terminal": ("drive_terminal", ("gate", "body"), 1.0, None),
+    "stimulus.kind": ("stimulus_kind", ("dc", "sine"), 1.0, None),
+    "stimulus.amplitude_V": ("amplitude", float, 1.0, None),
+    "stimulus.freq_hz": ("freq", float, 1.0, _POSITIVE),
+    "run.n_periods": ("n_periods", int, 1.0, _AT_LEAST_ONE),
+    "run.out_dir": ("out_dir", str, 1.0, None),
+}
+_SECTIONS = {name.partition(".")[0] for name in _KEYS}
+_GEOMETRY = {field.name for field in fields(DeviceGeometry)}
+# the custom device keys, which a preset excludes: key -> field
+_CUSTOM = {name.partition(".")[2]: field for name, (field, *_) in _KEYS.items()
+           if name.startswith("device.") and field != "device_preset"}
 
 
 def _strip_comment(line: str) -> str:
@@ -117,38 +133,35 @@ def _strip_comment(line: str) -> str:
     return "".join(out).strip()
 
 
-def _number(raw: str, lineno: int) -> float:
+def _read(raw: str, kind, lineno: int):
+    """The value of one line as its key's kind: a string, a token, or a
+    finite number (an integral one where the kind is int)."""
+    if kind is str:
+        return raw.strip('"')
+    if kind is bool:
+        return _read(raw, ("on", "off"), lineno) == "on"
+    if isinstance(kind, tuple):
+        tok = raw.strip('"')
+        if tok not in kind:
+            raise ScenarioError("syntax-error",
+                                f"expected one of {'|'.join(kind)}, got {raw!r}", lineno)
+        return tok
     try:
         val = float(raw)
     except ValueError:
         raise ScenarioError("syntax-error", f"expected a number, got {raw!r}", lineno) from None
     if not math.isfinite(val):
         raise ScenarioError("syntax-error", f"expected a finite number, got {raw!r}", lineno)
+    if kind is int:
+        if val != int(val):
+            raise ScenarioError("syntax-error", f"expected an integer, got {raw!r}", lineno)
+        return int(val)
     return val
-
-
-def _integer(raw: str, lineno: int) -> int:
-    val = _number(raw, lineno)
-    if val != int(val):
-        raise ScenarioError("syntax-error", f"expected an integer, got {raw!r}", lineno)
-    return int(val)
-
-
-def _token(raw: str, allowed: tuple[str, ...], lineno: int) -> str:
-    tok = raw.strip('"')
-    if tok not in allowed:
-        raise ScenarioError("syntax-error",
-                            f"expected one of {'|'.join(allowed)}, got {raw!r}", lineno)
-    return tok
-
-
-def _string(raw: str) -> str:
-    return raw.strip('"')
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse UTF-8 scenario text; errors carry their line number."""
-    values: dict[tuple[str, str], tuple[str, int]] = {}
+    values: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         if not line:
@@ -156,128 +169,48 @@ def parse_scenario(text: str) -> Scenario:
         m = _LINE.match(line)
         if not m:
             raise ScenarioError("syntax-error", f"cannot parse line {raw!r}", lineno)
-        key = (m.group("section"), m.group("key"))
-        if key in values:
-            raise ScenarioError("syntax-error",
-                                f"duplicate key {key[0]}.{key[1]}", lineno)
-        values[key] = (m.group("value").strip(), lineno)
+        name = f"{m.group('section')}.{m.group('key')}"
+        if name in values:
+            raise ScenarioError("syntax-error", f"duplicate key {name}", lineno)
+        values[name] = (m.group("value").strip(), lineno)
 
-    if not any(section == "device" for section, _ in values):
+    if not any(name.startswith("device.") for name in values):
         raise ScenarioError("syntax-error", "missing device section")
 
-    scn = Scenario(device_preset=None)
-    geometry_raw: dict[str, float] = {}
-    v_pi = v_po = None
-    preset = None
-
-    for (section, key), (raw, lineno) in values.items():
-        if section == "device":
-            if key == "preset":
-                preset = _string(raw)
-                if preset not in PRESETS:
-                    raise ScenarioError("constraint-violation",
-                                        f"unknown preset {preset!r}", lineno)
-            elif key in _GEOMETRY_KEYS:
-                fieldname, scale = _GEOMETRY_KEYS[key]
-                val = _number(raw, lineno)
-                if val <= 0:
-                    raise ScenarioError("unit-violation",
-                                        f"device.{key} must be strictly positive, got {raw}",
-                                        lineno)
-                geometry_raw[fieldname] = val * scale
-            elif key == "vpi_V":
-                v_pi = _number(raw, lineno)
-                if v_pi <= 0:
-                    raise ScenarioError("unit-violation", "device.vpi_V must be positive", lineno)
-            elif key == "vpo_V":
-                v_po = _number(raw, lineno)
-                if v_po <= 0:
-                    raise ScenarioError("unit-violation", "device.vpo_V must be positive", lineno)
-            else:
-                raise ScenarioError("unknown-key", f"device.{key}", lineno)
-        elif section == "amp":
-            if key == "topology":
-                scn = replace(scn, topology=_token(raw, ("basic", "modified"), lineno))
-            elif key == "m":
-                val = _integer(raw, lineno)
-                if val < 1:
-                    raise ScenarioError("constraint-violation", "amp.m must be >= 1", lineno)
-                scn = replace(scn, m=val)
-            elif key == "vdc_V":
-                scn = replace(scn, v_dc=_number(raw, lineno))
-            elif key == "fclk_hz":
-                val = _number(raw, lineno)
-                if val <= 0:
-                    raise ScenarioError("unit-violation", "amp.fclk_hz must be positive", lineno)
-                scn = replace(scn, f_clk=val)
-            elif key == "nonoverlap_frac":
-                val = _number(raw, lineno)
-                if not (0.0 <= val < 0.5):
-                    raise ScenarioError("constraint-violation",
-                                        "amp.nonoverlap_frac must lie in [0, 0.5)", lineno)
-                scn = replace(scn, nonoverlap_frac=val)
-            elif key == "parasitics":
-                scn = replace(scn, parasitics=_token(raw, ("on", "off"), lineno) == "on")
-            elif key == "cgb_fF":
-                val = _number(raw, lineno)
-                if val < 0:
-                    raise ScenarioError("unit-violation", "amp.cgb_fF must be >= 0", lineno)
-                scn = replace(scn, c_gb=val * 1e-15)
-            elif key == "cgc_fF":
-                val = _number(raw, lineno)
-                if val < 0:
-                    raise ScenarioError("unit-violation", "amp.cgc_fF must be >= 0", lineno)
-                scn = replace(scn, c_gc=val * 1e-15)
-            elif key == "drive_terminal":
-                scn = replace(scn, drive_terminal=_token(raw, ("gate", "body"), lineno))
-            else:
-                raise ScenarioError("unknown-key", f"amp.{key}", lineno)
-        elif section == "stimulus":
-            if key == "kind":
-                scn = replace(scn, stimulus_kind=_token(raw, ("dc", "sine"), lineno))
-            elif key == "amplitude_V":
-                scn = replace(scn, amplitude=_number(raw, lineno))
-            elif key == "freq_hz":
-                val = _number(raw, lineno)
-                if val <= 0:
-                    raise ScenarioError("unit-violation", "stimulus.freq_hz must be positive",
-                                        lineno)
-                scn = replace(scn, freq=val)
-            else:
-                raise ScenarioError("unknown-key", f"stimulus.{key}", lineno)
-        elif section == "run":
-            if key == "n_periods":
-                val = _integer(raw, lineno)
-                if val < 1:
-                    raise ScenarioError("constraint-violation", "run.n_periods must be >= 1",
-                                        lineno)
-                scn = replace(scn, n_periods=val)
-            elif key == "out_dir":
-                scn = replace(scn, out_dir=_string(raw))
-            else:
-                raise ScenarioError("unknown-key", f"run.{key}", lineno)
-        else:
-            raise ScenarioError("unknown-key", f"unknown section {section!r}", lineno)
+    got: dict[str, object] = {}
+    for name, (raw, lineno) in values.items():
+        if name not in _KEYS:
+            section = name.partition(".")[0]
+            raise ScenarioError("unknown-key", name if section in _SECTIONS
+                                else f"unknown section {section!r}", lineno)
+        field, kind, scale, rule = _KEYS[name]
+        value = _read(raw, kind, lineno)
+        if rule is not None:
+            error, message, test = rule
+            if not test(value):
+                raise ScenarioError(error, message.format(key=name, raw=raw, value=value),
+                                    lineno)
+        got[field] = value * scale if kind is float else value
 
     # resolve the device
-    if preset is not None:
-        if geometry_raw or v_pi is not None or v_po is not None:
+    custom = {field: got.pop(field) for field in _CUSTOM.values() if field in got}
+    if "device_preset" in got:
+        if custom:
             raise ScenarioError("constraint-violation",
                                 "device.preset excludes custom geometry keys")
-        scn = replace(scn, device_preset=preset)
+        scn = Scenario(**got)
     else:
-        missing = [k for k, (f, _) in _GEOMETRY_KEYS.items() if f not in geometry_raw]
-        if missing or v_pi is None or v_po is None:
-            need = missing + (["vpi_V"] if v_pi is None else []) \
-                + (["vpo_V"] if v_po is None else [])
+        missing = [key for key, field in _CUSTOM.items() if field not in custom]
+        if missing:
             raise ScenarioError("constraint-violation",
-                                f"custom device incomplete, missing: {', '.join(need)}")
+                                f"custom device incomplete, missing: {', '.join(missing)}")
+        v_pi, v_po = custom["device_v_pi"], custom["device_v_po"]
         try:
-            geom = DeviceGeometry(**geometry_raw)
+            geom = DeviceGeometry(**{f: v for f, v in custom.items() if f in _GEOMETRY})
             DeviceParams.from_geometry(geom, v_pi, v_po)  # feasibility check
         except (InvalidGeometryError, CalibrationError) as exc:
             raise ScenarioError("constraint-violation", str(exc)) from exc
-        scn = replace(scn, device_geometry=geom, device_v_pi=v_pi, device_v_po=v_po)
+        scn = Scenario(device_geometry=geom, device_v_pi=v_pi, device_v_po=v_po, **got)
 
     if not (scn.v_dc > scn.device_params().v_pi):
         raise ScenarioError(

@@ -289,10 +289,15 @@ class Network:
                 raise NetworkError(f"dangling-element: node {n!r} has no attached element")
 
 
+# the numeric fields of each waveform
+_WAVE_FIELDS = {Dc: ("value",), Sine: ("amplitude", "freq_hz", "offset"), Clock: ("high",)}
+
+
 def _check_values(el: NemsCap | LinearCap | OhmicSwitch | VSource) -> None:
     """NetworkError for a linear capacitor that is not finite and positive
-    (the floating-island solve relies on positive capacitances), or a relay
-    value out of range."""
+    (the floating-island solve relies on positive capacitances), a relay
+    value out of range, or a source or relay waveform with a non-finite
+    field."""
     if isinstance(el, LinearCap) and not 0.0 < el.value < math.inf:
         raise NetworkError(f"bad-value: {el.name!r} value = {el.value!r} "
                            "must be finite and > 0")
@@ -304,6 +309,12 @@ def _check_values(el: NemsCap | LinearCap | OhmicSwitch | VSource) -> None:
                 f"bad-value: switch {el.name!r} needs finite values with 0 < v_po < v_pi, "
                 f"r_on > 0 and switching delay >= 0, got v_pi = {el.v_pi!r}, "
                 f"v_po = {el.v_po!r}, r_on = {el.r_on!r}, switching delay = {delay!r}")
+    if isinstance(el, (VSource, OhmicSwitch)):
+        wave = el.wave if isinstance(el, VSource) else el.drive
+        for name in _WAVE_FIELDS.get(type(wave), ()):
+            if not math.isfinite(getattr(wave, name)):
+                raise NetworkError(f"bad-value: {el.name!r} {type(wave).__name__}.{name} = "
+                                   f"{getattr(wave, name)!r} must be finite")
 
 
 # the keys build_network reads: (required, optional) per element type and
@@ -1201,7 +1212,8 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
                 f"{part.ids[f_islands[worst]]} did not converge after {_MAX_FIXED_POINT} "
                 f"iterations (last step {step:.3e}, tol {tol})", residual=step, tolerance=tol)
 
-    # final assignment with per-island exact remainder so conservation is bitwise
+    # final assignment: each island's corrector plate takes the exact remainder, so
+    # the island's charge is conserved to the rounding of its plate-charge size
     q = [c * (volts[ia] - volts[ib]) for c, ia, ib in zip(caps, part.plate_a, part.plate_b)]
     for f, corrector, sign, others in part.correctors:
         rest = math.fsum([s * q[k] for k, s in others]) if others else 0.0

@@ -313,9 +313,9 @@ def _switch(**values):
 
 
 class TestValueBoundary:
-    """Network.validate rejects capacitor and relay values out of range, so
-    hand-built networks fail before any phase is solved (the described ones
-    are in TestBuildNetworkBoundary)."""
+    """Network.validate rejects capacitor, relay and waveform values out of
+    range, so hand-built networks fail before any phase is solved (the
+    described ones are in TestBuildNetworkBoundary)."""
 
     @pytest.fixture
     def no_phase_solved(self, monkeypatch):
@@ -353,6 +353,26 @@ class TestValueBoundary:
         with pytest.raises(NetworkError, match=r"^bad-value: switch 's' needs finite values "
                                                r"with 0 < v_po < v_pi, r_on > 0 and switching "
                                                r"delay >= 0, got .*" + re.escape(got)):
+            simulate(net, sched, sched.period)
+
+    @pytest.mark.parametrize("wave, got", [
+        (Dc(math.nan), "Dc.value = nan"),
+        (Sine(math.inf, 1e3), "Sine.amplitude = inf"),
+        (Sine(1.0, math.inf), "Sine.freq_hz = inf"),
+        (Sine(1.0, 1e3, -math.inf), "Sine.offset = -inf"),
+        (Clock("clk", math.nan), "Clock.high = nan"),
+    ])
+    @pytest.mark.parametrize("holder", ["source", "relay"])
+    def test_non_finite_waveform_through_simulate(self, no_phase_solved, wave, got, holder):
+        sched = ClockSchedule(100e3)
+        if holder == "source":
+            net, name = _chain(1e-15, 1e-15, 1e-15), "v"
+            net.sources.append(VSource(name, "f1", wave))
+        else:
+            net, name = _chain(1e-15, 1e-15, 1e-15, OhmicSwitch(
+                "s", "f1", "gnd", wave, v_pi=9.6, v_po=6.2)), "s"
+        with pytest.raises(NetworkError, match=f"^bad-value: '{name}' {re.escape(got)} "
+                                               "must be finite$"):
             simulate(net, sched, sched.period)
 
     def test_the_accepted_extremes(self):
