@@ -13,7 +13,7 @@ from .mech import (BeamState, CVCurve, DynamicsParams, TransientTrace,
 from .scnet import (ClockSchedule, Clock, Dc, LinearCap, Network, NemsCap,
                     OhmicSwitch, OhmicSwitchState, Phase, PhaseSolution,
                     SimResult, Sine, VSource, apply_parasitics, build_network,
-                    islands, simulate, solve_phase, step_switch)
+                    islands, simulate, solve_phase)
 from .amp import (Amp, AmpConfig, GainReport, build_amp, dynamic_range,
                   gain_oracle, gain_sweep, parasitic_study, power_estimate,
                   run_dc, run_sine)

@@ -79,7 +79,8 @@ def build_amp(config: AmpConfig) -> Amp:
 def _make_network(config: AmpConfig, stim_amplitude: float, stim_freq: float | None) -> Network:
     """Amplifier core: stacked drive rails at vin +- V_DC, grounded bottom
     plates, three shared relays (in-a, in-b on CLK; hold a-b on CLKB) with the
-    device's thresholds and OhmicSwitch's default R_on."""
+    device's thresholds and OhmicSwitch's default R_on. simulate validates
+    it, once, before the first phase."""
     dev = config.device
     net = Network()
     for n in ("gnd", "sp", "sm", "a", "b"):
@@ -104,7 +105,6 @@ def _make_network(config: AmpConfig, stim_amplitude: float, stim_freq: float | N
         net.nems_caps.append(NemsCap(f"cb{suffix}", "b", "gnd", dev))
     if config.parasitics:
         apply_parasitics(net, config.c_gb, config.c_gc, config.drive_terminal)
-    net.validate()
     return net
 
 

@@ -21,7 +21,9 @@ _LINE = re.compile(r"^(?P<section>[a-z_]+)\.(?P<key>[A-Za-z_0-9]+)\s*=\s*(?P<val
 
 @dataclass(frozen=True)
 class Scenario:
-    """Parsed experiment description, all values SI."""
+    """Parsed experiment description, all values SI. The device is one of
+    a preset name or a geometry (with device_v_pi and device_v_po); none or
+    both is a ScenarioError."""
 
     device_preset: str | None = None
     device_geometry: DeviceGeometry | None = None
@@ -41,6 +43,11 @@ class Scenario:
     freq: float = 10e3
     n_periods: int = 10
     out_dir: str = "out"
+
+    def __post_init__(self):
+        if bool(self.device_preset) == (self.device_geometry is not None):
+            raise ScenarioError("constraint-violation",
+                                "a scenario needs one of a device preset or a device geometry")
 
     def device_name(self) -> str:
         return self.device_preset if self.device_preset else "custom"

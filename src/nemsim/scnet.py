@@ -211,28 +211,6 @@ def _relay_step(switch: OhmicSwitch, conducting: bool, last_transition_time: flo
     return conducting, last_transition_time
 
 
-def step_switch(switch: OhmicSwitch, v_gb: float, t: float) -> OhmicSwitchState:
-    """Advance the relay state machine from switch.state, the initial
-    condition, with the gate-body voltage at time t."""
-    st = switch.state
-    conducting, when = _relay_step(switch, st.conducting, st.last_transition_time,
-                                   st.switching_delay, v_gb, t)
-    if conducting == st.conducting:
-        return st
-    return OhmicSwitchState(conducting, when, st.switching_delay)
-
-
-def switch_is_conducting(state: OhmicSwitchState, t: float) -> bool:
-    """Effective conduction at time t, honoring the settling delay.
-
-    The slack absorbs float roundoff when the settling instant lands exactly
-    on a phase boundary (e.g. t_sw equal to the non-overlap interval).
-    """
-    if t >= state.last_transition_time - 1e-6 * state.switching_delay:
-        return state.conducting
-    return not state.conducting
-
-
 # --------------------------------------------------------------------------
 # network
 
@@ -243,7 +221,8 @@ class Network:
 
     Element fields that evolve (capacitor ``q``, beam ``state``, switch
     ``state``) hold the initial conditions; the engine never writes them and
-    threads the evolving state through the PhaseSolution chain instead.
+    threads the evolving state through the PhaseSolution chain instead. A
+    beam's velocity is not read (see PhaseColumns).
     """
 
     nodes: list[str] = field(default_factory=list)
@@ -479,20 +458,20 @@ def _pin_value(members: Sequence[str], pinned: Sequence[tuple[str, float]]) -> f
     return pinned[0][1]
 
 
-def islands(network: Network, phase: Phase,
-            switch_states: Mapping[str, OhmicSwitchState] | None = None) -> list[Island]:
-    """Partition nodes by closed-switch connectivity; source-holding islands are pinned.
+def islands(network: Network, phase: Phase, conducting: Sequence[bool]) -> list[Island]:
+    """Partition nodes by the switches that conduct at phase end, one flag
+    per switch in Network.switches order; source-holding islands are pinned
+    at their sources' values at phase end.
 
-    Raises NetworkError on a pin conflict (two sources at different values
-    shorted together).
+    Raises NetworkError when the flags do not match the switches, and on a
+    pin conflict (two sources at different values shorted together).
     """
-    if switch_states is None:
-        t = phase.t_start
-        switch_states = {sw.name: step_switch(sw, sw.drive.at(t, phase), t)
-                         for sw in network.switches}
+    if len(conducting) != len(network.switches):
+        raise NetworkError(f"islands needs {len(network.switches)} conduction flags, "
+                           f"one per switch, got {len(conducting)}")
     uf = _UnionFind(network.nodes)
-    for sw in network.switches:
-        if switch_is_conducting(switch_states[sw.name], phase.t_end):
+    for sw, on in zip(network.switches, conducting):
+        if on:
             uf.union(sw.a, sw.b)
     groups: dict[str, list[str]] = {}
     for n in network.nodes:
@@ -604,17 +583,12 @@ class CompiledNetwork:
                                     self.partitions)
         self.transitions: dict[bytes, int] = {}
 
-    def partition(self, mask: bytes, phase: Phase, conducting: Sequence[bool],
-                  transition_times: Sequence[float]) -> _Partition:
-        """The partition of a conduction mask (one flag per switch), built
-        from the relay states at phase start the first time it occurs."""
+    def partition(self, mask: bytes, phase: Phase) -> _Partition:
+        """The partition of a conduction mask (one flag per switch, at phase
+        end), built by islands() the first time it occurs."""
         part = self._by_mask.get(mask)
         if part is None:
-            states = {name: OhmicSwitchState(bool(on), when, delay) for name, on, when, delay
-                      in zip(self.columns.switch_names, conducting, transition_times,
-                             self.columns.delays)}
-            part = self._by_mask[mask] = self._build(
-                islands(self.network, phase, states), mask)
+            part = self._by_mask[mask] = self._build(islands(self.network, phase, mask), mask)
             self.partitions.append(part)
         return part
 
@@ -784,13 +758,15 @@ class PhaseColumns(Sequence):
     sequence of PhaseSolution views.
 
     Each row holds the phase, the node voltages (Network.nodes order), the
-    plate charges (Network.caps() order), the beam displacements, velocities
-    and latch flags (Network.nems_caps order), each switch's conducting flag
-    and last transition time (Network.switches order; the switching delays
-    are per run), the fixed-point iterations, the index of the phase's
-    partition, its notes, and for each floating island of that partition
-    the entering plate-charge sum and the largest entering plate charge.
-    Only solve_phase appends rows.
+    plate charges (Network.caps() order), the beam displacements and latch
+    flags (Network.nems_caps order), each switch's conducting flag and last
+    transition time (Network.switches order; the switching delays are per
+    run), the fixed-point iterations, the index of the phase's partition,
+    its notes, and for each floating island of that partition the entering
+    plate-charge sum and the largest entering plate charge. No velocity is
+    stored: every beam is re-seated each phase by a static law, which leaves
+    it at rest, so beam_states report velocity 0.0. Only solve_phase
+    appends rows.
     """
 
     def __init__(self, nodes: tuple[str, ...], names: tuple[str, ...], n_beams: int,
@@ -807,7 +783,6 @@ class PhaseColumns(Sequence):
         self.volts = array("d")
         self.charges = array("d")
         self.displacement = array("d")
-        self.velocity = array("d")
         self.latched = bytearray()
         self.conducting = bytearray()
         self.transition_time = array("d")
@@ -855,18 +830,17 @@ class PhaseColumns(Sequence):
         return self.nodes, self.names, self.n_beams, self.switch_names, self.delays
 
     def _state(self, r: int) -> tuple:
-        """Copies of row r's plate charges, beam displacements, velocities and
-        latch flags, and switch conducting flags and transition times."""
+        """Copies of row r's plate charges, beam displacements and latch
+        flags, and switch conducting flags and transition times."""
         _, nc, nb, ns = self._widths
         c, b, s = r * nc, r * nb, r * ns
-        return (self.charges[c:c + nc], self.displacement[b:b + nb], self.velocity[b:b + nb],
-                self.latched[b:b + nb], self.conducting[s:s + ns],
-                self.transition_time[s:s + ns])
+        return (self.charges[c:c + nc], self.displacement[b:b + nb], self.latched[b:b + nb],
+                self.conducting[s:s + ns], self.transition_time[s:s + ns])
 
     def _append(self, phase: Phase, partition: int, iterations: int,
                 notes: tuple[str, ...], conducting: Iterable[bool],
                 transition_time: list[float], volts: list[float], charges: list[float],
-                displacement: list[float], velocity: list[float], latched: Iterable[bool],
+                displacement: list[float], latched: Iterable[bool],
                 q_in: list[float], scale_in: list[float]) -> int:
         """Append one row; float lists go in by fromlist, which is several
         times cheaper than extend for a short list."""
@@ -879,7 +853,6 @@ class PhaseColumns(Sequence):
         self.volts.fromlist(volts)
         self.charges.fromlist(charges)
         self.displacement.fromlist(displacement)
-        self.velocity.fromlist(velocity)
         self.latched.extend(latched)
         self.q_in.fromlist(q_in)
         self.scale_in.fromlist(scale_in)
@@ -892,12 +865,12 @@ class PhaseColumns(Sequence):
         and the plate charges and beam states of state (as _state returns
         them: row r's own, or replacements; its switch states are not used)."""
         nn = len(self.nodes)
-        charges, displacement, velocity, latched, _, _ = state
+        charges, displacement, latched, _, _ = state
         a, b = self.f_start[r], self.f_start[r + 1]
         return dest._append(phase, self.partition[r], self.iterations[r], notes,
                             conducting, transition_time,
                             self.volts[r * nn:(r + 1) * nn].tolist(), charges.tolist(),
-                            displacement.tolist(), velocity.tolist(), latched,
+                            displacement.tolist(), latched,
                             self.q_in[a:b].tolist(), self.scale_in[a:b].tolist())
 
     def _charges(self, r: int) -> array:
@@ -979,9 +952,9 @@ class PhaseSolution:
 
     @property
     def beam_states(self) -> Mapping[str, BeamState]:
-        _, disp, vel, latched, _, _ = self._columns._state(self._row)
-        return _ReadOnlyMap({n: BeamState(x, u, bool(flag)) for n, x, u, flag
-                             in zip(self._columns.names, disp, vel, latched)})
+        _, disp, latched, _, _ = self._columns._state(self._row)
+        return _ReadOnlyMap({n: BeamState(x, 0.0, bool(flag)) for n, x, flag
+                             in zip(self._columns.names, disp, latched)})
 
     @property
     def switch_states(self) -> Mapping[str, OhmicSwitchState]:
@@ -1011,10 +984,10 @@ class PhaseSolution:
     def replace(self, *, charges: Mapping[str, float] | None = None,
                 beam_states: Mapping[str, BeamState] | None = None) -> PhaseSolution:
         """A one-row copy of this solution with the given plate charges and
-        beam states (by element name; the others keep their values), e.g.
-        to start solve_phase from a chosen state."""
+        beam displacements and latch flags (by element name; the others keep
+        their values), e.g. to start solve_phase from a chosen state."""
         cols = self._columns
-        q, disp, vel, latched, conducting, transition_time = state = cols._state(self._row)
+        q, disp, latched, conducting, transition_time = state = cols._state(self._row)
         index = {n: i for i, n in enumerate(cols.names)}
         for name, value in (charges or {}).items():
             q[index[name]] = value
@@ -1022,7 +995,7 @@ class PhaseSolution:
             j = index[name]
             if j >= cols.n_beams:
                 raise KeyError(name)
-            disp[j], vel[j], latched[j] = beam.displacement, beam.velocity, beam.latched
+            disp[j], latched[j] = beam.displacement, beam.latched
         out = PhaseColumns(*cols._layout(), cols.partitions)
         cols._copy(self._row, out, self.phase, conducting, transition_time.tolist(),
                    self.warnings, state)
@@ -1073,7 +1046,8 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     state, so a CompiledNetwork solves each distinct transition once per
     run. Its memo is keyed by the bit patterns of the conduction mask, the
     island voltages (pinned values and the fixed-point guess), the entering
-    plate charges and beam states; bit patterns keep +0.0 and -0.0 apart.
+    plate charges, beam displacements and latch flags; bit patterns keep
+    +0.0 and -0.0 apart.
     A repeated transition copies the stored row, its iterations and
     latch-violation notes with this phase's phase and switch states; the
     settling check runs for every phase. A failed solve is not stored.
@@ -1085,7 +1059,6 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
         q = array("d", [cap.q for cap in net.caps()])
         entering = [cap.state for cap in net.nems_caps]
         disp = array("d", [b.displacement for b in entering])
-        vel = array("d", [b.velocity for b in entering])
         latched = bytes([b.latched for b in entering])
         on = [sw.state.conducting for sw in net.switches]
         since = [sw.state.last_transition_time for sw in net.switches]
@@ -1095,21 +1068,22 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
         if rows is not cols and rows._layout() != cols._layout():
             raise NetworkError("prior solution is of a network with other nodes, "
                                "elements or switches")
-        q, disp, vel, latched, on, since = rows._state(r)
+        q, disp, latched, on, since = rows._state(r)
         guess, guess_base = rows.volts, r * len(rows.nodes)
 
-    # relays step at phase start; the mask is their conduction at phase end
+    # relays step at phase start; the mask is their conduction at phase end:
+    # a toggle takes effect at its transition time, less a slack that absorbs
+    # float roundoff when that instant lands exactly on a phase boundary
+    # (t_sw equal to the non-overlap interval)
     t, t_end = phase.t_start, phase.t_end
     conducting, transition_time, mask = [], [], []
     for (sw, drive, delay, slack), c, when in zip(topo.relays, on, since):
         c, when = _relay_step(sw, c, when, delay, drive(t, phase), t)
         conducting.append(c)
         transition_time.append(when)
-        # switch_is_conducting's rule, inline: this loop runs every phase
         mask.append(c if t_end >= when - slack else not c)
     mask = bytes(mask)
-    part = topo._by_mask.get(mask) or topo.partition(mask, phase, conducting,
-                                                     transition_time)
+    part = topo._by_mask.get(mask) or topo.partition(mask, phase)
 
     # island voltages: pinned ones from this phase's source values, floating
     # ones from the fixed-point guess (the prior's node voltages)
@@ -1125,7 +1099,7 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     values += v
     volts = list(map(values.__getitem__, part.island_value))
 
-    transition = b"".join((mask, part.island_key.pack(*volts), latched, q, disp, vel))
+    transition = b"".join((mask, part.island_key.pack(*volts), latched, q, disp))
     seen = topo.transitions.get(transition)
     if seen is not None:
         stored = cols._state(seen)
@@ -1137,14 +1111,14 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     notes = []
     # the beam state is rewritten per beam below: lists index and store
     # several times faster than array and bytearray
-    disp, vel, latched = disp.tolist(), vel.tolist(), list(latched)
+    disp, latched = disp.tolist(), list(latched)
 
     q_before, scale_before = _floating_charge(part, q)
 
     # voltage-driven beams: both terminals pinned; one law call per
     # (device class, dv, prior latched) key
     devices = topo.devices
-    by_voltage: dict[tuple[int, float, bool], tuple[float, float, bool]] = {}
+    by_voltage: dict[tuple[int, float, bool], tuple[float, bool]] = {}
     for j, ia, ib, cls in part.voltage_beams:
         dv = volts[ia] - volts[ib]
         was_latched = latched[j]
@@ -1153,12 +1127,12 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
         if state is None:
             dev = devices[j]
             if was_latched and release_holds(dev, dv):
-                state = (dev.g0, 0.0, True)
+                state = (dev.g0, True)
             else:
                 law = static_equilibrium_voltage(dev, dv)
-                state = (law.displacement, law.velocity, law.latched)
+                state = (law.displacement, law.latched)
             by_voltage[key] = state
-        disp[j], vel[j], latched[j] = state
+        disp[j], latched[j] = state
     caps = _capacitances(topo, disp)
 
     # fixed point over floating island voltages
@@ -1169,9 +1143,9 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
         iterations = 2
     else:
         eps_area, g_eff = topo.eps_area, topo.g_eff
-        # (device class, plate charge) -> (displacement, velocity, latched,
-        # capacitance), shared by every iteration of this phase
-        by_charge: dict[tuple[int, float], tuple[float, float, bool, float]] = {}
+        # (device class, plate charge) -> (displacement, latched, capacitance),
+        # shared by every iteration of this phase
+        by_charge: dict[tuple[int, float], tuple[float, bool, float]] = {}
         for iterations in range(1, _MAX_FIXED_POINT + 1):
             v_new = _solve_floating(part, caps, volts, q_before, v)
             # largest step (NaN sticks) and largest magnitude of the iterate
@@ -1193,12 +1167,12 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
                 if seated is None:
                     dev = devices[j]
                     law = static_equilibrium_charge(dev, q_j)
-                    seated = by_charge[key] = (law.displacement, law.velocity, law.latched,
+                    seated = by_charge[key] = (law.displacement, law.latched,
                                                eps_area[j] / (g_eff[j] - law.displacement))
-                if seated[2] and not latched[j]:
+                if seated[1] and not latched[j]:
                     notes.append(f"latch-violation: beam {topo.names[j]} re-latched "
                                  "during redistribution")
-                disp[j], vel[j], latched[j], caps[j] = seated
+                disp[j], latched[j], caps[j] = seated
             v = v_new
             # a NaN iterate makes step NaN, so size's NaN handling is moot
             if iterations >= 2 and step <= tol * (size if size > 1.0 else 1.0):
@@ -1225,7 +1199,7 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     row = topo.transitions[transition] = cols._append(
         phase, part.index, iterations, notes,
         conducting, transition_time, list(map(volts.__getitem__, part.node_island)),
-        q, disp, vel, latched, q_before, scale_before)
+        q, disp, latched, q_before, scale_before)
     return PhaseSolution(cols, row)
 
 
@@ -1339,11 +1313,9 @@ def _solve_floating(part: _Partition, caps: list[float], volts: list[float],
 
 @dataclass(frozen=True)
 class SimResult:
-    """A run's phase solutions, as state columns, plus the node names of its
-    zero-order-hold waveform trace."""
+    """A run's phase solutions, as state columns."""
 
     solutions: PhaseColumns
-    nodes: tuple[str, ...]
 
     def conservation_violations(self, rel_tol: float = 1e-15) -> int:
         """Count floating-island transitions whose charge sum moved by more
@@ -1366,11 +1338,11 @@ class SimResult:
     def waveform_csv(self) -> str:
         """Zero-order-hold node voltages, two rows per phase; the columns are
         a and b (where present), then the other nodes by name."""
-        names = [n for n in ("a", "b") if n in self.nodes]
-        names += sorted(n for n in self.nodes if n not in names)
+        cols = self.solutions
+        names = [n for n in ("a", "b") if n in cols.nodes]
+        names += sorted(n for n in cols.nodes if n not in names)
         header = "t_s,phase," + ",".join(f"v{n.upper()}_V" for n in names)
         lines = [header]
-        cols = self.solutions
         width = len(cols.nodes)
         values_format = ("," + FLOAT_FORMAT) * len(names)
         rows = zip(*[cols.volts[cols.nodes.index(n)::width] for n in names])
@@ -1411,7 +1383,7 @@ def simulate(network: Network, schedule: ClockSchedule, t_end: float) -> SimResu
     prior: PhaseSolution | None = None
     for ph in phases:
         prior = solve_phase(topo, ph, prior)
-    return SimResult(topo.columns, tuple(network.nodes))
+    return SimResult(topo.columns)
 
 
 def apply_parasitics(network: Network, c_gb: float, c_gc: float,

@@ -11,6 +11,7 @@ from nemsim.amp import (AmpConfig, build_amp, dynamic_range, gain_oracle,
                         run_sine, summary, _make_network)
 from nemsim.device import get_preset
 from nemsim.errors import ConfigError, NoLatchError, NoReleaseError
+from nemsim.scnet import Network
 
 DEV = get_preset("large").params()
 
@@ -91,6 +92,18 @@ class TestRunDc:
         amp = large_amp(clock_high=5.0)  # relays never close
         with pytest.raises(NoLatchError):
             run_dc(amp, 0.01)
+
+    @pytest.mark.parametrize("overrides, checks", [
+        ({}, 1),
+        ({"topology": "modified", "m": 2, "parasitics": True}, 2)])
+    def test_network_validated_once_per_builder(self, monkeypatch, overrides, checks):
+        # simulate's CompiledNetwork checks the network; apply_parasitics,
+        # public, checks what it returns
+        calls = []
+        validate = Network.validate
+        monkeypatch.setattr(Network, "validate", lambda net: calls.append(net) or validate(net))
+        run_dc(large_amp(**overrides), 0.01, n_periods=2)
+        assert len(calls) == checks
 
 
 class TestRunSine:

@@ -131,10 +131,10 @@ def test_coupled_solve_matches_numpy_and_conserves(net):
     """The in-repo elimination against numpy's LU on the same capacitance
     system, built here from the plates rather than the partition's stencil."""
     phase = SCHEDULE.phases(SCHEDULE.period)[0]
-    part = CompiledNetwork(net).partition(b"", phase, [], [])
+    part = CompiledNetwork(net).partition(b"", phase)
     assert part.f_links
     caps = [cap.value for cap in net.linear_caps]
-    volts = [0.0 if isl.floating else isl.pinned_voltage for isl in islands(net, phase)]
+    volts = [0.0 if isl.floating else isl.pinned_voltage for isl in islands(net, phase, [])]
     q_before, _ = scnet._floating_charge(part, [cap.q for cap in net.linear_caps])
     n = len(part.f_islands)
     mat, rhs = np.zeros((n, n)), np.array(q_before)

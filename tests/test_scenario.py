@@ -235,8 +235,17 @@ def test_scenario_amp_defaults_match_amp_config():
     names = ("topology", "m", "v_dc", "f_clk", "nonoverlap_frac", "parasitics",
              "c_gb", "c_gc", "drive_terminal")
     amp_defaults = {f.name: f.default for f in dataclasses.fields(AmpConfig)}
-    scenario = Scenario()
-    assert {n: getattr(scenario, n) for n in names} == {n: amp_defaults[n] for n in names}
+    defaults = {f.name: f.default for f in dataclasses.fields(Scenario)}
+    assert {n: defaults[n] for n in names} == {n: amp_defaults[n] for n in names}
+
+
+@pytest.mark.parametrize("device", [{}, {"device_preset": ""}, "both"])
+def test_scenario_needs_exactly_one_device(device):
+    if device == "both":
+        device = {"device_preset": "large",
+                  "device_geometry": parse_scenario(CUSTOM_HIGH_GAIN).device_geometry}
+    with pytest.raises(ScenarioError, match="^constraint-violation: a scenario needs one of"):
+        Scenario(**device)
 
 
 def test_readme_scenario_block_names_every_key():

@@ -16,8 +16,7 @@ from nemsim.mech import BeamState, static_equilibrium_charge, static_equilibrium
 from nemsim.scnet import (Clock, ClockSchedule, CompiledNetwork, Dc, LinearCap,
                           Network, NemsCap, OhmicSwitch, OhmicSwitchState, Phase,
                           SettlingWarning, SimResult, Sine, VSource, apply_parasitics,
-                          build_network, islands, simulate, solve_phase,
-                          step_switch, switch_is_conducting)
+                          build_network, islands, simulate, solve_phase)
 
 DEV = get_preset("large").params()
 VDC = 10.0
@@ -398,42 +397,67 @@ class TestClock:
             build_network(desc)
 
 
-class TestStepSwitch:
+def relay_network(v_gb, state=OhmicSwitchState()):
+    """One relay at a DC gate-body voltage, from a 1 V source to a capacitor
+    to ground, starting from the given state."""
+    net = Network()
+    for n in ("gnd", "x", "y"):
+        net.add_node(n)
+    net.sources.append(VSource("v", "x", Dc(1.0)))
+    net.linear_caps.append(LinearCap("c", "y", "gnd", 1e-15))
+    net.switches.append(OhmicSwitch("s", "x", "y", Dc(v_gb), v_pi=9.6, v_po=6.2, state=state))
+    return net
+
+
+def relay_phase(t0, t1, index=0):
+    return Phase(index, "hold", t0, t1, False, False)
+
+
+def closes(sol):
+    """Whether the relay conducts at the end of sol's phase."""
+    return "x+y" in [isl.id for isl in sol.islands]
+
+
+class TestRelayStateMachine:
+    """The relay rules, read back from solve_phase: switch_states holds the
+    stepped state, islands the conduction at phase end."""
+
     def test_off_at_zero(self):
-        sw = OhmicSwitch("s", "a", "b", Dc(0.0), v_pi=9.6, v_po=6.2)
-        st = step_switch(sw, 0.0, 0.0)
-        assert not st.conducting
+        sol = solve_phase(relay_network(0.0), relay_phase(0.0, 1e-6))
+        assert sol.switch_states["s"] == OhmicSwitchState()
+        assert not closes(sol)
 
     def test_turn_on_after_delay(self):
-        sw = OhmicSwitch("s", "a", "b", Dc(0.0), v_pi=9.6, v_po=6.2)
-        st = step_switch(sw, 10.0, 1e-6)
-        assert st.conducting
-        assert not switch_is_conducting(st, 1e-6 + 0.5 * st.switching_delay)
-        assert switch_is_conducting(st, 1e-6 + st.switching_delay)
+        t0, delay = 1e-6, 100e-9
+        for t1, closed in ((t0 + 0.5 * delay, False), (t0 + delay, True)):
+            sol = solve_phase(relay_network(10.0), relay_phase(t0, t1))
+            assert sol.switch_states["s"] == OhmicSwitchState(True, t0 + delay, delay)
+            assert closes(sol) == closed
 
-    def test_hysteresis_window(self):
-        sw = OhmicSwitch("s", "a", "b", Dc(0.0), v_pi=9.6, v_po=6.2)
-        sw.state = step_switch(sw, 10.0, 0.0)
-        # between thresholds: no toggle either way
-        assert step_switch(sw, 7.0, 1e-6).conducting
-        sw.state = OhmicSwitchState(conducting=False)
-        assert not step_switch(sw, 7.0, 2e-6).conducting
+    @pytest.mark.parametrize("was_on, v_gb, on", [
+        (False, 9.6, False), (False, 9.7, True), (False, 7.0, False),
+        (True, 6.2, True), (True, 6.1, False), (True, 7.0, True)])
+    def test_hysteresis_window(self, was_on, v_gb, on):
+        # a toggle needs |v_gb| strictly past v_pi (off) or below v_po (on)
+        sol = solve_phase(relay_network(v_gb, OhmicSwitchState(conducting=was_on)),
+                          relay_phase(0.0, 1e-6))
+        assert sol.switch_states["s"].conducting == on
+        assert closes(sol) == on
 
     def test_turn_off_below_pullout(self):
-        sw = OhmicSwitch("s", "a", "b", Dc(0.0), v_pi=9.6, v_po=6.2)
-        sw.state = step_switch(sw, 10.0, 0.0)
-        st = step_switch(sw, 5.0, 1e-6)
-        assert not st.conducting
+        on = solve_phase(relay_network(10.0), relay_phase(0.0, 1e-6))
+        off = solve_phase(relay_network(5.0), relay_phase(1e-6, 2e-6, 1), on)
+        assert closes(on) and not closes(off)
+        assert off.switch_states["s"] == OhmicSwitchState(False, 1e-6 + 100e-9, 100e-9)
 
     def test_negative_gate_voltage_counts(self):
-        sw = OhmicSwitch("s", "a", "b", Dc(0.0), v_pi=9.6, v_po=6.2)
-        assert step_switch(sw, -10.0, 0.0).conducting
+        sol = solve_phase(relay_network(-10.0), relay_phase(0.0, 1e-6))
+        assert sol.switch_states["s"].conducting and closes(sol)
 
     def test_monotone_time_required(self):
-        sw = OhmicSwitch("s", "a", "b", Dc(0.0), v_pi=9.6, v_po=6.2)
-        sw.state = step_switch(sw, 10.0, 1e-6)
-        with pytest.raises(InvalidGeometryError):
-            step_switch(sw, 0.0, 0.5e-6)
+        on = solve_phase(relay_network(10.0), relay_phase(1e-6, 2e-6))
+        with pytest.raises(InvalidGeometryError, match="switch s: non-monotone time"):
+            solve_phase(relay_network(0.0), relay_phase(0.5e-6, 1e-6, 1), on)
 
 
 class TestRelayColumns:
@@ -471,7 +495,7 @@ class TestIslands:
     def test_sample_phase(self):
         net = fig6_network()
         phases = ClockSchedule(100e3).phases(1e-5)
-        isles = {i.id: i for i in islands(net, phases[0])}
+        isles = {i.id: i for i in islands(net, phases[0], (True, True, False))}
         assert "a+sp" in isles and not isles["a+sp"].floating
         assert math.isclose(isles["a+sp"].pinned_voltage, 10.01)
         assert "b+sm" in isles
@@ -479,13 +503,13 @@ class TestIslands:
     def test_hold_phase(self):
         net = fig6_network()
         phases = ClockSchedule(100e3).phases(1e-5)
-        isles = {i.id: i for i in islands(net, phases[2])}
+        isles = {i.id: i for i in islands(net, phases[2], (False, False, True))}
         assert "a+b" in isles and isles["a+b"].floating
 
     def test_dead_phase_every_node_alone(self):
         net = fig6_network()
         phases = ClockSchedule(100e3).phases(1e-5)
-        isles = islands(net, phases[1])
+        isles = islands(net, phases[1], (False, False, False))
         assert sorted(i.id for i in isles) == ["a", "b", "gnd", "sm", "sp"]
 
     def test_pin_conflict(self):
@@ -498,7 +522,13 @@ class TestIslands:
         net.linear_caps.append(LinearCap("c", "x", "gnd", 1e-15))
         phase = Phase(0, "sample", 0.0, 1e-6, True, False)
         with pytest.raises(NetworkError, match="pin conflict"):
-            islands(net, phase)
+            islands(net, phase, (True,))
+
+    def test_one_flag_per_switch(self):
+        net = fig6_network()
+        phase = ClockSchedule(100e3).phases(1e-5)[0]
+        with pytest.raises(NetworkError, match="needs 3 conduction flags, one per switch, got 2"):
+            islands(net, phase, (True, True))
 
 
 def float_phase(t0=0.0, t1=1e-6):
@@ -641,9 +671,11 @@ class TestNetworkIsReadOnly:
         net = fig6_network()
         sched = ClockSchedule(100e3)
         phases = sched.phases(sched.period)
-        before = [islands(net, ph) for ph in phases]
+        flags = {"sample": (True, True, False), "hold": (False, False, True),
+                 "dead": (False, False, False)}
+        before = [islands(net, ph, flags[ph.kind]) for ph in phases]
         simulate(net, sched, 2 * sched.period)
-        assert [islands(net, ph) for ph in phases] == before
+        assert [islands(net, ph, flags[ph.kind]) for ph in phases] == before
 
     def test_solve_phase_leaves_elements_unchanged(self):
         net = apply_parasitics(fig6_network(), 1e-15, 1e-15, "gate")
@@ -713,7 +745,7 @@ class TestUndampedFixedPoint:
             # the leaving plates, ~3.2e-13 C, cancel to a 4.0e-15 C island sum
             # and round at their own size (3.8e-15 of the entering scale), so
             # this case takes the library metric, whose scale includes them
-            assert SimResult(sol._columns, tuple(net.nodes)).max_conservation_error() <= 1e-15
+            assert SimResult(sol._columns).max_conservation_error() <= 1e-15
 
 
 class TestBeamLawMemo:
@@ -836,26 +868,44 @@ class TestTransitionMemo:
             else:
                 assert sol.warnings == ()
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_signed_zeros_do_not_share_an_entry(self, reverse):
+    @staticmethod
+    def beam_on_a_floating_node():
+        """A beam and a charged linear capacitor from one floating node to ground."""
         net = Network()
         for n in ("gnd", "f"):
             net.add_node(n)
         net.linear_caps.append(LinearCap("c", "f", "gnd", 1e-15, q=1e-15))
         net.nems_caps.append(NemsCap("n", "f", "gnd", DEV))
+        return net
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_signed_zeros_do_not_share_an_entry(self, reverse):
+        net = self.beam_on_a_floating_node()
         first, second = self.SCHED.phases(self.SCHED.period)[:2]
         topo = CompiledNetwork(net)
         start = solve_phase(topo, first)
         beam = start.beam_states["n"]
-        # (charge of c, velocity of n) entering the second phase
-        variants = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)]
-        for q, velocity in variants[::-1] if reverse else variants:
-            prior = start.replace(charges={"n": start.charges["n"], "c": q},
-                                  beam_states={"n": BeamState(beam.displacement, velocity,
-                                                              beam.latched)})
+        # the charge of c entering the second phase
+        variants = [0.0, -0.0]
+        for q in variants[::-1] if reverse else variants:
+            prior = start.replace(charges={"n": start.charges["n"], "c": q})
             assert repr(solve_phase(topo, second, prior)) == repr(
                 solve_phase(net, second, prior))
         assert len(topo.transitions) == 1 + len(variants)
+
+    def test_beam_velocity_is_not_state(self):
+        net = self.beam_on_a_floating_node()
+        first, second = self.SCHED.phases(self.SCHED.period)[:2]
+        topo = CompiledNetwork(net)
+        start = solve_phase(topo, first)
+        beam = start.beam_states["n"]
+        assert beam.velocity == 0.0
+        priors = [start.replace(beam_states={
+            "n": BeamState(beam.displacement, velocity, beam.latched)}) for velocity in (0.0, 3.0)]
+        assert priors[0] == priors[1]
+        sols = [solve_phase(topo, second, prior) for prior in priors]
+        assert sols[0] == sols[1] and repr(sols[0]) == repr(sols[1])
+        assert len(topo.transitions) == 2
 
     def test_no_beam_law_runs_once_the_dc_state_repeats(self, monkeypatch):
         calls = []
@@ -921,10 +971,12 @@ class TestPartitionCache:
     def test_islands_match_islands_function_every_phase(self):
         net = apply_parasitics(fig6_network(vin=0.02, freq=7e3), 1e-15, 1e-15, "gate")
         sched = ClockSchedule(100e3)
-        res = simulate(net, sched, 6 * sched.period)
-        assert len({tuple(i.id for i in sol.islands) for sol in res.solutions}) == 3
-        for sol in res.solutions:
-            expected = islands(net, sol.phase, sol.switch_states)
+        topo = CompiledNetwork(net)
+        sols = chained(topo, sched.phases(6 * sched.period))
+        assert len({tuple(i.id for i in sol.islands) for sol in sols}) == 3
+        mask_of = {part.index: mask for mask, part in topo._by_mask.items()}
+        for r, sol in enumerate(sols):
+            expected = islands(net, sol.phase, mask_of[topo.columns.partition[r]])
             assert [i.id for i in sol.islands] == [i.id for i in expected]
             for got, want in zip(sol.islands, expected):
                 assert got.floating == want.floating
