@@ -11,17 +11,17 @@ free-flight segments.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .device import EPS0, DeviceGeometry, DeviceParams, MaterialProps
 from .errors import (ConfigError, ConvergenceError, DisplacementRangeError,
                      InvalidGeometryError, StiffnessError)
-from .ioutil import format_float
+from .ioutil import FLOAT_FORMAT
 
 # largest sweep one call may ask for: C-V grid points, or the clock phases of
 # a gain sweep (amplitudes x 4 phases x periods)
@@ -113,9 +113,14 @@ def energy_charge(dev: DeviceParams, x: float, q: float) -> float:
 def static_equilibrium_voltage(dev: DeviceParams, v: float) -> BeamState:
     """Stable displacement under a fixed voltage, or the latched state past pull-in.
 
-    For |v| < V_PI the stable root of k*x = F(x, v) lies in [0, g_eff/3);
-    at or beyond V_PI the fold has annihilated it and the beam snaps to
-    contact.
+    For |v| < V_PI the stable root of k*x*(g_eff - x)^2 = eps0*A*v^2/2 lies
+    in [0, g_eff/3); at or beyond V_PI the fold has annihilated it and the
+    beam snaps to contact. With u = x/g_eff and s = eps0*A*v^2/(2*k*g_eff^3)
+    the law is the cubic u*(1 - u)^2 = s, whose stable root is the
+    trigonometric one, u = 2/3*(1 + cos(acos(27*s/2 - 1)/3 + 2*pi/3))
+    (Pelesko & Bernstein, Modeling MEMS and NEMS, 2002). One Newton step on
+    the displacement polynomial restores the digits that the cosine loses
+    near u = 0.
     """
     area, g_eff, g0, k = dev.area, dev.g_eff, dev.g0, dev.k
     v_pi = math.sqrt(8.0 * k * g_eff ** 3 / (27.0 * EPS0 * area))
@@ -124,20 +129,18 @@ def static_equilibrium_voltage(dev: DeviceParams, v: float) -> BeamState:
     if v == 0.0:
         return BeamState(0.0, 0.0, False)
     rhs = EPS0 * area * v * v / 2.0
-
-    def poly(x: float) -> float:
-        return k * x * (g_eff - x) ** 2 - rhs
-
-    hi = g_eff / 3.0
-    if poly(hi) <= 0.0:  # numerically at the fold: treat as pulled in
+    fold = 13.5 * rhs / (k * g_eff ** 3) - 1.0  # 27*s/2 - 1, in [-1, 1) below V_PI
+    if fold >= 1.0:  # numerically at the fold: treat as pulled in
         return BeamState(g0, 0.0, True)
-    try:
-        x = brentq(poly, 0.0, hi, xtol=1e-30, maxiter=200)
-    except (RuntimeError, ValueError) as exc:
-        raise ConvergenceError(
-            f"voltage equilibrium failed on bracket [0, {hi:.6e}] at v = {v} "
-            f"(xtol 1e-30): {exc}") from exc
-    return BeamState(min(x, g0), 0.0, False)
+    if math.isnan(fold):
+        raise ConvergenceError(f"voltage equilibrium undefined at v = {v}")
+    x = g_eff * (2.0 / 3.0) * (1.0 + math.cos(math.acos(fold) / 3.0 + 2.0 * math.pi / 3.0))
+    gap = g_eff - x
+    slope = k * gap * (g_eff - 3.0 * x)  # zero at the fold, where the step is skipped
+    if slope > 0.0:
+        # the polynomial is concave below g_eff/3: the step lands at or below the root
+        x -= (k * x * gap * gap - rhs) / slope
+    return BeamState(min(max(x, 0.0), g_eff / 3.0, g0), 0.0, False)
 
 
 def static_equilibrium_charge(dev: DeviceParams, q: float) -> BeamState:
@@ -181,9 +184,10 @@ class CVCurve:
     branches: tuple[str, ...]  # "up" | "down" per sample
 
     def to_csv(self) -> str:
+        row = f"{FLOAT_FORMAT},{FLOAT_FORMAT},%s"
         lines = ["v_V,c_F,branch"]
-        for v, c, b in zip(self.voltages.tolist(), self.capacitances.tolist(), self.branches):
-            lines.append(f"{format_float(v)},{format_float(c)},{b}")
+        lines += [row % r for r in zip(self.voltages.tolist(), self.capacitances.tolist(),
+                                       self.branches)]
         return "\n".join(lines) + "\n"
 
 
@@ -249,10 +253,10 @@ class TransientTrace:
     release_times: tuple[float, ...]
 
     def to_csv(self) -> str:
-        cols = [map(format_float, a.tolist()) for a in (self.t, self.x, self.v, self.c)]
-        flags = ["1" if f else "0" for f in self.latched.tolist()]
+        row = f"{FLOAT_FORMAT},{FLOAT_FORMAT},{FLOAT_FORMAT},{FLOAT_FORMAT},%d"
+        cols = [a.tolist() for a in (self.t, self.x, self.v, self.c, self.latched)]
         lines = ["t_s,x_m,v_mps,c_F,latched"]
-        lines += [",".join(row) for row in zip(*cols, flags)]
+        lines += [row % r for r in zip(*cols)]
         return "\n".join(lines) + "\n"
 
 
@@ -263,6 +267,185 @@ def mechanical_energy(dev: DeviceParams, dyn: DynamicsParams,
     kinetic = 0.5 * dyn.effective_mass * v * v
     spring = 0.5 * dev.k * x * x
     return kinetic + spring + coenergy_voltage(dev, x, voltage)
+
+
+# Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 1980): stage
+# nodes and rows, the last row being the 5th-order weights at whose result the
+# 7th stage is taken (first same as last), and the 5th-minus-4th error weights
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+# Shampine's 4th-order dense output: y(t_old + th*h) = y_old + h * sum_j Q_j * th^(j+1)
+# with Q_j = sum_i K_i * _DP_P[i][j] over the seven stage derivatives K_i
+_DP_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+# step-size control: safety factor and the bounds of one step's change
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_EPS = math.ulp(1.0)
+
+
+def _rms(a: float, b: float) -> float:
+    return math.sqrt(a * a + b * b) / math.sqrt(2.0)
+
+
+def _dense_coefficients(kx: list[float], kv: list[float]) -> tuple:
+    qx, qv = [], []
+    for j in range(4):
+        sx = sv = 0.0
+        for row, kx_i, kv_i in zip(_DP_P, kx, kv):
+            sx += kx_i * row[j]
+            sv += kv_i * row[j]
+        qx.append(sx)
+        qv.append(sv)
+    return tuple(qx), tuple(qv)
+
+
+def _interpolate(step: tuple, t: float) -> tuple[float, float]:
+    """(x, v) at t from one step's dense output."""
+    t_old, h, x_old, v_old, qx, qv = step
+    th = (t - t_old) / h
+    th2 = th * th
+    th3 = th2 * th
+    th4 = th3 * th
+    return (x_old + h * (qx[0] * th + qx[1] * th2 + qx[2] * th3 + qx[3] * th4),
+            v_old + h * (qv[0] * th + qv[1] * th2 + qv[2] * th3 + qv[3] * th4))
+
+
+@dataclass(frozen=True)
+class IvpSolution:
+    """A solve_ivp run: the dense output of its accepted steps, the time it
+    stopped at and the index of the terminal event that stopped it (None when
+    it reached the end of its span)."""
+
+    steps: tuple   # (t_old, h, x_old, v_old, Q of x, Q of v) per step
+    ends: tuple    # where each step's stretch of the solution ends
+    t: float
+    event: int | None
+
+    def __call__(self, t: float) -> tuple[float, float]:
+        """(x, v) at t, from the earlier step at a joint between two."""
+        i = min(bisect_left(self.ends, t), len(self.steps) - 1)
+        return _interpolate(self.steps[i], t)
+
+
+def solve_ivp(rhs: Callable[[float, float, float], tuple[float, float]],
+              t0: float, t_end: float, y0: tuple[float, float], *,
+              max_step: float, rtol: float, atol: tuple[float, float],
+              events: tuple) -> IvpSolution:
+    """Integrate (x, v)' = rhs(t, x, v) from y0 at t0 towards t_end.
+
+    Dormand-Prince 5(4) with local extrapolation and Shampine's dense
+    output (Shampine & Reichelt, SIAM J. Sci. Comput. 1997). The step
+    control is that of the usual RK45: the first step from Hairer, Norsett &
+    Wanner's estimate, the RMS norm of the error over atol + rtol*max(|y_old|,
+    |y_new|), a step grown by 0.9*err^(-1/5) within [0.2, 10] (not grown right
+    after a rejection) and never longer than max_step. events are
+    (g(t, x, v), direction) pairs, all terminal: the run stops at the first
+    zero of a g crossed upward (direction 1) or downward (-1) within a step,
+    located by brentq on that step's interpolant to a few float spacings. A
+    non-finite error estimate or a step below ten float spacings of t raises
+    StiffnessError.
+    """
+    x, v = y0
+    atol_x, atol_v = atol
+    fx, fv = rhs(t0, x, v)
+
+    # the first step (Hairer, Norsett & Wanner, Solving ODEs I, II.4)
+    interval = t_end - t0
+    sx, sv = atol_x + abs(x) * rtol, atol_v + abs(v) * rtol
+    d0 = _rms(x / sx, v / sv)
+    d1 = _rms(fx / sx, fv / sv)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1x, f1v = rhs(t0 + h0, x + h0 * fx, v + h0 * fv)
+    d2 = _rms((f1x - fx) / sx, (f1v - fv) / sv) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100.0 * h0, h1, interval, max_step)
+
+    g = [event(t0, x, v) for event, _ in events]
+    steps: list[tuple] = []
+    ends: list[float] = []
+    t = t0
+    while t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = min(max(h_abs, min_step), max_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StiffnessError(
+                    f"integration step failed at t = {t:.6e} s: step size {h_abs:.3e} s "
+                    f"below ten float spacings of t", t=t)
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            kx, kv = [fx], [fv]
+            for c, row in zip(_DP_C, _DP_A):
+                dx = dv = 0.0
+                for a, kx_i, kv_i in zip(row, kx, kv):
+                    dx += a * kx_i
+                    dv += a * kv_i
+                # after the last row: the step's 5th-order solution
+                x_new, v_new = x + dx * h, v + dv * h
+                stage_x, stage_v = rhs(t + c * h, x_new, v_new)
+                kx.append(stage_x)
+                kv.append(stage_v)
+            ex = ev = 0.0
+            for e, kx_i, kv_i in zip(_DP_E, kx, kv):
+                ex += e * kx_i
+                ev += e * kv_i
+            err = _rms(ex * h / (atol_x + max(abs(x), abs(x_new)) * rtol),
+                       ev * h / (atol_v + max(abs(v), abs(v_new)) * rtol))
+            if not math.isfinite(err):
+                raise StiffnessError(
+                    f"integration step failed at t = {t:.6e} s: non-finite error "
+                    f"estimate", t=t)
+            if err < 1.0:
+                factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR,
+                                                          _SAFETY * err ** -0.2)
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            rejected = True
+
+        step = (t, h, x, v, *_dense_coefficients(kx, kv))
+        steps.append(step)
+        ends.append(t_new)
+        t, x, v, fx, fv = t_new, x_new, v_new, kx[-1], kv[-1]
+        g_new = [event(t, x, v) for event, _ in events]
+        hits = []
+        for i, ((event, direction), a, b) in enumerate(zip(events, g, g_new)):
+            if (a <= 0.0 <= b) if direction > 0 else (a >= 0.0 >= b):
+                # tolerances relative to t: an absolute one of a few float
+                # spacings of 1 s would be coarse on a microsecond scale
+                t_hit = brentq(lambda s, event=event: event(s, *_interpolate(step, s)),
+                               step[0], t, xtol=4 * _EPS * t, rtol=4 * _EPS)
+                hits.append((t_hit, i))
+        if hits:
+            t_hit, which = min(hits)
+            ends[-1] = t_hit
+            return IvpSolution(tuple(steps), tuple(ends), t_hit, which)
+        g = g_new
+    return IvpSolution(tuple(steps), tuple(ends), t, None)
 
 
 _MAX_SEGMENTS = 100_000
@@ -298,22 +481,13 @@ def transient(dev: DeviceParams, dyn: DynamicsParams,
             return EPS0 * area * u * u / (2.0 * (g_eff - x) ** 2)
         return u * u / (2.0 * EPS0 * area)
 
-    def rhs(t, y):
-        x, vel = y
-        return (vel, (force(min(x, g0), t) - b * vel - k * x) / m)
-
-    def hit_contact(t, y):
-        return y[0] - g0
-    hit_contact.terminal = True
-    hit_contact.direction = 1
+    def rhs(t: float, x: float, vel: float) -> tuple[float, float]:
+        return vel, (force(min(x, g0), t) - b * vel - k * x) / m
 
     # offset keeps a trajectory resting exactly at x = 0 from re-triggering
     floor_eps = 1e-9 * g0
-
-    def hit_floor(t, y):
-        return y[0] + floor_eps
-    hit_floor.terminal = True
-    hit_floor.direction = -1
+    events = ((lambda t, x, vel: x - g0, 1),          # contact
+              (lambda t, x, vel: x + floor_eps, -1))  # floor
 
     def latched_force_margin(t: float) -> float:
         # > 0: latch holds, < 0: release
@@ -374,25 +548,18 @@ def transient(dev: DeviceParams, dyn: DynamicsParams,
             state = BeamState(g0, 0.0, False)
             continue
 
-        sol = solve_ivp(rhs, (t_now, t_end), (state.displacement, state.velocity),
-                        method="RK45", max_step=dt, rtol=_SOLVER_TOL, atol=atol,
-                        events=(hit_contact, hit_floor), dense_output=True)
-        if sol.status == -1:
-            raise StiffnessError(
-                f"integration step failed at t = {sol.t[-1]:.6e} s: {sol.message}",
-                t=float(sol.t[-1]))
-        seg_end = float(sol.t[-1])
-        grid = np.arange(t_now, seg_end, dt)
-        grid = np.append(grid, seg_end)
-        y = sol.sol(grid)
-        emit(grid, y[0], y[1], False)
-        t_now = seg_end
-        if sol.status == 1:  # a hard stop fired
-            if len(sol.t_events[0]):
-                contacts.append(float(sol.t_events[0][0]))
-                state = BeamState(g0, 0.0, True)
-            else:
-                state = BeamState(0.0, 0.0, False)  # inelastic floor stop
+        sol = solve_ivp(rhs, t_now, t_end, (state.displacement, state.velocity),
+                        max_step=dt, rtol=_SOLVER_TOL, atol=atol, events=events)
+        grid = np.arange(t_now, sol.t, dt).tolist()
+        grid.append(sol.t)
+        x_seg, v_seg = zip(*map(sol, grid))
+        emit(grid, x_seg, v_seg, False)
+        t_now = sol.t
+        if sol.event == 0:
+            contacts.append(sol.t)
+            state = BeamState(g0, 0.0, True)
+        elif sol.event == 1:
+            state = BeamState(0.0, 0.0, False)  # inelastic floor stop
         else:
             break
     else:

@@ -1,13 +1,18 @@
+import ast
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nemsim import mech
 from nemsim.device import EPS0, PRESETS, c_off, c_on, get_preset
-from nemsim.errors import (ConfigError, DisplacementRangeError, InvalidGeometryError,
-                           StiffnessError)
+from nemsim.errors import (ConfigError, ConvergenceError, DisplacementRangeError,
+                           InvalidGeometryError, StiffnessError)
 from nemsim.ioutil import format_float
 from nemsim.mech import (BeamState, DynamicsParams, capacitance_at,
                          coenergy_voltage, cv_sweep, energy_charge,
@@ -99,6 +104,10 @@ class TestVoltageEquilibrium:
         for v in (9.6, -9.6, 12.0):
             st = static_equilibrium_voltage(DEV, v)
             assert st.latched and st.displacement == G0
+
+    def test_nan_voltage_raises(self):
+        with pytest.raises(ConvergenceError, match="undefined at v = nan"):
+            static_equilibrium_voltage(DEV, math.nan)
 
     def test_fold_matches_pullin_voltage(self):
         # bisect the largest voltage with a stable (non-latched) solution
@@ -415,6 +424,114 @@ class TestTransient:
         with pytest.raises(StiffnessError, match=r"^event chatter: more than 2 segments") as exc:
             transient(DEV, _dyn(4e-6), square, 4e-6, d_c=DEV.d_c)
         assert exc.value.t == 5e-7
+
+
+def _charge_step_response(q, t):
+    """Closed-form (x, v) of m*x'' + b*x' + k*x = q^2/(2*eps0*A) from rest, for
+    the underdamped beam of _dyn."""
+    dyn = _dyn(1.0)
+    m, b = dyn.effective_mass, dyn.damping_b
+    x_f = force_charge_controlled(DEV, q) / K
+    omega0 = math.sqrt(K / m)
+    zeta = b / (2.0 * math.sqrt(K * m))
+    omega_d = omega0 * math.sqrt(1.0 - zeta * zeta)
+    decay = np.exp(-zeta * omega0 * t)
+    x = x_f * (1.0 - decay * (np.cos(omega_d * t)
+                              + zeta / math.sqrt(1.0 - zeta * zeta) * np.sin(omega_d * t)))
+    v = x_f * decay * omega0 * omega0 / omega_d * np.sin(omega_d * t)
+    return x, v
+
+
+def _recording_solver(monkeypatch) -> list:
+    """Route transient's solve_ivp calls through a wrapper that keeps each result."""
+    runs = []
+    solve = mech.solve_ivp
+
+    def recording(*args, **kwargs):
+        runs.append(solve(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(mech, "solve_ivp", recording)
+    return runs
+
+
+class TestIntegrator:
+    def test_charge_step_follows_the_closed_form_response(self):
+        # under a fixed charge the force does not depend on x: the beam equation
+        # is linear, and at q = q_clamp/2 the overshoot stays below contact
+        q, t_end = 0.5 * DEV.q_clamp, 4e-6
+        tr = transient(DEV, _dyn(t_end), lambda t: q, t_end, mode="charge")
+        x, v = _charge_step_response(q, tr.t)
+        x_f = force_charge_controlled(DEV, q) / K
+        assert not tr.contact_times and len(tr.t) == 1001
+        assert np.max(np.abs(tr.x - x)) <= 1e-6 * x_f
+        assert np.max(np.abs(tr.v - v)) <= 1e-6 * x_f * math.sqrt(K / _dyn(1.0).effective_mass)
+
+    def test_charge_overshoot_contact_time_matches_the_closed_form(self, monkeypatch):
+        # at 0.9 q_clamp the overshoot reaches g0 once; the beam then releases
+        # at once (the hold force is below k*g0) and rings below contact
+        q, t_end = 0.9 * DEV.q_clamp, 4e-6
+        runs = _recording_solver(monkeypatch)
+        tr = transient(DEV, _dyn(t_end), lambda t: q, t_end, mode="charge")
+        assert len(tr.contact_times) == 1 and len(runs) == 2
+        t_c = tr.contact_times[0]
+        before = tr.t < t_c
+        x, _ = _charge_step_response(q, tr.t[before])
+        assert np.max(np.abs(tr.x[before] - x)) <= 1e-6 * G0
+        lo, hi = tr.t[before][-1], t_c  # the closed form crosses g0 in here
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if _charge_step_response(q, mid)[0] < G0:
+                lo = mid
+            else:
+                hi = mid
+        assert rel(t_c, hi) < 1e-6
+
+    @pytest.mark.parametrize("mode, level, freq", [
+        ("charge", 0.9 * DEV.q_clamp, 0.0),   # one overshoot contact
+        ("voltage", 1.2 * DEV.v_pi, 0.5e6)])  # a contact in each half period
+    def test_contact_times_are_roots_of_the_dense_output(self, monkeypatch, mode, level, freq):
+        t_end = 4e-6
+        runs = _recording_solver(monkeypatch)
+        tr = transient(DEV, _dyn(t_end),
+                       lambda t: level * math.cos(2.0 * math.pi * freq * t), t_end, mode=mode)
+        stopped = [sol for sol in runs if sol.event == 0]
+        assert tr.contact_times and [sol.t for sol in stopped] == list(tr.contact_times)
+        for sol in stopped:
+            assert abs(sol(sol.t)[0] - G0) <= 1e-12 * G0
+
+    def test_step_size_underflow_fails(self):
+        # the derivative jumps by 1e200 just past t0: every step is rejected
+        # until the step is ten float spacings of t0
+        def jump(t, x, v):
+            return v, (0.0 if t <= 1.0 else 1e200)
+
+        with pytest.raises(StiffnessError, match=r"^integration step failed at t = 1\.0+e\+00 s: "
+                                                 r"step size") as exc:
+            mech.solve_ivp(jump, 1.0, 2.0, (0.0, 0.0), max_step=0.1, rtol=1e-9,
+                           atol=(1e-9, 1e-9), events=())
+        assert exc.value.t == 1.0
+
+
+class TestImports:
+    def test_cli_import_loads_no_scipy_integrate(self):
+        src = str(Path(mech.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, nemsim.cli; print(sorted(m for m in sys.modules"
+             " if m.startswith('scipy.integrate')))"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_mech_imports_no_scipy_integrate(self):
+        tree = ast.parse(Path(mech.__file__).read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module}
+        assert imported and not any(name.startswith("scipy.integrate") for name in imported)
 
 
 class TestHystereticUpdate:

@@ -1,8 +1,12 @@
-"""Property tests of the phase engine over generated networks.
+"""Property tests over generated inputs: networks and operating points of the
+phase engine, scenario text, and the beam's voltage law.
 
 Hypothesis runs a fixed, derandomized set of examples so the suite stays
 deterministic.
 """
+
+import sys
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, reject, settings
@@ -10,8 +14,9 @@ from hypothesis import strategies as st
 
 from nemsim import scnet
 from nemsim.amp import AmpConfig, build_amp, dynamic_range, run_dc
-from nemsim.device import PRESETS, get_preset
+from nemsim.device import EPS0, PRESETS, get_preset
 from nemsim.errors import ScenarioError
+from nemsim.mech import static_equilibrium_voltage
 from nemsim.scenario import parse_scenario
 from nemsim.scnet import (ClockSchedule, CompiledNetwork, Dc, LinearCap, Network,
                           PhaseSolution, VSource, build_network, islands, simulate,
@@ -283,3 +288,50 @@ def test_parsed_scenario_round_trips_through_its_text(text):
     except ScenarioError:
         reject()  # an infeasible custom device
     assert parse_scenario(scn.to_text()) == scn
+
+
+def _bisect_voltage_law(dev, rhs: float) -> tuple[float, float]:
+    """Adjacent floats around the root of k*x*(g_eff - x)^2 = rhs on [0, g_eff/3],
+    by bisection with each sign taken in exact rational arithmetic."""
+    k, g_eff, target = Fraction(dev.k), Fraction(dev.g_eff), Fraction(rhs)
+    lo, hi = 0.0, dev.g_eff / 3.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo, hi
+        x = Fraction(mid)
+        if k * x * (g_eff - x) ** 2 < target:
+            lo = mid
+        else:
+            hi = mid
+
+
+# |v| / V_PI in (0, 1), half of the draws within 1e-2 of the fold
+_VOLTAGE_RATIOS = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(2.0, 17.0).map(lambda e: 1.0 - 10.0 ** -e).filter(lambda r: r < 1.0))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(PRESETS)), _VOLTAGE_RATIOS, st.booleans())
+def test_voltage_law_is_the_stable_root_of_its_cubic(preset, ratio, negative):
+    """|v| = ratio * V_PI in (0, V_PI): the law is even in v, stays on the stable
+    branch [0, g_eff/3], and is the root of its cubic to 1e-13. Within 1e-5 of
+    V_PI the root's condition number grows as (1 - |v|/V_PI)^(-1/2), so there
+    the residual is held to a few rounding errors instead."""
+    dev = get_preset(preset).params()
+    v = -ratio * dev.v_pi if negative else ratio * dev.v_pi
+    state = static_equilibrium_voltage(dev, v)
+    assert static_equilibrium_voltage(dev, -v) == state
+    if state.latched:  # numerically at the fold
+        assert ratio >= 1.0 - 1e-12
+        return
+    x = state.displacement
+    assert 0.0 <= x <= dev.g_eff / 3.0
+    rhs = EPS0 * dev.area * v * v / 2.0
+    if ratio <= 1.0 - 1e-5:
+        lo, hi = _bisect_voltage_law(dev, rhs)
+        assert min(abs(x - lo), abs(x - hi)) <= 1e-13 * hi
+    else:
+        residual = Fraction(dev.k) * Fraction(x) * (Fraction(dev.g_eff) - Fraction(x)) ** 2
+        assert abs(residual - Fraction(rhs)) <= 4 * sys.float_info.epsilon * Fraction(rhs)
