@@ -186,7 +186,7 @@ def _cmd_amplify(scn: Scenario, args):
     return summary, artifacts
 
 
-def _sweep_amplitudes(scn: Scenario, args) -> list[float]:
+def _sweep_amplitudes(scn: Scenario, args, amp) -> list[float]:
     if args.amplitudes is not None:
         # bound the token count before splitting the list
         amp_mod.require_sweep_size(args.amplitudes.count(",") + 1, scn.n_periods)
@@ -199,7 +199,6 @@ def _sweep_amplitudes(scn: Scenario, args) -> list[float]:
             except argparse.ArgumentTypeError as exc:
                 raise ConfigError(f"--amplitudes: {exc}") from None
         return amplitudes
-    amp = _amp_for(scn)
     lo = args.vin_min
     hi = args.vin_max if args.vin_max is not None \
         else min(0.175, 0.999 * dynamic_range(amp)[1])
@@ -213,7 +212,7 @@ def _sweep_amplitudes(scn: Scenario, args) -> list[float]:
 
 def _cmd_gain_sweep(scn: Scenario, args):
     amp = _amp_for(scn)
-    amplitudes = _sweep_amplitudes(scn, args)
+    amplitudes = _sweep_amplitudes(scn, args, amp)
     report = gain_sweep(amp, amplitudes, n_periods=scn.n_periods)
     valid = [e for e in report.entries if e.released]
     summary = amp_mod.summary(amp, valid[0].gain if valid else math.nan)
@@ -319,8 +318,6 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         scn = _load_scenario(args)
-        if args.out_dir:
-            scn = replace(scn, out_dir=args.out_dir)
         summary, artifacts = _COMMANDS[args.command](scn, args)
         artifacts["summary.json"] = dump_json(_json_safe(summary))
     except _CONFIG_ERRORS as exc:
@@ -333,7 +330,7 @@ def main(argv=None) -> int:
         _emit_error("config-error", exc)
         return EXIT_CONFIG
     try:
-        out = Path(scn.out_dir)
+        out = Path(args.out_dir or scn.out_dir)
         for name, text in artifacts.items():
             atomic_write_text(out / name, text)
     except OSError as exc:

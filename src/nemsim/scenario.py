@@ -9,6 +9,7 @@ are rejected with the offending line number. Each key is one row of
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, fields
@@ -53,6 +54,11 @@ class Scenario:
         return self.device_preset if self.device_preset else "custom"
 
     def device_params(self) -> DeviceParams:
+        """The calibrated device, derived once per scenario."""
+        return self._device
+
+    @functools.cached_property
+    def _device(self) -> DeviceParams:
         if self.device_preset:
             return get_preset(self.device_preset).params()
         return DeviceParams.from_geometry(self.device_geometry,
@@ -214,14 +220,14 @@ def parse_scenario(text: str) -> Scenario:
         v_pi, v_po = custom["device_v_pi"], custom["device_v_po"]
         try:
             geom = DeviceGeometry(**{f: v for f, v in custom.items() if f in _GEOMETRY})
-            DeviceParams.from_geometry(geom, v_pi, v_po)  # feasibility check
+            scn = Scenario(device_geometry=geom, device_v_pi=v_pi, device_v_po=v_po, **got)
+            scn.device_params()  # feasibility check; the scenario keeps the calibration
         except (InvalidGeometryError, CalibrationError) as exc:
             raise ScenarioError("constraint-violation", str(exc)) from exc
-        scn = Scenario(device_geometry=geom, device_v_pi=v_pi, device_v_po=v_po, **got)
 
-    if not (scn.v_dc > scn.device_params().v_pi):
+    v_pi = scn.device_params().v_pi
+    if not (scn.v_dc > v_pi):
         raise ScenarioError(
             "constraint-violation",
-            f"amp.vdc_V = {scn.v_dc} must exceed the device pull-in voltage "
-            f"{scn.device_params().v_pi} V")
+            f"amp.vdc_V = {scn.v_dc} must exceed the device pull-in voltage {v_pi} V")
     return scn

@@ -449,7 +449,7 @@ class _UnionFind:
 
 def _pin_value(members: Sequence[str], pinned: Sequence[tuple[str, float]]) -> float:
     """The value of the sources pinning one island; NetworkError on a pin
-    conflict (two sources at different values shorted together)."""
+    conflict."""
     vals = {v for _, v in pinned}
     if len(vals) > 1:
         raise NetworkError(
@@ -497,7 +497,7 @@ def islands(network: Network, phase: Phase, conducting: Sequence[bool]) -> list[
 # --------------------------------------------------------------------------
 # compiled topology
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Partition:
     """Island structure of one switch-conduction mask, in index form.
 
@@ -506,7 +506,6 @@ class _Partition:
     Network.caps(), beams as in Network.nems_caps (so beam j is capacitor j).
     """
 
-    index: int                                  # position in CompiledNetwork.partitions
     ids: tuple[str, ...]
     f_islands: tuple[int, ...]                  # island of each floating index
     f_index: tuple[int, ...]                    # floating index of each island, -1 if pinned
@@ -523,8 +522,7 @@ class _Partition:
     shared_pins: tuple[tuple[tuple[str, ...], tuple[tuple[str, int], ...]], ...]
     plate_a: tuple[int, ...]                    # island of plate a / top, per capacitor
     plate_b: tuple[int, ...]                    # island of plate b / bottom
-    # per floating island: (capacitor, the pinned island across it), in
-    # capacitor order
+    # per floating island, in capacitor order: (capacitor, pinned island across it)
     f_stencil: tuple[tuple[tuple[int, int], ...], ...]
     # (capacitor, floating index of plate a, of plate b) for each capacitor
     # joining two floating islands; empty when no floating island is coupled
@@ -537,9 +535,16 @@ class _Partition:
     correctors: tuple[tuple[int, int, float, tuple[tuple[int, float], ...]], ...]
     # (conducting switch, capacitors on the island of its a terminal, once per plate)
     settling: tuple[tuple[int, tuple[int, ...]], ...]
-    # the island voltages (pinned values and the fixed-point guess) in the
-    # transition key, after the conduction mask
+    # packs the island voltages (pinned values and fixed-point guess) into the
+    # transition key
     island_key: struct.Struct
+
+
+# the partitions built in this process, by (CompiledNetwork.shape, mask): a
+# partition reads no source or element value; the oldest goes first beyond
+# _MAX_PARTITIONS
+_PARTITIONS: dict[tuple, _Partition] = {}
+_MAX_PARTITIONS = 256
 
 
 class CompiledNetwork:
@@ -550,18 +555,18 @@ class CompiledNetwork:
     class (one index per distinct DeviceParams value), each relay's drive
     and switching delay (from its initial state), each source's waveform,
     and one island partition per switch-conduction mask, built by islands()
-    the first time the mask occurs. The network must not change while it is
-    compiled.
+    once per network shape (_PARTITIONS). The network must not change while
+    it is compiled.
 
     It also holds the run: `columns`, one row per solved phase, and the
-    transition memo, which maps the bit patterns of each solved phase's
-    entering state to its row (see solve_phase).
+    transition memo from each solved entering state to its row (see
+    solve_phase).
     """
 
     def __init__(self, network: Network):
         network.validate()
         self.network = network
-        caps = network.caps()
+        nodes, caps = tuple(network.nodes), network.caps()
         self.names = tuple(cap.name for cap in caps)
         self.plates = tuple(_plate_nodes(cap) for cap in caps)
         self.devices = tuple(cap.device for cap in network.nems_caps)
@@ -575,21 +580,25 @@ class CompiledNetwork:
         self.relays = tuple((sw, sw.drive.at, sw.state.switching_delay,
                              1e-6 * sw.state.switching_delay) for sw in network.switches)
         self.source_waves = tuple(src.wave.at for src in network.sources)
-        self.partitions: list[_Partition] = []
+        self.shape = (nodes, self.plates, self.device_class,
+                      tuple((sw.a, sw.b) for sw in network.switches),
+                      tuple((src.name, src.node) for src in network.sources))
         self._by_mask: dict[bytes, _Partition] = {}
-        self.columns = PhaseColumns(tuple(network.nodes), self.names, len(self.devices),
+        self.columns = PhaseColumns(nodes, self.names, len(self.devices),
                                     tuple(sw.name for sw in network.switches),
-                                    tuple(relay[2] for relay in self.relays),
-                                    self.partitions)
+                                    tuple(relay[2] for relay in self.relays))
         self.transitions: dict[bytes, int] = {}
 
     def partition(self, mask: bytes, phase: Phase) -> _Partition:
         """The partition of a conduction mask (one flag per switch, at phase
-        end), built by islands() the first time it occurs."""
-        part = self._by_mask.get(mask)
+        end)."""
+        part = self._by_mask.get(mask) or _PARTITIONS.get((self.shape, mask))
         if part is None:
-            part = self._by_mask[mask] = self._build(islands(self.network, phase, mask), mask)
-            self.partitions.append(part)
+            part = self._build(islands(self.network, phase, mask), mask)
+            if len(_PARTITIONS) >= _MAX_PARTITIONS:
+                del _PARTITIONS[next(iter(_PARTITIONS))]
+            _PARTITIONS[self.shape, mask] = part
+        self._by_mask[mask] = part
         return part
 
     def _build(self, isles: list[Island], mask: bytes) -> _Partition:
@@ -639,7 +648,6 @@ class CompiledNetwork:
                     terms[f_index[isl]].append((k, sign))
 
         return _Partition(
-            index=len(self.partitions),
             ids=tuple(isl.id for isl in isles),
             f_islands=f_islands,
             f_index=tuple(f_index),
@@ -672,16 +680,15 @@ def _correctors(ids, f_islands, f_index, plate_a, plate_b):
     roundoff of the island sum, in the order the rewrites must run.
 
     Floating islands are reached level by level from the pinned ones; each
-    takes as corrector its last capacitor (in capacitor order) to the
-    previous level, so an island with a pinned neighbour always corrects
-    through a capacitor to a pinned island. Rewrites run from the farthest
-    level inwards: a corrector shared with a floating neighbour is rewritten
-    before that neighbour sums it. An island with no capacitor to another
-    island keeps its guess and needs no corrector.
+    corrects through its last capacitor (in capacitor order) to the previous
+    level, so a pinned neighbour is always preferred. Rewrites run from the
+    farthest level inwards, so a corrector shared with a floating neighbour
+    is rewritten before that neighbour sums it. An island with no capacitor
+    to another island needs no corrector.
 
-    Raises NetworkError (floating-group) for floating islands joined by
-    capacitors with no capacitive path to a pinned island: their charges fix
-    only the voltage differences between them, so the system is singular.
+    NetworkError (floating-group) for floating islands joined by capacitors
+    with no capacitive path to a pinned island: their charges fix only their
+    voltage differences, so the system is singular.
     """
     links: dict[int, list[tuple[int, float, int]]] = {}  # (cap, island-side sign, other island)
     for k, (ia, ib) in enumerate(zip(plate_a, plate_b)):
@@ -761,23 +768,20 @@ class PhaseColumns(Sequence):
     plate charges (Network.caps() order), the beam displacements and latch
     flags (Network.nems_caps order), each switch's conducting flag and last
     transition time (Network.switches order; the switching delays are per
-    run), the fixed-point iterations, the index of the phase's partition,
-    its notes, and for each floating island of that partition the entering
-    plate-charge sum and the largest entering plate charge. No velocity is
-    stored: every beam is re-seated each phase by a static law, which leaves
-    it at rest, so beam_states report velocity 0.0. Only solve_phase
-    appends rows.
+    run), the fixed-point iterations, the phase's partition, its notes,
+    and for each floating island of that partition the entering plate-charge
+    sum and the largest entering plate charge. No velocity is stored: every
+    beam is re-seated each phase by a static law, which leaves it at rest,
+    so beam_states report velocity 0.0. Only solve_phase appends rows.
     """
 
     def __init__(self, nodes: tuple[str, ...], names: tuple[str, ...], n_beams: int,
-                 switch_names: tuple[str, ...], delays: tuple[float, ...],
-                 partitions: list[_Partition]):
+                 switch_names: tuple[str, ...], delays: tuple[float, ...]):
         self.nodes = nodes
         self.names = names
         self.n_beams = n_beams
         self.switch_names = switch_names
         self.delays = delays
-        self.partitions = partitions
         self._widths = (len(nodes), len(names), n_beams, len(switch_names))
         self.phases: list[Phase] = []
         self.volts = array("d")
@@ -787,7 +791,7 @@ class PhaseColumns(Sequence):
         self.conducting = bytearray()
         self.transition_time = array("d")
         self.iterations = array("l")
-        self.partition = array("l")
+        self.partition: list[_Partition] = []
         self.notes: list[tuple[str, ...]] = []
         self.q_in = array("d")
         self.scale_in = array("d")
@@ -826,6 +830,11 @@ class PhaseColumns(Sequence):
             counts = list(map(add, counts, latched[j::nb]))
         return counts
 
+    @property
+    def partitions(self) -> list[_Partition]:
+        """The run's partitions, in first-use order."""
+        return list(dict.fromkeys(self.partition))
+
     def _layout(self) -> tuple:
         return self.nodes, self.names, self.n_beams, self.switch_names, self.delays
 
@@ -837,13 +846,13 @@ class PhaseColumns(Sequence):
         return (self.charges[c:c + nc], self.displacement[b:b + nb], self.latched[b:b + nb],
                 self.conducting[s:s + ns], self.transition_time[s:s + ns])
 
-    def _append(self, phase: Phase, partition: int, iterations: int,
+    def _append(self, phase: Phase, partition: _Partition, iterations: int,
                 notes: tuple[str, ...], conducting: Iterable[bool],
                 transition_time: list[float], volts: list[float], charges: list[float],
                 displacement: list[float], latched: Iterable[bool],
                 q_in: list[float], scale_in: list[float]) -> int:
-        """Append one row; float lists go in by fromlist, which is several
-        times cheaper than extend for a short list."""
+        """Append one row; fromlist is several times cheaper than extend on
+        a short list."""
         self.phases.append(phase)
         self.partition.append(partition)
         self.iterations.append(iterations)
@@ -859,26 +868,33 @@ class PhaseColumns(Sequence):
         self.f_start.append(len(self.q_in))
         return len(self.phases) - 1
 
-    def _copy(self, r: int, dest: PhaseColumns, phase: Phase, conducting: list[bool],
-              transition_time: list[float], notes: tuple[str, ...], state: tuple) -> int:
-        """Append row r to dest with the given phase, switch states and notes,
-        and the plate charges and beam states of state (as _state returns
-        them: row r's own, or replacements; its switch states are not used)."""
-        nn = len(self.nodes)
-        charges, displacement, latched, _, _ = state
+    def _copy(self, r: int, dest: PhaseColumns, phase: Phase, conducting: Iterable[bool],
+              transition_time: list[float], notes: tuple[str, ...]) -> int:
+        """Append row r to dest by array slices, with the given phase,
+        switch states and notes."""
+        nn, nc, nb, _ = self._widths
         a, b = self.f_start[r], self.f_start[r + 1]
-        return dest._append(phase, self.partition[r], self.iterations[r], notes,
-                            conducting, transition_time,
-                            self.volts[r * nn:(r + 1) * nn].tolist(), charges.tolist(),
-                            displacement.tolist(), latched,
-                            self.q_in[a:b].tolist(), self.scale_in[a:b].tolist())
+        dest.phases.append(phase)
+        dest.partition.append(self.partition[r])
+        dest.iterations.append(self.iterations[r])
+        dest.notes.append(notes)
+        dest.conducting.extend(conducting)
+        dest.transition_time.fromlist(transition_time)
+        dest.volts += self.volts[r * nn:(r + 1) * nn]
+        dest.charges += self.charges[r * nc:(r + 1) * nc]
+        dest.displacement += self.displacement[r * nb:(r + 1) * nb]
+        dest.latched += self.latched[r * nb:(r + 1) * nb]
+        dest.q_in += self.q_in[a:b]
+        dest.scale_in += self.scale_in[a:b]
+        dest.f_start.append(len(dest.q_in))
+        return len(dest.phases) - 1
 
     def _charges(self, r: int) -> array:
         nc = len(self.names)
         return self.charges[r * nc:(r + 1) * nc]
 
     def _islands(self, r: int) -> tuple[IslandSolution, ...]:
-        part = self.partitions[self.partition[r]]
+        part = self.partition[r]
         q = self._charges(r)
         q_after, _ = _floating_charge(part, q)
         # pinned-island charge: plates facing other islands
@@ -894,7 +910,7 @@ class PhaseColumns(Sequence):
             for k, (iid, f, node) in enumerate(zip(part.ids, part.f_index, part.first_node)))
 
     def _conservation(self, r: int) -> tuple[ConservationRecord, ...]:
-        part = self.partitions[self.partition[r]]
+        part = self.partition[r]
         q_after, _ = _floating_charge(part, self._charges(r))
         a = self.f_start[r]
         return tuple(
@@ -906,8 +922,7 @@ class PhaseColumns(Sequence):
         the scale is the largest of |q_before| and the island's plate charges
         entering and leaving the transition. Large cancelling plate charges
         on either side bound how exactly the sum can be represented."""
-        for r, p in enumerate(self.partition):
-            part = self.partitions[p]
+        for r, part in enumerate(self.partition):
             if not part.f_islands:
                 continue
             q_after, scale_out = _floating_charge(part, self._charges(r))
@@ -922,8 +937,8 @@ class PhaseSolution:
 
     Fields: phase, node_voltages, charges (element name -> plate-a /
     top-plate charge), beam_states, switch_states, islands, conservation,
-    iterations and warnings. Each is read from the row when accessed; the
-    maps are read-only. Views compare equal when every field does.
+    iterations and warnings, read from the row when accessed (maps are
+    read-only). Views compare equal when every field does.
     """
 
     __slots__ = ("_columns", "_row")
@@ -942,7 +957,7 @@ class PhaseSolution:
     def node_voltages(self) -> Mapping[str, float]:
         cols, r = self._columns, self._row
         volts, base = cols.volts, r * len(cols.nodes)
-        part = cols.partitions[cols.partition[r]]
+        part = cols.partition[r]
         return _ReadOnlyMap({n: volts[base + i] for n, i in part.node_order})
 
     @property
@@ -987,18 +1002,18 @@ class PhaseSolution:
         beam displacements and latch flags (by element name; the others keep
         their values), e.g. to start solve_phase from a chosen state."""
         cols = self._columns
-        q, disp, latched, conducting, transition_time = state = cols._state(self._row)
+        *_, conducting, transition_time = cols._state(self._row)
+        out = PhaseColumns(*cols._layout())
+        cols._copy(self._row, out, self.phase, conducting, transition_time.tolist(),
+                   self.warnings)
         index = {n: i for i, n in enumerate(cols.names)}
         for name, value in (charges or {}).items():
-            q[index[name]] = value
+            out.charges[index[name]] = value
         for name, beam in (beam_states or {}).items():
             j = index[name]
             if j >= cols.n_beams:
                 raise KeyError(name)
-            disp[j], latched[j] = beam.displacement, beam.latched
-        out = PhaseColumns(*cols._layout(), cols.partitions)
-        cols._copy(self._row, out, self.phase, conducting, transition_time.tolist(),
-                   self.warnings, state)
+            out.displacement[j], out.latched[j] = beam.displacement, beam.latched
         return PhaseSolution(out, 0)
 
     def __eq__(self, other):
@@ -1042,15 +1057,13 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     and both laws map them to the same state; a NaN drive never matches a
     key.
 
-    The solve is a deterministic function of the mask and the entering
-    state, so a CompiledNetwork solves each distinct transition once per
-    run. Its memo is keyed by the bit patterns of the conduction mask, the
-    island voltages (pinned values and the fixed-point guess), the entering
-    plate charges, beam displacements and latch flags; bit patterns keep
-    +0.0 and -0.0 apart.
-    A repeated transition copies the stored row, its iterations and
-    latch-violation notes with this phase's phase and switch states; the
-    settling check runs for every phase. A failed solve is not stored.
+    A CompiledNetwork solves each distinct transition once per run, keyed
+    by the bit patterns (+0.0 and -0.0 apart) of the conduction mask, the
+    island voltages (pinned values and the fixed-point guess) and the
+    entering plate charges, beam displacements and latch flags. A repeat
+    copies the stored row, iterations and latch-violation notes, with this
+    phase's phase and switch states; the settling check runs for every
+    phase. A failed solve is not stored.
     """
     topo = network if isinstance(network, CompiledNetwork) else CompiledNetwork(network)
     net = topo.network
@@ -1086,7 +1099,7 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     part = topo._by_mask.get(mask) or topo.partition(mask, phase)
 
     # island voltages: pinned ones from this phase's source values, floating
-    # ones from the fixed-point guess (the prior's node voltages)
+    # ones from the prior's node voltages (the fixed-point guess)
     values = [wave(t_end, phase) for wave in topo.source_waves]
     values.append(0.0)  # ground
     for members, pins in part.shared_pins:
@@ -1102,12 +1115,13 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     transition = b"".join((mask, part.island_key.pack(*volts), latched, q, disp))
     seen = topo.transitions.get(transition)
     if seen is not None:
-        stored = cols._state(seen)
         notes = [w for w in cols.notes[seen] if not w.startswith("settling-violation")]
         if part.settling:
-            notes += _settling_notes(net, part, _capacitances(topo, stored[1]), phase)
+            nb = cols.n_beams
+            caps = _capacitances(topo, cols.displacement[seen * nb:(seen + 1) * nb])
+            notes += _settling_notes(net, part, caps, phase)
         return PhaseSolution(cols, cols._copy(seen, cols, phase, conducting, transition_time,
-                                              tuple(notes), stored))
+                                              tuple(notes)))
     notes = []
     # the beam state is rewritten per beam below: lists index and store
     # several times faster than array and bytearray
@@ -1138,8 +1152,7 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     # fixed point over floating island voltages
     tol = _SOLVER_TOL
     if not f_islands:
-        # nothing floats: the loop below would stop after two empty passes,
-        # which is what the row records
+        # nothing floats: the loop would stop after two empty passes, as recorded
         iterations = 2
     else:
         eps_area, g_eff = topo.eps_area, topo.g_eff
@@ -1197,7 +1210,7 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     notes = tuple(dict.fromkeys(notes)) if notes else ()  # dedupe, keep order
 
     row = topo.transitions[transition] = cols._append(
-        phase, part.index, iterations, notes,
+        phase, part, iterations, notes,
         conducting, transition_time, list(map(volts.__getitem__, part.node_island)),
         q, disp, latched, q_before, scale_before)
     return PhaseSolution(cols, row)
@@ -1251,15 +1264,14 @@ def _solve_floating(part: _Partition, caps: list[float], volts: list[float],
     """Floating island voltages from charge conservation at fixed capacitances.
 
     Islands that touch no capacitance keep their guess (isolated, charge-free).
-    Islands not coupled to another floating island solve by division. A
-    partition with coupled floating islands solves the full system by
-    Gaussian elimination without pivoting, which is stable for a diagonally
-    dominant matrix (Golub & Van Loan, Matrix Computations, §3.4).
-    Capacitances are positive (Network.validate), so the capacitance matrix
-    is diagonally dominant, and every coupled group has a capacitive path to
-    a pinned island (_correctors), so in exact arithmetic every pivot is
-    positive. A pivot that rounds to zero (capacitance to pinned islands
-    below the rounding of the coupling) raises NetworkError.
+    Islands not coupled to another floating island solve by division.
+    Coupled ones solve the full system by Gaussian elimination without
+    pivoting, stable for a diagonally dominant matrix (Golub & Van Loan,
+    Matrix Computations, §3.4): capacitances are positive (Network.validate)
+    and every coupled group has a capacitive path to a pinned island
+    (_correctors), so in exact arithmetic every pivot is positive. A pivot
+    that rounds to zero (capacitance to pinned islands below the rounding of
+    the coupling) raises NetworkError.
     """
     if not part.f_links:
         out = []

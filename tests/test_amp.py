@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from nemsim import amp as amp_mod
-from nemsim import mech
+from nemsim import mech, scnet
 from nemsim.amp import (AmpConfig, build_amp, dynamic_range, gain_oracle,
                         gain_sweep, parasitic_study, power_estimate, run_dc,
                         run_sine, summary, _make_network)
@@ -247,9 +247,45 @@ class TestGainSweep:
         with pytest.raises(AssertionError, match="simulated"):  # at the bound it runs
             gain_sweep(large_amp(), amps, n_periods=4)
 
+    def test_islands_run_once_per_mask_across_a_sweep(self, monkeypatch):
+        calls = []
+        real = scnet.islands
+        monkeypatch.setattr(scnet, "islands", lambda *args: calls.append(args[2]) or real(*args))
+        monkeypatch.setattr(scnet, "_PARTITIONS", {})
+        gain_sweep(large_amp(), [0.001 * 1.5 ** i for i in range(10)], n_periods=4)
+        # sample, dead and hold: one partition each, built in the first run
+        assert len(calls) == len(set(calls)) == 3
+
+    def test_entry_equals_its_own_one_amplitude_sweep(self):
+        amps = [0.002, 0.01, 0.03, 0.07, 0.15]
+        five = gain_sweep(large_amp(), amps, n_periods=4)
+        for k in (0, 3):
+            one = gain_sweep(large_amp(), [amps[k]], n_periods=4)
+            assert one.entries == (five.entries[k],)
+            assert one.to_csv().splitlines()[1] == five.to_csv().splitlines()[k + 1]
+
     def test_csv(self):
         report = gain_sweep(large_amp(), [1e-3], n_periods=2)
         assert report.to_csv().startswith("vin_V,vout_V,gain,x_m,released\n")
+
+
+class TestSharedPartitions:
+    """Runs of one network shape share its partitions within a process; a
+    run must not depend on what earlier runs built."""
+
+    @pytest.mark.parametrize("overrides", [{}, {"topology": "modified", "m": 3,
+                                                "parasitics": True}])
+    def test_run_after_runs_of_its_shape_equals_a_fresh_one(self, monkeypatch, overrides):
+        amp = large_amp(**overrides)
+        run_sine(amp, 0.02, 10e3, n_periods=1)
+        run_dc(amp, 0.004)
+        with monkeypatch.context() as patch:
+            patch.setattr(scnet, "islands", lambda *args: pytest.fail("partition rebuilt"))
+            reused = run_dc(amp, 0.09).sim
+        monkeypatch.setattr(scnet, "_PARTITIONS", {})
+        fresh = run_dc(amp, 0.09).sim
+        assert [repr(s) for s in reused.solutions] == [repr(s) for s in fresh.solutions]
+        assert reused.waveform_csv() == fresh.waveform_csv()
 
 
 class TestNonFiniteInputs:

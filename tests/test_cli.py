@@ -5,6 +5,7 @@ import pytest
 
 from nemsim import amp, cli, mech
 from nemsim.cli import main
+from nemsim.device import DeviceParams
 from nemsim.scenario import parse_scenario
 from test_scenario import CUSTOM_HIGH_GAIN
 
@@ -242,6 +243,17 @@ class TestCustomGeometry:
             latched = [float(row["c_F"]) for row in csv.DictReader(f) if row["latched"] == "1"]
         assert latched
         assert all(abs(c - c_on) <= 1e-11 * c_on for c in latched)
+
+    def test_amplify_calibrates_the_device_once(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        real = DeviceParams.from_geometry
+        monkeypatch.setattr(DeviceParams, "from_geometry",
+                            classmethod(lambda cls, *args: calls.append(args) or real(*args)))
+        cfg = tmp_path / "custom.cfg"
+        cfg.write_text(self.TEXT)
+        code, _, _ = run_cli(["amplify", "--config", str(cfg), "--out-dir", str(tmp_path)],
+                             capsys)
+        assert code == 0 and len(calls) == 1
 
     def test_cv_transitions_at_calibrated_thresholds(self, tmp_path, capsys):
         code, doc = self._run("cv-sweep", tmp_path, capsys)

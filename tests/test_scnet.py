@@ -974,7 +974,7 @@ class TestPartitionCache:
         topo = CompiledNetwork(net)
         sols = chained(topo, sched.phases(6 * sched.period))
         assert len({tuple(i.id for i in sol.islands) for sol in sols}) == 3
-        mask_of = {part.index: mask for mask, part in topo._by_mask.items()}
+        mask_of = {part: mask for mask, part in topo._by_mask.items()}
         for r, sol in enumerate(sols):
             expected = islands(net, sol.phase, mask_of[topo.columns.partition[r]])
             assert [i.id for i in sol.islands] == [i.id for i in expected]
@@ -1001,6 +1001,77 @@ class TestPartitionCache:
             solve_phase(topo, phases[1], first)
         with pytest.raises(NetworkError, match="pin conflict"):
             simulate(net, ClockSchedule(100e3), 1e-5)
+
+    def test_pin_conflict_on_a_shape_compiled_without_one(self, monkeypatch):
+        def shorted(v_y):
+            net = Network()
+            for n in ("gnd", "x", "y"):
+                net.add_node(n)
+            net.sources += [VSource("s_x", "x", Dc(1.0)), VSource("s_y", "y", Dc(v_y))]
+            net.switches.append(OhmicSwitch("sw", "x", "y", Dc(10.0), v_pi=9.6, v_po=6.2))
+            net.linear_caps.append(LinearCap("c", "x", "gnd", 1e-15))
+            return net
+
+        first = ClockSchedule(100e3).phases(1e-5)[0]
+        monkeypatch.setattr(scnet, "_PARTITIONS", {})
+        with pytest.raises(NetworkError) as fresh:
+            solve_phase(shorted(2.0), first)
+        assert not scnet._PARTITIONS
+        solve_phase(shorted(1.0), first)  # the same shape, both sources at 1 V
+        assert len(scnet._PARTITIONS) == 1
+        # a source name is part of the shape: it names the conflict
+        renamed = shorted(2.0)
+        renamed.sources[1].name = "s_z"
+        with pytest.raises(NetworkError, match=r"^pin conflict in island x\+y: s_x=1.0, s_z=2.0$"):
+            solve_phase(renamed, first)
+        monkeypatch.setattr(scnet, "islands", lambda *args: pytest.fail("partition rebuilt"))
+        with pytest.raises(NetworkError) as reused:
+            solve_phase(shorted(2.0), first)
+        assert str(fresh.value) == "pin conflict in island x+y: s_x=1.0, s_y=2.0"
+        assert str(reused.value) == str(fresh.value)
+
+    @staticmethod
+    def _reshaped(change):
+        """fig6_network with one part of its shape changed."""
+        net = fig6_network()
+        if change == "node order":
+            net.nodes.reverse()
+        elif change == "plates":
+            net.nems_caps[0] = NemsCap("ca", "gnd", "a", DEV)
+        elif change == "device class":
+            net.nems_caps[1] = NemsCap("cb", "b", "gnd", replace(DEV, k=1.5 * DEV.k))
+        elif change == "switch terminals":
+            net.switches[2] = replace(net.switches[2], b="gnd")
+        elif change == "source nodes":
+            net.sources = [replace(src, node=node)
+                           for src, node in zip(net.sources, ("sm", "sp"))]
+        return net
+
+    @pytest.mark.parametrize("change", ["node order", "plates", "device class",
+                                        "switch terminals", "source nodes"])
+    def test_each_part_of_the_shape_keys_the_partitions(self, monkeypatch, change):
+        sched = ClockSchedule(100e3)
+        monkeypatch.setattr(scnet, "_PARTITIONS", {})
+        simulate(fig6_network(), sched, 2 * sched.period)
+        after_other_shape = simulate(self._reshaped(change), sched, 2 * sched.period)
+        monkeypatch.setattr(scnet, "_PARTITIONS", {})
+        fresh = simulate(self._reshaped(change), sched, 2 * sched.period)
+        assert [repr(s) for s in after_other_shape.solutions] == [
+            repr(s) for s in fresh.solutions]
+        assert after_other_shape.waveform_csv() == fresh.waveform_csv()
+
+    def test_shapes_share_partitions_up_to_a_bound(self, monkeypatch):
+        monkeypatch.setattr(scnet, "_PARTITIONS", {})
+        monkeypatch.setattr(scnet, "_MAX_PARTITIONS", 4)
+        sched = ClockSchedule(100e3)
+        for m in (1, 2, 3):  # three shapes, three masks each
+            simulate(bank_network(m), sched, sched.period)
+            assert len(scnet._PARTITIONS) == min(3 * m, 4)
+        # the newest shape's partitions are kept, so a run of it builds none
+        built = len(scnet._PARTITIONS)
+        sols = simulate(bank_network(3, vin=0.05), sched, sched.period).solutions
+        assert len(scnet._PARTITIONS) == built and len(sols.partitions) == 3
+        assert all(part in scnet._PARTITIONS.values() for part in sols.partitions)
 
     def test_coupled_floating_chain_solves_the_full_system(self):
         c1, c12, c2 = 2e-15, 1e-15, 3e-15
