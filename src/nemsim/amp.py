@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from scipy.optimize import brentq
-
 from . import mech
 from .device import EPS0, DeviceParams
 from .errors import ConfigError, NoLatchError, NoReleaseError
@@ -43,6 +41,9 @@ class AmpConfig:
     device_name: str = "custom"
 
     def __post_init__(self):
+        if not isinstance(self.device, DeviceParams):
+            raise ConfigError(
+                f"device must be a DeviceParams, got a {type(self.device).__name__}")
         if self.topology not in ("basic", "modified"):
             raise ConfigError(f"unknown topology {self.topology!r}")
         if self.drive_terminal not in ("gate", "body"):
@@ -362,7 +363,7 @@ def parasitic_study(amp: Amp, c_gb: float, c_gc: float, m_values: Sequence[int],
         return _study_gain(base, _CALIBRATION_M, c_p, c_p, n_periods) - target
 
     # solve in fF so brentq's absolute xtol is meaningful at this scale
-    c_cal = brentq(miss, 1e-4, 1e3, rtol=1e-12) * 1e-15
+    c_cal = mech.brentq(miss, 1e-4, 1e3, rtol=1e-12) * 1e-15
     g_cal = _study_gain(base, _CALIBRATION_M, c_cal, c_cal, n_periods)
     return ParasiticStudy(rows, c_gb, c_gc, c_cal, g_cal, _CALIBRATION_M)
 

@@ -110,9 +110,9 @@ def _cmd_device_report(scn: Scenario, args):
 
 
 def _transition_voltages(curve) -> tuple[float | None, float | None]:
-    mid = 0.5 * (curve.capacitances.min() + curve.capacitances.max())
+    mid = 0.5 * (min(curve.capacitances) + max(curve.capacitances))
     up = down = None
-    for v, c, b in zip(curve.voltages.tolist(), curve.capacitances.tolist(), curve.branches):
+    for v, c, b in zip(curve.voltages, curve.capacitances, curve.branches):
         if b == "up" and up is None and c > mid:
             up = v
         if b == "down" and down is None and c < mid:
@@ -155,7 +155,7 @@ def _cmd_transient(scn: Scenario, args):
         "t_end_s": t_end, "dt_max_s": dyn.integration_dt_max,
         "contact_times_s": list(trace.contact_times),
         "release_times_s": list(trace.release_times),
-        "final_x_m": float(trace.x[-1]), "final_latched": bool(trace.latched[-1]),
+        "final_x_m": trace.x[-1], "final_latched": bool(trace.latched[-1]),
     }
     return summary, {"transient.csv": trace.to_csv()}
 

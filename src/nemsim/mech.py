@@ -11,11 +11,12 @@ free-flight segments.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
+# nemsim's one third-party name; amp reaches it as mech.brentq
 from scipy.optimize import brentq
 
 from .device import EPS0, DeviceGeometry, DeviceParams, MaterialProps
@@ -179,16 +180,30 @@ def update_beam_voltage(dev: DeviceParams, prior: BeamState, v: float, *,
 class CVCurve:
     """Ordered (voltage, capacitance) samples with their sweep branch tag."""
 
-    voltages: np.ndarray
-    capacitances: np.ndarray
+    voltages: array      # 'd'
+    capacitances: array  # 'd'
     branches: tuple[str, ...]  # "up" | "down" per sample
 
     def to_csv(self) -> str:
         row = f"{FLOAT_FORMAT},{FLOAT_FORMAT},%s"
         lines = ["v_V,c_F,branch"]
-        lines += [row % r for r in zip(self.voltages.tolist(), self.capacitances.tolist(),
-                                       self.branches)]
+        lines += [row % r for r in zip(self.voltages, self.capacitances, self.branches)]
         return "\n".join(lines) + "\n"
+
+
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """np.linspace(start, stop, n) for n >= 2, value for value: i*step + start
+    with step = (stop - start)/(n - 1), the last point set to stop, and
+    (i/(n - 1))*(stop - start) + start when the step underflows to zero."""
+    div = n - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:
+        grid = [(i / div) * delta + start for i in range(n)]
+    else:
+        grid = [i * step + start for i in range(n)]
+    grid[-1] = stop
+    return grid
 
 
 def cv_sweep(dev: DeviceParams, v_start: float, v_end: float, n_points: int,
@@ -207,7 +222,7 @@ def cv_sweep(dev: DeviceParams, v_start: float, v_end: float, n_points: int,
         raise ConfigError(f"cv_sweep asks for {n_points} points, more than {MAX_SWEEP_SIZE}")
     if direction not in ("up", "down", "both"):
         raise InvalidGeometryError(f"unknown sweep direction {direction!r}")
-    grid = np.linspace(v_start, v_end, n_points).tolist()
+    grid = _linspace(v_start, v_end, n_points)
     legs: list[tuple[str, list[float]]] = []
     if direction in ("up", "both"):
         legs.append(("up", grid))
@@ -237,26 +252,25 @@ def cv_sweep(dev: DeviceParams, v_start: float, v_end: float, n_points: int,
             caps.append(c_latched if state.latched else settled[v][1])
         volts += leg
         tags += [tag] * len(leg)
-    return CVCurve(np.asarray(volts), np.asarray(caps), tuple(tags))
+    return CVCurve(array('d', volts), array('d', caps), tuple(tags))
 
 
 @dataclass(frozen=True)
 class TransientTrace:
     """Sampled beam trajectory with contact/release event times."""
 
-    t: np.ndarray
-    x: np.ndarray
-    v: np.ndarray
-    c: np.ndarray
-    latched: np.ndarray  # bool
+    t: array  # 'd', like x, v and c
+    x: array
+    v: array
+    c: array
+    latched: bytes  # 0 or 1 per sample
     contact_times: tuple[float, ...]
     release_times: tuple[float, ...]
 
     def to_csv(self) -> str:
         row = f"{FLOAT_FORMAT},{FLOAT_FORMAT},{FLOAT_FORMAT},{FLOAT_FORMAT},%d"
-        cols = [a.tolist() for a in (self.t, self.x, self.v, self.c, self.latched)]
         lines = ["t_s,x_m,v_mps,c_F,latched"]
-        lines += [row % r for r in zip(*cols)]
+        lines += [row % r for r in zip(self.t, self.x, self.v, self.c, self.latched)]
         return "\n".join(lines) + "\n"
 
 
@@ -451,6 +465,17 @@ def solve_ivp(rhs: Callable[[float, float, float], tuple[float, float]],
 _MAX_SEGMENTS = 100_000
 
 
+def _arange(start: float, stop: float, step: float) -> list[float]:
+    """np.arange(start, stop, step) for floats, value for value: ceil((stop -
+    start)/step) points, start, start + step, then start + i*((start + step) - start)."""
+    n = math.ceil((stop - start) / step)
+    if n <= 0:
+        return []
+    second = start + step
+    delta = second - start
+    return [start, second, *[start + i * delta for i in range(2, n)]][:n]
+
+
 def transient(dev: DeviceParams, dyn: DynamicsParams,
               drive: Callable[[float], float], t_end: float, *,
               mode: str = "voltage", d_c: float | None = None) -> TransientTrace:
@@ -501,18 +526,19 @@ def transient(dev: DeviceParams, dyn: DynamicsParams,
 
     atol = (_SOLVER_TOL * g0, _SOLVER_TOL * g0 * math.sqrt(k / m))
 
-    ts: list[np.ndarray] = []
-    xs: list[np.ndarray] = []
-    vs: list[np.ndarray] = []
-    ls: list[np.ndarray] = []
+    ts: list[float] = []
+    xs: list[float] = []
+    vs: list[float] = []
+    flags = bytearray()
     contacts: list[float] = []
     releases: list[float] = []
 
-    def emit(t_arr, x_arr, v_arr, latched: bool):
-        ts.append(np.asarray(t_arr, dtype=float))
-        xs.append(np.clip(np.asarray(x_arr, dtype=float), 0.0, g0))
-        vs.append(np.asarray(v_arr, dtype=float))
-        ls.append(np.full(len(t_arr), latched))
+    def emit(t_seg: list[float], x_seg, v_seg, latched: bool):
+        ts.extend(t_seg)
+        # clipped to [0, g0], a non-positive x to +0.0
+        xs.extend([(x if x < g0 else g0) if x > 0.0 else 0.0 for x in x_seg])
+        vs.extend(v_seg)
+        flags.extend(bytes([latched]) * len(t_seg))
 
     t_now = 0.0
     state = BeamState(0.0, 0.0, False)
@@ -538,9 +564,9 @@ def transient(dev: DeviceParams, dyn: DynamicsParams,
                     break
                 prev = t_probe
             stop = t_rel if t_rel is not None else t_end
-            grid = np.arange(t_now, stop, dt)
-            grid = np.append(grid, stop)
-            emit(grid, np.full(len(grid), g0), np.zeros(len(grid)), True)
+            grid = _arange(t_now, stop, dt)
+            grid.append(stop)
+            emit(grid, [g0] * len(grid), [0.0] * len(grid), True)
             t_now = stop
             if t_rel is None:
                 break
@@ -550,7 +576,7 @@ def transient(dev: DeviceParams, dyn: DynamicsParams,
 
         sol = solve_ivp(rhs, t_now, t_end, (state.displacement, state.velocity),
                         max_step=dt, rtol=_SOLVER_TOL, atol=atol, events=events)
-        grid = np.arange(t_now, sol.t, dt).tolist()
+        grid = _arange(t_now, sol.t, dt)
         grid.append(sol.t)
         x_seg, v_seg = zip(*map(sol, grid))
         emit(grid, x_seg, v_seg, False)
@@ -566,14 +592,11 @@ def transient(dev: DeviceParams, dyn: DynamicsParams,
         raise StiffnessError(
             f"event chatter: more than {_MAX_SEGMENTS} segments before t_end", t=t_now)
 
-    t_all = np.concatenate(ts)
-    x_all = np.concatenate(xs)
-    v_all = np.concatenate(vs)
-    l_all = np.concatenate(ls)
-    keep = np.empty(len(t_all), dtype=bool)  # drop duplicated segment joints
-    keep[0] = True
-    keep[1:] = np.diff(t_all) > 0
-    t_all, x_all, v_all, l_all = t_all[keep], x_all[keep], v_all[keep], l_all[keep]
-    c_all = EPS0 * area / (g_eff - x_all)
-    return TransientTrace(t_all, x_all, v_all, c_all, l_all,
+    # drop duplicated segment joints over the whole column: a sample stays
+    # only if its t exceeds the t of the sample before it
+    for i in reversed([i for i in range(1, len(ts)) if not ts[i] > ts[i - 1]]):
+        del ts[i], xs[i], vs[i], flags[i]
+    eps_area = EPS0 * area
+    return TransientTrace(array('d', ts), array('d', xs), array('d', vs),
+                          array('d', [eps_area / (g_eff - x) for x in xs]), bytes(flags),
                           tuple(contacts), tuple(releases))

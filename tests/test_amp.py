@@ -9,7 +9,7 @@ from nemsim import mech, scnet
 from nemsim.amp import (AmpConfig, build_amp, dynamic_range, gain_oracle,
                         gain_sweep, parasitic_study, power_estimate, run_dc,
                         run_sine, summary, _make_network)
-from nemsim.device import get_preset
+from nemsim.device import PRESETS, get_preset
 from nemsim.errors import ConfigError, NoLatchError, NoReleaseError
 from nemsim.scnet import Network
 
@@ -31,6 +31,12 @@ class TestConfig:
             AmpConfig(device=DEV, v_dc=5.0)
         with pytest.raises(ConfigError):
             AmpConfig(device=DEV, v_dc=DEV.v_pi)
+
+    def test_device_must_be_device_params(self):
+        # a Preset has a v_pi too, so only a type check stops it before a run
+        # reads its missing area
+        with pytest.raises(ConfigError, match="device must be a DeviceParams, got a Preset"):
+            run_dc(build_amp(AmpConfig(PRESETS["large"])), 0.1)
 
     def test_basic_single_device(self):
         with pytest.raises(ConfigError):
@@ -378,6 +384,19 @@ class TestParasiticStudy:
         assert rel(study.calibrated_c_p, 0.7349e-15) < 1e-2
         assert study.calibration_m == 10
 
+
+    def test_calibration_root_is_found_by_mech_brentq(self, monkeypatch):
+        # amp reaches the root-finder through mech at call time
+        calls = []
+        brentq = mech.brentq
+
+        def recording(*args, **kwargs):
+            calls.append(brentq(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(mech, "brentq", recording)
+        study = parasitic_study(large_amp(), 1e-15, 1e-15, [], n_periods=3)
+        assert len(calls) == 1 and study.calibrated_c_p == calls[0] * 1e-15
 
 class TestSummary:
     def test_keys_and_values(self):

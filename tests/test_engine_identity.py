@@ -3,15 +3,22 @@ waveform CSV of four DC library runs. The values were recorded before the
 switch states became columns and Phase a named tuple; a rewrite of the
 phase engine must leave them unchanged.
 
-DC runs keep math.sin out, so the values depend only on IEEE-754 double
-arithmetic and the engine's operation order.
+The device side has the same check: the CSV of a 1001-point C-V sweep and
+of a step-drive transient on each preset, recorded while mech still built
+its grids and columns with numpy.
+
+DC runs and step drives keep math.sin out, so the values depend only on
+IEEE-754 double arithmetic and the engine's operation order.
 """
 
 import hashlib
+import math
+from dataclasses import replace
 
 import pytest
 
-from nemsim import AmpConfig, build_amp, get_preset, run_dc
+from nemsim import AmpConfig, PRESETS, build_amp, get_preset, run_dc
+from nemsim.mech import DynamicsParams, cv_sweep, transient
 
 DEV = get_preset("large").params()
 
@@ -48,3 +55,41 @@ def test_solutions_and_waveform_are_unchanged(name):
     assert len(sim.solutions) == 40
     assert sha256("\n".join(repr(s) for s in sim.solutions)) == reprs
     assert sha256(sim.waveform_csv()) == waveform
+
+
+# (preset, direction): sha256 of cv_sweep(0 V to 1.25 V_PI, 1001 points).to_csv()
+CV_SWEEPS = {
+    ("large", "both"): "9ca56ad3caebe7b165406f77865ef5075bd47b49af425acf0970fa5c8944a09f",
+    ("large", "down"): "55b815b4965bbd84758100e5f0c908087150aa26183bacb2a48736e3f0467acf",
+    ("lv-high-gain", "both"): "3b43677aef4b2992278ac6adc649fc79423c0255a721f12e81633111843fd9de",
+    ("lv-high-gain", "down"): "fe2ba8f1abed03c08fb170625d3edd3c3e971c6f39797527443c301f39dead29",
+    ("lv-low-gain", "both"): "2c2c6c7476463d6118c3d9559f4143abcb781a8d2dee0a6145c94d20e63bfec1",
+    ("lv-low-gain", "down"): "c639ff1fd6ba26c33f9df8513fbdb0818233d0dd2aa2f7e8140f2c291660e333",
+}
+
+# preset: sha256 of the transient CSV under the CLI's default step drive
+STEP_TRANSIENTS = {
+    "large": "5a9d85d4a1fe55e450f34a795d30c4bc28916aad22362be8cec5c6cada2cd18e",
+    "lv-high-gain": "c845282e6098736dec7106bd527dde5e8396bf591eaa53b60b9c3b00ec7862d4",
+    "lv-low-gain": "54fc17eb78019e122b22fc539d41ac494a0405f444195ee5a2cbdc2cfe5e95fd",
+}
+
+
+@pytest.mark.parametrize("preset, direction", CV_SWEEPS)
+def test_cv_sweep_is_unchanged(preset, direction):
+    dev = PRESETS[preset].params()
+    curve = cv_sweep(dev, 0.0, 1.25 * dev.v_pi, 1001, direction)
+    assert sha256(curve.to_csv()) == CV_SWEEPS[preset, direction]
+
+
+@pytest.mark.parametrize("preset", STEP_TRANSIENTS)
+def test_step_transient_is_unchanged(preset):
+    # the transient command's defaults: 1.2 V_PI for 200 sqrt(m_eff/k),
+    # sampled at 1/2000 of that
+    dev = PRESETS[preset].params()
+    dyn = DynamicsParams.for_device(PRESETS[preset].geometry, dev.k, 1.0)
+    t_end = 200.0 * math.sqrt(dyn.effective_mass / dev.k)
+    dyn = replace(dyn, integration_dt_max=t_end / 2000.0)
+    level = 1.2 * dev.v_pi
+    trace = transient(dev, dyn, lambda t: level, t_end, d_c=dev.d_c)
+    assert sha256(trace.to_csv()) == STEP_TRANSIENTS[preset]

@@ -1,8 +1,10 @@
 import ast
 import math
 import os
+import random
 import subprocess
 import sys
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -310,8 +312,41 @@ class TestColumnarCsv:
 
         tr = transient(DEV, _dyn(t_end), drive, t_end)
         assert len(tr.contact_times) >= 2 and len(tr.release_times) >= 2
-        assert tr.latched.any() and not tr.latched.all()
+        latched = np.frombuffer(tr.latched, bool)
+        assert latched.any() and not latched.all()
         assert tr.to_csv() == _per_scalar_transient_csv(tr)
+
+
+def _bits(values) -> bytes:
+    return array("d", values).tobytes()
+
+
+class TestGridsMatchNumpy:
+    def test_linspace(self):
+        rng = random.Random(16)
+        cases = [(7.0, 7.0, 9), (0.0, 12.0, 2), (-12.0, 12.0, 97), (12.0, -12.0, 241),
+                 (0.0, 5e-324, 7),  # the step underflows to zero
+                 (-1e-300, 1e-300, 1001)]
+        for _ in range(2000):
+            scale = 10.0 ** rng.randint(-12, 3)
+            cases.append((rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale,
+                          rng.randint(2, 300)))
+        for start, stop, n in cases:
+            assert _bits(mech._linspace(start, stop, n)) == np.linspace(start, stop, n).tobytes()
+
+    def test_arange(self):
+        rng = random.Random(16)
+        cases = [(6.768485398499745e-06, 7.054302001721229e-06, 9.527220107382817e-08),
+                 (1.0, 1.3, 0.1),  # the last point overshoots stop
+                 (0.0, 1e-9, 1e-8),  # one point
+                 (0.0, 2e-8, 1e-8)]  # two points
+        assert np.arange(*cases[0])[-1] == cases[0][1]  # the last point is stop
+        for _ in range(1000):
+            start = rng.choice([0.0, rng.uniform(0.0, 1e-5)])
+            dt = rng.uniform(1e-9, 1e-7)
+            cases.append((start, start + dt * rng.uniform(0.5, 50.0), dt))
+        for start, stop, dt in cases:
+            assert _bits(mech._arange(start, stop, dt)) == np.arange(start, stop, dt).tobytes()
 
 
 def _dyn(t_end):
@@ -345,14 +380,14 @@ def _rk4_pullin_time(v_step, dt):
 class TestTransient:
     def test_zero_drive_stays_at_rest(self):
         tr = transient(DEV, _dyn(1e-6), lambda t: 0.0, 1e-6)
-        assert np.all(tr.x == 0.0) and np.all(~tr.latched)
+        assert np.all(np.asarray(tr.x) == 0.0) and np.all(~np.frombuffer(tr.latched, bool))
 
     def test_step_overdrive_pulls_in(self):
         v = 1.2 * DEV.v_pi
         tr = transient(DEV, _dyn(2e-6), lambda t: v, 2e-6, d_c=DEV.d_c)
         assert len(tr.contact_times) == 1
         assert tr.latched[-1] and tr.x[-1] == G0
-        before = tr.x[tr.t <= tr.contact_times[0]]
+        before = np.asarray(tr.x)[np.asarray(tr.t) <= tr.contact_times[0]]
         assert np.all(np.diff(before) >= -1e-15)  # monotone approach
 
     def test_pullin_time_matches_rk4_reference(self):
@@ -386,9 +421,9 @@ class TestTransient:
         v = 1.2 * DEV.v_pi
         dyn = _dyn(2e-6)
         tr = transient(DEV, dyn, lambda t: v, 2e-6, d_c=DEV.d_c)
-        mask = tr.t < tr.contact_times[0]
+        mask = np.asarray(tr.t) < tr.contact_times[0]
         energies = [mechanical_energy(DEV, dyn, x, vel, v)
-                    for x, vel in zip(tr.x[mask], tr.v[mask])]
+                    for x, vel in zip(np.asarray(tr.x)[mask], np.asarray(tr.v)[mask])]
         scale = abs(energies[0]) + abs(energies[-1])
         assert all(b - a <= 1e-6 * scale for a, b in zip(energies, energies[1:]))
 
@@ -402,6 +437,20 @@ class TestTransient:
         dyn = _dyn(1e-6)
         tr = transient(DEV, dyn, lambda t: 5.0, 1e-6)
         assert np.max(np.diff(tr.t)) <= dyn.integration_dt_max * (1 + 1e-9)
+
+    def test_sample_times_strictly_increase(self):
+        # the CLI's default sine run on lv-high-gain: a free-flight segment
+        # whose grid ends on its stop time has a duplicate inside the segment
+        preset = PRESETS["lv-high-gain"]
+        dev = preset.params()
+        dyn = DynamicsParams.for_device(preset.geometry, dev.k, 1.0)
+        t_end = 200.0 * math.sqrt(dyn.effective_mass / dev.k)
+        dyn = DynamicsParams(dyn.effective_mass, dyn.damping_b, t_end / 2000.0)
+        level = 1.2 * dev.v_pi
+        tr = transient(dev, dyn, lambda t: level * math.sin(2.0 * math.pi * 10e3 * t),
+                       t_end, d_c=dev.d_c)
+        assert all(a < b for a, b in zip(tr.t, tr.t[1:]))
+        assert len(tr.t) == len(tr.x) == len(tr.v) == len(tr.c) == len(tr.latched)
 
     def test_csv_header(self):
         tr = transient(DEV, _dyn(1e-7), lambda t: 0.0, 1e-7)
@@ -461,11 +510,12 @@ class TestIntegrator:
         # is linear, and at q = q_clamp/2 the overshoot stays below contact
         q, t_end = 0.5 * DEV.q_clamp, 4e-6
         tr = transient(DEV, _dyn(t_end), lambda t: q, t_end, mode="charge")
-        x, v = _charge_step_response(q, tr.t)
+        x, v = _charge_step_response(q, np.asarray(tr.t))
         x_f = force_charge_controlled(DEV, q) / K
         assert not tr.contact_times and len(tr.t) == 1001
-        assert np.max(np.abs(tr.x - x)) <= 1e-6 * x_f
-        assert np.max(np.abs(tr.v - v)) <= 1e-6 * x_f * math.sqrt(K / _dyn(1.0).effective_mass)
+        assert np.max(np.abs(np.asarray(tr.x) - x)) <= 1e-6 * x_f
+        assert (np.max(np.abs(np.asarray(tr.v) - v))
+                <= 1e-6 * x_f * math.sqrt(K / _dyn(1.0).effective_mass))
 
     def test_charge_overshoot_contact_time_matches_the_closed_form(self, monkeypatch):
         # at 0.9 q_clamp the overshoot reaches g0 once; the beam then releases
@@ -475,10 +525,11 @@ class TestIntegrator:
         tr = transient(DEV, _dyn(t_end), lambda t: q, t_end, mode="charge")
         assert len(tr.contact_times) == 1 and len(runs) == 2
         t_c = tr.contact_times[0]
-        before = tr.t < t_c
-        x, _ = _charge_step_response(q, tr.t[before])
-        assert np.max(np.abs(tr.x[before] - x)) <= 1e-6 * G0
-        lo, hi = tr.t[before][-1], t_c  # the closed form crosses g0 in here
+        t = np.asarray(tr.t)
+        before = t < t_c
+        x, _ = _charge_step_response(q, t[before])
+        assert np.max(np.abs(np.asarray(tr.x)[before] - x)) <= 1e-6 * G0
+        lo, hi = t[before][-1], t_c  # the closed form crosses g0 in here
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if _charge_step_response(q, mid)[0] < G0:
@@ -525,13 +576,24 @@ class TestImports:
             env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
-    def test_mech_imports_no_scipy_integrate(self):
-        tree = ast.parse(Path(mech.__file__).read_text())
-        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                    for alias in node.names}
-        imported |= {node.module for node in ast.walk(tree)
-                     if isinstance(node, ast.ImportFrom) and node.module}
-        assert imported and not any(name.startswith("scipy.integrate") for name in imported)
+    def test_only_third_party_import_is_brentq_in_mech(self):
+        # every import of every nemsim module is standard library, nemsim
+        # itself, or scipy's brentq in mech
+        package = Path(mech.__file__).parent
+        third_party = set()
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    found = [(alias.name, None) for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    found = [(node.module, alias.name) for alias in node.names]
+                else:
+                    continue
+                third_party |= {(path.name, module, name) for module, name in found
+                                if module.split(".")[0] not in sys.stdlib_module_names
+                                and module.split(".")[0] != "nemsim"}
+        assert len(list(package.glob("*.py"))) >= 9
+        assert third_party == {("mech.py", "scipy.optimize", "brentq")}
 
 
 class TestHystereticUpdate:

@@ -1,9 +1,7 @@
-import ast
 import math
 import re
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1104,14 +1102,6 @@ class TestPartitionCache:
         partitions = res.solutions.partitions
         assert len(partitions) == 3 and not any(part.f_links for part in partitions)
         assert res.max_conservation_error() == 0.0
-
-    def test_engine_imports_neither_numpy_nor_scipy(self):
-        tree = ast.parse(Path(scnet.__file__).read_text())
-        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                    for alias in node.names}
-        imported |= {node.module for node in ast.walk(tree)
-                     if isinstance(node, ast.ImportFrom) and node.module}
-        assert imported and not {name.split(".")[0] for name in imported} & {"numpy", "scipy"}
 
 
 class TestWaveformOutputs:
