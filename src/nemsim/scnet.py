@@ -558,9 +558,9 @@ class CompiledNetwork:
     once per network shape (_PARTITIONS). The network must not change while
     it is compiled.
 
-    It also holds the run: `columns`, one row per solved phase, and the
-    transition memo from each solved entering state to its row (see
-    solve_phase).
+    It also holds the run: `columns`, one row per solved phase, the
+    transition memo from each solved entering state to its row, and what a
+    repeat of a row replays (see solve_phase).
     """
 
     def __init__(self, network: Network):
@@ -588,6 +588,9 @@ class CompiledNetwork:
                                     tuple(sw.name for sw in network.switches),
                                     tuple(relay[2] for relay in self.relays))
         self.transitions: dict[bytes, int] = {}
+        # per stored row that a later phase repeated: its notes less the
+        # settling ones, and its settling products (see solve_phase)
+        self.replays: dict[int, tuple[tuple[str, ...], tuple[tuple[str, float], ...]]] = {}
 
     def partition(self, mask: bytes, phase: Phase) -> _Partition:
         """The partition of a conduction mask (one flag per switch, at phase
@@ -830,6 +833,11 @@ class PhaseColumns(Sequence):
             counts = list(map(add, counts, latched[j::nb]))
         return counts
 
+    def beam_row(self, r: int) -> tuple[array, bytearray]:
+        """Copies of row r's beam displacements and latch flags."""
+        nb = self.n_beams
+        return self.displacement[r * nb:(r + 1) * nb], self.latched[r * nb:(r + 1) * nb]
+
     @property
     def partitions(self) -> list[_Partition]:
         """The run's partitions, in first-use order."""
@@ -967,7 +975,7 @@ class PhaseSolution:
 
     @property
     def beam_states(self) -> Mapping[str, BeamState]:
-        _, disp, latched, _, _ = self._columns._state(self._row)
+        disp, latched = self._columns.beam_row(self._row)
         return _ReadOnlyMap({n: BeamState(x, 0.0, bool(flag)) for n, x, flag
                              in zip(self._columns.names, disp, latched)})
 
@@ -1062,8 +1070,10 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     island voltages (pinned values and the fixed-point guess) and the
     entering plate charges, beam displacements and latch flags. A repeat
     copies the stored row, iterations and latch-violation notes, with this
-    phase's phase and switch states; the settling check runs for every
-    phase. A failed solve is not stored.
+    phase's phase and switch states. The settling products (R_on*C of each
+    closed switch) depend only on the stored row, so they are computed on
+    the row's first repeat and kept in `replays`; every phase still compares
+    them with its own duration and warns. A failed solve is not stored.
     """
     topo = network if isinstance(network, CompiledNetwork) else CompiledNetwork(network)
     net = topo.network
@@ -1115,13 +1125,20 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     transition = b"".join((mask, part.island_key.pack(*volts), latched, q, disp))
     seen = topo.transitions.get(transition)
     if seen is not None:
-        notes = [w for w in cols.notes[seen] if not w.startswith("settling-violation")]
-        if part.settling:
-            nb = cols.n_beams
-            caps = _capacitances(topo, cols.displacement[seen * nb:(seen + 1) * nb])
-            notes += _settling_notes(net, part, caps, phase)
+        replay = topo.replays.get(seen)
+        if replay is None:
+            products = ()
+            if part.settling:
+                caps = _capacitances(topo, cols.beam_row(seen)[0])
+                products = _settling_products(net, part, caps)
+            replay = topo.replays[seen] = (
+                tuple(w for w in cols.notes[seen] if not w.startswith("settling-violation")),
+                products)
+        notes, products = replay
+        if products:
+            notes += _settling_notes(products, phase)
         return PhaseSolution(cols, cols._copy(seen, cols, phase, conducting, transition_time,
-                                              tuple(notes)))
+                                              notes))
     notes = []
     # the beam state is rewritten per beam below: lists index and store
     # several times faster than array and bytearray
@@ -1206,7 +1223,7 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
         rest = math.fsum([s * q[k] for k, s in others]) if others else 0.0
         q[corrector] = sign * (q_before[f] - rest)
     if part.settling:
-        notes += _settling_notes(net, part, caps, phase)
+        notes += _settling_notes(_settling_products(net, part, caps), phase)
     notes = tuple(dict.fromkeys(notes)) if notes else ()  # dedupe, keep order
 
     row = topo.transitions[transition] = cols._append(
@@ -1224,23 +1241,32 @@ def _capacitances(topo: CompiledNetwork, displacement: Iterable[float]) -> list[
     return caps
 
 
-def _settling_notes(net: Network, part: _Partition, caps: list[float],
-                    phase: Phase) -> list[str]:
-    """Settling assertion: each closed switch must settle well inside the
-    phase; one note and one SettlingWarning per switch that does not."""
-    notes = []
-    limit = 0.01 * phase.duration
+def _settling_products(net: Network, part: _Partition,
+                       caps: list[float]) -> tuple[tuple[str, float], ...]:
+    """(switch name, R_on*C) of each closed switch, C being the capacitance
+    on the island of its a terminal."""
+    products = []
     for s, touching in part.settling:
         c_island = 0.0
         for k in touching:
             c_island += caps[k]
         sw = net.switches[s]
-        if sw.r_on * c_island > limit:
-            msg = (f"settling-violation: switch {sw.name} R_on*C = "
-                   f"{sw.r_on * c_island:.3e} s exceeds 1% of phase {phase.index}")
+        products.append((sw.name, sw.r_on * c_island))
+    return tuple(products)
+
+
+def _settling_notes(products: Iterable[tuple[str, float]], phase: Phase) -> tuple[str, ...]:
+    """Settling assertion: each closed switch must settle well inside the
+    phase; one note and one SettlingWarning per switch that does not."""
+    notes = []
+    limit = 0.01 * phase.duration
+    for name, rc in products:
+        if rc > limit:
+            msg = (f"settling-violation: switch {name} R_on*C = {rc:.3e} s "
+                   f"exceeds 1% of phase {phase.index}")
             notes.append(msg)
             warnings.warn(msg, SettlingWarning, stacklevel=3)
-    return notes
+    return tuple(notes)
 
 
 def _floating_charge(part: _Partition, q: Sequence[float]) -> tuple[list[float], list[float]]:

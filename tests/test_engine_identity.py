@@ -3,6 +3,9 @@ waveform CSV of four DC library runs. The values were recorded before the
 switch states became columns and Phase a named tuple; a rewrite of the
 phase engine must leave them unchanged.
 
+A DC result's beam fields, read from two rows, must equal those read
+through every row of the run.
+
 The device side has the same check: the CSV of a 1001-point C-V sweep and
 of a step-drive transient on each preset, recorded while mech still built
 its grids and columns with numpy.
@@ -18,6 +21,8 @@ from dataclasses import replace
 import pytest
 
 from nemsim import AmpConfig, PRESETS, build_amp, get_preset, run_dc
+from nemsim.amp import _dc_detail
+from nemsim.errors import NoLatchError, NoReleaseError
 from nemsim.mech import DynamicsParams, cv_sweep, transient
 
 DEV = get_preset("large").params()
@@ -55,6 +60,49 @@ def test_solutions_and_waveform_are_unchanged(name):
     assert len(sim.solutions) == 40
     assert sha256("\n".join(repr(s) for s in sim.solutions)) == reprs
     assert sha256(sim.waveform_csv()) == waveform
+
+
+def whole_run_reads(sim) -> tuple:
+    """A DC run's beam results read through every row: the last hold's
+    largest beam displacement, whether every beam latched in the last
+    sample, and whether none stayed latched in the last hold."""
+    rows = sim.solutions
+    last = {ph.kind: r for r, ph in enumerate(rows.phases)}
+    sample, hold = last["sample"], last["hold"]
+    latched = rows.latched_beams()
+    return (max(b.displacement for b in rows[hold].beam_states.values()),
+            latched[sample] == rows.n_beams, latched[hold] == 0)
+
+
+def dc_reads(run) -> tuple:
+    return run.displacement, run.sampled_latched, run.hold_released
+
+
+# name: (AmpConfig overrides, vin); the RUNS and an m = 100 bank
+DC_READS = {**{name: run[:2] for name, run in RUNS.items()},
+            "gate-bank-m100": ({"topology": "modified", "m": 100, "parasitics": True}, 0.0123)}
+
+
+@pytest.mark.parametrize("name", DC_READS)
+def test_dc_result_reads_two_rows_as_the_whole_run_does(name):
+    overrides, vin = DC_READS[name]
+    run = run_dc(build_amp(AmpConfig(device=DEV, **overrides)), vin)
+    assert repr(dc_reads(run)) == repr(whole_run_reads(run.sim))
+
+
+@pytest.mark.parametrize("overrides, vin, error", [
+    ({"v_dc": 12.0}, 0.7, NoReleaseError),      # beams stay latched through the hold
+    ({"clock_high": 5.0}, 0.01, NoLatchError),  # relays never close
+    ({"topology": "modified", "m": 100, "parasitics": True, "v_dc": 12.0}, 0.7,
+     NoReleaseError),
+], ids=["no-release", "no-latch", "no-release-bank-m100"])
+def test_dc_flags_read_two_rows_and_still_raise(overrides, vin, error):
+    amp = build_amp(AmpConfig(device=DEV, **overrides))
+    run = _dc_detail(amp, vin, 10)
+    assert repr(dc_reads(run)) == repr(whole_run_reads(run.sim))
+    assert not (run.sampled_latched and run.hold_released)
+    with pytest.raises(error):
+        run_dc(amp, vin)
 
 
 # (preset, direction): sha256 of cv_sweep(0 V to 1.25 V_PI, 1001 points).to_csv()

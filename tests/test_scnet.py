@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nemsim import scnet
-from nemsim.device import get_preset
+from nemsim.device import EPS0, get_preset
 from nemsim.errors import ConfigError, ConvergenceError, InvalidGeometryError, NetworkError
 from nemsim.ioutil import FLOAT_FORMAT, format_float
 from nemsim.mech import BeamState, static_equilibrium_charge, static_equilibrium_voltage
@@ -865,6 +865,57 @@ class TestTransitionMemo:
                 assert note.endswith(f"exceeds 1% of phase {sol.phase.index}")
             else:
                 assert sol.warnings == ()
+
+    def test_settling_on_repeats_at_bank_scale(self, monkeypatch):
+        def make():
+            net = bank_network(10)
+            for sw in net.switches:
+                sw.r_on = 1e9  # every closed switch violates, in every phase
+            return net
+
+        phases = self.SCHED.phases(4 * self.SCHED.period)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SettlingWarning)
+            want = chained(make(), phases)
+        topo = CompiledNetwork(make())
+        repeated = []
+        copy = scnet.PhaseColumns._copy
+        monkeypatch.setattr(scnet.PhaseColumns, "_copy",
+                            lambda cols, r, *args: repeated.append(r) or copy(cols, r, *args))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = chained(topo, phases)
+        # the replay cache holds the rows that a later phase repeated, and no other
+        assert len(repeated) > len(set(repeated)) > 1
+        assert set(topo.replays) == set(repeated)
+        closed = {"sample": ["s_in_a", "s_in_b"], "dead": [], "hold": ["s_hold"]}
+        for sol, ref in zip(got, want, strict=True):
+            assert sol.warnings == ref.warnings
+            assert repr(sol) == repr(ref)
+            assert [re.match(r"settling-violation: switch (\w+) ", note)[1]
+                    for note in sol.warnings] == closed[sol.phase.kind]
+            for note in sol.warnings:
+                assert note.endswith(f"exceeds 1% of phase {sol.phase.index}")
+                sw, = [sw for sw in topo.network.switches if f" {sw.name} " in note]
+                rc = float(re.search(r"R_on\*C = (\S+) s", note)[1])
+                c = self.island_capacitance(topo.network, sol, {sw.a, sw.b})
+                assert math.isclose(rc, sw.r_on * c, rel_tol=1e-3)
+        assert [w.category for w in caught] == [SettlingWarning] * len(caught)
+        assert [str(w.message) for w in caught] == [
+            note for sol in got for note in sol.warnings]
+
+    @staticmethod
+    def island_capacitance(net, sol, nodes):
+        """Capacitance on an island, once per plate on it, with the beams at
+        sol's displacements."""
+        c = 0.0
+        for cap in net.nems_caps:
+            x = sol.beam_states[cap.name].displacement
+            plates = (cap.top in nodes) + (cap.bottom in nodes)
+            c += plates * EPS0 * cap.device.area / (cap.device.g_eff - x)
+        for cap in net.linear_caps:
+            c += ((cap.a in nodes) + (cap.b in nodes)) * cap.value
+        return c
 
     @staticmethod
     def beam_on_a_floating_node():
