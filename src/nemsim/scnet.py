@@ -431,22 +431,6 @@ class Island:
         return self.pinned_voltage is None
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[str]):
-        self.parent = {k: k for k in items}
-
-    def find(self, k: str) -> str:
-        root = k
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[k] != root:
-            self.parent[k], k = root, self.parent[k]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        self.parent[self.find(b)] = self.find(a)
-
-
 def _pin_value(members: Sequence[str], pinned: Sequence[tuple[str, float]]) -> float:
     """The value of the sources pinning one island; NetworkError on a pin
     conflict."""
@@ -469,20 +453,27 @@ def islands(network: Network, phase: Phase, conducting: Sequence[bool]) -> list[
     if len(conducting) != len(network.switches):
         raise NetworkError(f"islands needs {len(network.switches)} conduction flags, "
                            f"one per switch, got {len(conducting)}")
-    uf = _UnionFind(network.nodes)
+    # union-find with path halving
+    parent = {n: n for n in network.nodes}
+
+    def find(k: str) -> str:
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
+
     for sw, on in zip(network.switches, conducting):
         if on:
-            uf.union(sw.a, sw.b)
+            parent[find(sw.b)] = find(sw.a)
     groups: dict[str, list[str]] = {}
     for n in network.nodes:
-        groups.setdefault(uf.find(n), []).append(n)
+        groups.setdefault(find(n), []).append(n)
 
-    pins: dict[str, list[tuple[str, float]]] = {}
+    pins = {}  # root -> [(source, value)]
     for src in network.sources:
-        pins.setdefault(uf.find(src.node), []).append(
+        pins.setdefault(find(src.node), []).append(
             (src.name, src.wave.at(phase.t_end, phase)))
-    if GROUND in uf.parent:
-        pins.setdefault(uf.find(GROUND), []).append(("ground", 0.0))
+    if GROUND in parent:
+        pins.setdefault(find(GROUND), []).append(("ground", 0.0))
 
     out: list[Island] = []
     for root, members in groups.items():
@@ -590,7 +581,7 @@ class CompiledNetwork:
         self.transitions: dict[bytes, int] = {}
         # per stored row that a later phase repeated: its notes less the
         # settling ones, and its settling products (see solve_phase)
-        self.replays: dict[int, tuple[tuple[str, ...], tuple[tuple[str, float], ...]]] = {}
+        self.replays: dict[int, tuple] = {}
 
     def partition(self, mask: bytes, phase: Phase) -> _Partition:
         """The partition of a conduction mask (one flag per switch, at phase
@@ -693,7 +684,7 @@ def _correctors(ids, f_islands, f_index, plate_a, plate_b):
     with no capacitive path to a pinned island: their charges fix only their
     voltage differences, so the system is singular.
     """
-    links: dict[int, list[tuple[int, float, int]]] = {}  # (cap, island-side sign, other island)
+    links = {}  # island -> [(cap, island-side sign, other island)]
     for k, (ia, ib) in enumerate(zip(plate_a, plate_b)):
         if ia != ib:
             links.setdefault(ia, []).append((k, 1.0, ib))
@@ -1127,13 +1118,10 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     if seen is not None:
         replay = topo.replays.get(seen)
         if replay is None:
-            products = ()
-            if part.settling:
-                caps = _capacitances(topo, cols.beam_row(seen)[0])
-                products = _settling_products(net, part, caps)
+            caps = _capacitances(topo, cols.beam_row(seen)[0])
             replay = topo.replays[seen] = (
                 tuple(w for w in cols.notes[seen] if not w.startswith("settling-violation")),
-                products)
+                _settling_products(net, part, caps))
         notes, products = replay
         if products:
             notes += _settling_notes(products, phase)
@@ -1149,7 +1137,7 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     # voltage-driven beams: both terminals pinned; one law call per
     # (device class, dv, prior latched) key
     devices = topo.devices
-    by_voltage: dict[tuple[int, float, bool], tuple[float, bool]] = {}
+    by_voltage = {}
     for j, ia, ib, cls in part.voltage_beams:
         dv = volts[ia] - volts[ib]
         was_latched = latched[j]
@@ -1175,7 +1163,7 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
         eps_area, g_eff = topo.eps_area, topo.g_eff
         # (device class, plate charge) -> (displacement, latched, capacitance),
         # shared by every iteration of this phase
-        by_charge: dict[tuple[int, float], tuple[float, bool, float]] = {}
+        by_charge = {}
         for iterations in range(1, _MAX_FIXED_POINT + 1):
             v_new = _solve_floating(part, caps, volts, q_before, v)
             # largest step (NaN sticks) and largest magnitude of the iterate
