@@ -161,18 +161,12 @@ def release_holds(dev: DeviceParams, v: float) -> bool:
     return EPS0 * dev.area * v * v / (2.0 * dev.d_c * dev.d_c) >= dev.k * dev.g0
 
 
-def update_beam_voltage(dev: DeviceParams, prior: BeamState, v: float, *,
-                        settle: Callable[[float], BeamState] | None = None) -> BeamState:
-    """Hysteretic quasi-static update of a voltage-driven beam.
-
-    A beam that is not held latched takes static_equilibrium_voltage at v;
-    settle(v), when given, must return that same state (cv_sweep passes its
-    per-sweep memo of the law).
-    """
+def update_beam_voltage(dev: DeviceParams, prior: BeamState, v: float) -> BeamState:
+    """Hysteretic quasi-static update of a voltage-driven beam: a latched
+    beam stays latched while release_holds at v; any other beam takes
+    static_equilibrium_voltage at v."""
     if prior.latched and release_holds(dev, v):
         return BeamState(dev.g0, 0.0, True)
-    if settle is not None:
-        return settle(v)
     return static_equilibrium_voltage(dev, v)
 
 
@@ -212,9 +206,9 @@ def cv_sweep(dev: DeviceParams, v_start: float, v_end: float, n_points: int,
 
     Each point is treated as fully settled. The up branch latches at the
     first sample at or above V_PI; the down branch releases at the first
-    sample where the d_c force balance lets go (below V_PO). The voltage
-    law runs once per distinct grid voltage: the down leg reuses the up
-    leg's solutions.
+    sample where the d_c force balance lets go (below V_PO). This is
+    update_beam_voltage's step, with the voltage law run once per distinct
+    grid voltage: the down leg reuses the up leg's solutions.
     """
     if n_points < 2:
         raise InvalidGeometryError("cv_sweep needs n_points >= 2")
@@ -229,27 +223,24 @@ def cv_sweep(dev: DeviceParams, v_start: float, v_end: float, n_points: int,
     if direction in ("down", "both"):
         legs.append(("down", grid[::-1]))
 
-    # v -> (static_equilibrium_voltage at v, its capacitance), for this sweep
-    settled: dict[float, tuple[BeamState, float]] = {}
-
-    def settle(v: float) -> BeamState:
-        hit = settled.get(v)
-        if hit is None:
-            law = static_equilibrium_voltage(dev, v)
-            hit = settled[v] = (law, capacitance_at(dev, law.displacement))
-        return hit[0]
-
+    # v -> (latched, capacitance) of static_equilibrium_voltage at v, for this sweep
+    settled: dict[float, tuple[bool, float]] = {}
     c_latched = capacitance_at(dev, dev.g0)
-    state = BeamState(dev.g0, 0.0, True) if direction == "down" \
-        else BeamState(0.0, 0.0, False)
+    latched = direction == "down"
     volts: list[float] = []
     caps: list[float] = []
     tags: list[str] = []
     for tag, leg in legs:
         for v in leg:
-            state = update_beam_voltage(dev, state, v, settle=settle)
-            # a released state came from settle(v)
-            caps.append(c_latched if state.latched else settled[v][1])
+            if latched and release_holds(dev, v):
+                caps.append(c_latched)
+                continue
+            hit = settled.get(v)
+            if hit is None:
+                law = static_equilibrium_voltage(dev, v)
+                hit = settled[v] = (law.latched, capacitance_at(dev, law.displacement))
+            latched, c = hit
+            caps.append(c)
         volts += leg
         tags += [tag] * len(leg)
     return CVCurve(array('d', volts), array('d', caps), tuple(tags))
@@ -494,35 +485,34 @@ def transient(dev: DeviceParams, dyn: DynamicsParams,
     if not (t_end > 0):
         raise InvalidGeometryError("t_end must be positive")
     area, g_eff, g0, k = dev.area, dev.g_eff, dev.g0, dev.k
-    if d_c is None:
-        d_c = g_eff - g0  # bare dielectric equivalent separation td/eps_d
     m = dyn.effective_mass
     b = dyn.damping_b
     dt = dyn.integration_dt_max
 
-    def force(x: float, t: float) -> float:
-        u = drive(t)
-        if mode == "voltage":
-            return EPS0 * area * u * u / (2.0 * (g_eff - x) ** 2)
-        return u * u / (2.0 * EPS0 * area)
+    # rhs is (x, v)' in free flight; hold(t) is the force on a latched beam,
+    # which stays latched while it meets the fully stretched spring force k*g0
+    if mode == "voltage":
+        if d_c is None:
+            d_c = g_eff - g0  # bare dielectric equivalent separation td/eps_d
 
-    def rhs(t: float, x: float, vel: float) -> tuple[float, float]:
-        return vel, (force(min(x, g0), t) - b * vel - k * x) / m
+        def rhs(t: float, x: float, vel: float) -> tuple[float, float]:
+            f = force_voltage_controlled(dev, min(x, g0), drive(t))
+            return vel, (f - b * vel - k * x) / m
+
+        def hold(t: float) -> float:
+            u = drive(t)
+            return EPS0 * area * u * u / (2.0 * d_c * d_c)
+    else:
+        def rhs(t: float, x: float, vel: float) -> tuple[float, float]:
+            return vel, (force_charge_controlled(dev, drive(t)) - b * vel - k * x) / m
+
+        def hold(t: float) -> float:
+            return force_charge_controlled(dev, drive(t))
 
     # offset keeps a trajectory resting exactly at x = 0 from re-triggering
     floor_eps = 1e-9 * g0
     events = ((lambda t, x, vel: x - g0, 1),          # contact
               (lambda t, x, vel: x + floor_eps, -1))  # floor
-
-    def latched_force_margin(t: float) -> float:
-        # > 0: latch holds, < 0: release
-        if mode == "voltage":
-            u = drive(t)
-            hold = EPS0 * area * u * u / (2.0 * d_c * d_c)
-        else:
-            u = drive(t)
-            hold = u * u / (2.0 * EPS0 * area)
-        return hold - k * g0
 
     atol = (_SOLVER_TOL * g0, _SOLVER_TOL * g0 * math.sqrt(k / m))
 
@@ -546,17 +536,17 @@ def transient(dev: DeviceParams, dyn: DynamicsParams,
         if t_now >= t_end:
             break
         if state.latched:
-            # march until the hold margin goes negative, then bisect the crossing
+            # march until the hold force drops below k*g0, then bisect the crossing
             t_rel = None
             t_probe = t_now
             prev = t_probe
             while t_probe < t_end:
                 t_probe = min(t_probe + dt, t_end)
-                if latched_force_margin(t_probe) < 0.0:
+                if hold(t_probe) < k * g0:
                     lo, hi = prev, t_probe
                     for _ in range(60):  # bisection well below 1e-3 of the step
                         mid = 0.5 * (lo + hi)
-                        if latched_force_margin(mid) < 0.0:
+                        if hold(mid) < k * g0:
                             hi = mid
                         else:
                             lo = mid

@@ -11,7 +11,6 @@ joint fixed point.
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 from array import array
 from collections.abc import Iterable, Mapping, Sequence
@@ -526,9 +525,6 @@ class _Partition:
     correctors: tuple[tuple[int, int, float, tuple[tuple[int, float], ...]], ...]
     # (conducting switch, capacitors on the island of its a terminal, once per plate)
     settling: tuple[tuple[int, tuple[int, ...]], ...]
-    # packs the island voltages (pinned values and fixed-point guess) into the
-    # transition key
-    island_key: struct.Struct
 
 
 # the partitions built in this process, by (CompiledNetwork.shape, mask): a
@@ -665,7 +661,6 @@ class CompiledNetwork:
                                    plate_a, plate_b),
             settling=tuple((s, tuple(touching[island_of[sw.a]]))
                            for s, sw in enumerate(net.switches) if mask[s]),
-            island_key=struct.Struct(f"<{len(isles)}d"),
         )
 
 
@@ -1113,7 +1108,7 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     values += v
     volts = list(map(values.__getitem__, part.island_value))
 
-    transition = b"".join((mask, part.island_key.pack(*volts), latched, q, disp))
+    transition = b"".join((mask, array("d", volts), latched, q, disp))
     seen = topo.transitions.get(transition)
     if seen is not None:
         replay = topo.replays.get(seen)

@@ -60,6 +60,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="m = 5 exceeds the largest bank, 4 devices"):
             AmpConfig(device=DEV, topology="modified", m=5)
 
+    @pytest.mark.parametrize("overrides, match", [
+        ({"topology": "folded"}, "unknown topology 'folded'"),
+        ({"drive_terminal": "drain"}, "unknown drive terminal 'drain'"),
+        ({"parasitics": True, "c_gb": -1e-15}, "parasitic capacitances must be non-negative"),
+        ({"parasitics": True, "c_gc": -1e-15}, "parasitic capacitances must be non-negative"),
+    ])
+    def test_rejected(self, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            AmpConfig(device=DEV, **overrides)
+
     def test_basic_network_shape(self):
         net = _make_network(AmpConfig(device=DEV), 0.01, None)
         assert len(net.nems_caps) == 2
@@ -231,6 +241,9 @@ class TestGainSweep:
         report = gain_sweep(amp, [0.5, 0.64], n_periods=4)
         assert report.entries[0].released
         assert not report.entries[1].released
+        # the closed form has no gain once the clamp latches
+        assert math.isnan(gain_oracle(DEV, 1.01 * DEV.q_clamp / DEV.c_on))
+        assert not math.isnan(gain_oracle(DEV, 0.99 * DEV.q_clamp / DEV.c_on))
 
     def test_bad_amplitudes(self):
         with pytest.raises(ConfigError):
@@ -311,6 +324,27 @@ class TestNonFiniteInputs:
 
         monkeypatch.setattr(amp_mod, "simulate", no_simulate)
         with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            call(large_amp())
+
+
+class TestRejectedBeforeCompute:
+    """Out-of-range run arguments are a ConfigError before any network is simulated."""
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda amp: run_dc(amp, 0.01, n_periods=1), "at least 2 periods"),
+        (lambda amp: run_sine(amp, -0.01, 10e3), "amplitude must be non-negative"),
+        (lambda amp: parasitic_study(amp, -1e-15, 0.0, [1]),
+         "parasitic capacitances must be non-negative"),
+        (lambda amp: parasitic_study(amp, 0.0, -1e-15, [1]),
+         "parasitic capacitances must be non-negative"),
+    ], ids=["run_dc-one-period", "run_sine-negative-amplitude", "study-negative-c_gb",
+            "study-negative-c_gc"])
+    def test_config_error(self, call, match, monkeypatch):
+        def no_simulate(*args):
+            raise AssertionError("simulate called on a rejected input")
+
+        monkeypatch.setattr(amp_mod, "simulate", no_simulate)
+        with pytest.raises(ConfigError, match=match):
             call(large_amp())
 
 

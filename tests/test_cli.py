@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from nemsim import amp, cli, mech
+from nemsim import amp, cli, ioutil, mech
 from nemsim.cli import main
 from nemsim.device import DeviceParams
+from nemsim.errors import NemsimError
 from nemsim.scenario import parse_scenario
 from test_scenario import CUSTOM_HIGH_GAIN
 
@@ -352,6 +353,7 @@ class TestUsageErrors:
         ["power", "--preset", "large", "--jobs", "2"],
         ["cv-sweep", "--preset", "large", "--n-points", "abc"],
         ["gain-sweep", "--preset", "large", "--n-points", "abc"],
+        ["amplify", "--config", "no-such-dir/missing.cfg"],
         [],
     ])
     def test_usage_error_is_config_error(self, argv, tmp_path, capsys):
@@ -359,6 +361,23 @@ class TestUsageErrors:
                                  capsys)
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["kind"] == "config-error"
+        assert list(tmp_path.iterdir()) == []
+
+
+    def test_other_nemsim_error_is_config_error(self, monkeypatch, tmp_path, capsys):
+        # a NemsimError subclass in neither error tuple still exits 1
+        class Unlisted(NemsimError):
+            pass
+
+        def raising(scn, args):
+            raise Unlisted("not a listed kind")
+
+        monkeypatch.setitem(cli._COMMANDS, "power", raising)
+        code, out, err = run_cli(["power", "--preset", "large", "--out-dir", str(tmp_path)],
+                                 capsys)
+        assert code == 1 and out == ""
+        doc = json.loads(err)["error"]
+        assert doc["kind"] == "config-error" and "not a listed kind" in doc["message"]
         assert list(tmp_path.iterdir()) == []
 
 
@@ -427,6 +446,15 @@ class TestNonFiniteFloatOptions:
 
 
 class TestIoError:
+    def test_failed_rename_removes_the_temporary_file(self, monkeypatch, tmp_path):
+        def failing(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(ioutil.os, "replace", failing)
+        with pytest.raises(OSError, match="rename refused"):
+            ioutil.atomic_write_text(tmp_path / "out.txt", "text")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_out_dir(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")

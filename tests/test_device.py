@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,20 @@ class TestSpring:
         k_beam = spring_from_beam(LARGE, MaterialProps(youngs_modulus=157e9))
         assert rel(pullin_voltage(LARGE, k_beam), 9.6) < 1e-3
 
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: MaterialProps(youngs_modulus=0.0), InvalidGeometryError,
+         "material constants must be strictly positive"),
+        (lambda: MaterialProps(density=-1.0), InvalidGeometryError,
+         "material constants must be strictly positive"),
+        (lambda: spring_from_pullin(LARGE, 0.0), CalibrationError,
+         "pull-in voltage must be positive, got 0.0"),
+        (lambda: spring_from_pullin(LARGE, -9.6), CalibrationError,
+         "pull-in voltage must be positive, got -9.6"),
+    ], ids=["youngs-modulus", "density", "v_pi-zero", "v_pi-negative"])
+    def test_rejected(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
     def test_v_increasing_in_gap_at_fixed_k(self):
         k = spring_from_pullin(LARGE, 9.6)
         vs = [pullin_voltage(
@@ -186,6 +202,17 @@ class TestDeviceParams:
     def test_hysteresis_window_required(self):
         with pytest.raises(CalibrationError):
             DeviceParams.from_geometry(LARGE, 6.2, 9.6)  # swapped
+
+    @pytest.mark.parametrize("change, match", [
+        (lambda dev: {"v_po": dev.v_pi, "v_pi": dev.v_po}, "hysteresis window requires"),
+        (lambda dev: {"v_po": 0.0}, "hysteresis window requires"),
+        (lambda dev: {"c_off": dev.c_on}, "C_off must be below C_on"),
+        (lambda dev: {"c_off": 2.0 * dev.c_on}, "C_off must be below C_on"),
+    ], ids=["window-reversed", "v_po-zero", "c_off-equal", "c_off-above"])
+    def test_constructed_params_rejected(self, change, match):
+        dev = get_preset("large").params()
+        with pytest.raises(CalibrationError, match=match):
+            replace(dev, **change(dev))
 
     @pytest.mark.parametrize("gap", [4.3e103, 1e-120])
     def test_gap_beyond_float_range_is_calibration_error(self, gap):

@@ -8,7 +8,11 @@ through every row of the run.
 
 The device side has the same check: the CSV of a 1001-point C-V sweep and
 of a step-drive transient on each preset, recorded while mech still built
-its grids and columns with numpy.
+its grids and columns with numpy. The up-only sweeps and the switched
+drives on the large preset (contact then release, a charge-mode bounce off
+the stop, a charge-mode hold dropped to zero) were recorded while the C-V
+sweep stepped through update_beam_voltage and the transient kept its own
+copy of the force laws.
 
 DC runs and step drives keep math.sin out, so the values depend only on
 IEEE-754 double arithmetic and the engine's operation order.
@@ -113,6 +117,9 @@ CV_SWEEPS = {
     ("lv-high-gain", "down"): "fe2ba8f1abed03c08fb170625d3edd3c3e971c6f39797527443c301f39dead29",
     ("lv-low-gain", "both"): "2c2c6c7476463d6118c3d9559f4143abcb781a8d2dee0a6145c94d20e63bfec1",
     ("lv-low-gain", "down"): "c639ff1fd6ba26c33f9df8513fbdb0818233d0dd2aa2f7e8140f2c291660e333",
+    ("large", "up"): "f2500478f6b7b25bcbba561edd9d3d97375a47e2f087b642f678df427d4beac2",
+    ("lv-high-gain", "up"): "6373a1c99c03beb0eca8a31c07fa519628c458e471033896d840d22b5cc23280",
+    ("lv-low-gain", "up"): "ba5e67660ffc142ccc449af489bf0349126eb4ef56dc332fb99d0331f7b5e801",
 }
 
 # preset: sha256 of the transient CSV under the CLI's default step drive
@@ -141,3 +148,36 @@ def test_step_transient_is_unchanged(preset):
     level = 1.2 * dev.v_pi
     trace = transient(dev, dyn, lambda t: level, t_end, d_c=dev.d_c)
     assert sha256(trace.to_csv()) == STEP_TRANSIENTS[preset]
+
+
+def _switched(level: float, t_off: float):
+    """level before t_off, 0 from t_off on."""
+    return lambda t: level if t < t_off else 0.0
+
+
+LARGE = PRESETS["large"]
+
+# name: (drive mode, drive level in units of V_PI or q_clamp, drive off time,
+# sha256 of the transient CSV) on the large preset, dt_max = 2 ns, t_end = 2 us
+# and transient's default d_c
+SWITCHED_TRANSIENTS = {
+    "voltage-step-off": (
+        "voltage", 1.2, 1e-6,
+        "7e769cc0cc9fc4e3bae4846715bcb2d560baf8a18b06199c51fa5d8f90224eba"),
+    "charge-below-clamp": (
+        "charge", 0.9, math.inf,
+        "30b81909a27dbb46b29bb6bae736b2e7d563cc490007590cd91917316d99a33d"),
+    "charge-above-clamp-off": (
+        "charge", 1.1, 1e-6,
+        "3fcbefa8a50bb5b69676b0184c9756b9ff3aa0da90e02456c76649495a76cbc8"),
+}
+
+
+@pytest.mark.parametrize("name", SWITCHED_TRANSIENTS)
+def test_switched_transient_is_unchanged(name):
+    mode, scale, t_off, digest = SWITCHED_TRANSIENTS[name]
+    dev = LARGE.params()
+    dyn = DynamicsParams.for_device(LARGE.geometry, dev.k, 2e-9)
+    unit = dev.v_pi if mode == "voltage" else dev.q_clamp
+    trace = transient(dev, dyn, _switched(scale * unit, t_off), 2e-6, mode=mode)
+    assert sha256(trace.to_csv()) == digest

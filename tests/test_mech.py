@@ -452,6 +452,20 @@ class TestTransient:
         assert all(a < b for a, b in zip(tr.t, tr.t[1:]))
         assert len(tr.t) == len(tr.x) == len(tr.v) == len(tr.c) == len(tr.latched)
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda: DynamicsParams(0.0, 1e-9, 1e-9), "effective_mass must be strictly positive"),
+        (lambda: DynamicsParams(1e-15, -1e-9, 1e-9), "damping_b must be strictly positive"),
+        (lambda: DynamicsParams(1e-15, 1e-9, math.nan),
+         "integration_dt_max must be strictly positive"),
+        (lambda: transient(DEV, _dyn(1e-7), lambda t: 0.0, 1e-7, mode="current"),
+         "unknown drive mode 'current'"),
+        (lambda: transient(DEV, _dyn(1e-7), lambda t: 0.0, 0.0), "t_end must be positive"),
+        (lambda: transient(DEV, _dyn(1e-7), lambda t: 0.0, -1e-7), "t_end must be positive"),
+    ], ids=["mass", "damping", "dt_max", "mode", "t_end-zero", "t_end-negative"])
+    def test_rejected(self, call, match):
+        with pytest.raises(InvalidGeometryError, match=match):
+            call()
+
     def test_csv_header(self):
         tr = transient(DEV, _dyn(1e-7), lambda t: 0.0, 1e-7)
         assert tr.to_csv().startswith("t_s,x_m,v_mps,c_F,latched\n")

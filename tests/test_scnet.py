@@ -155,6 +155,13 @@ class TestBuildNetwork:
                               "b": "nope", "value": 1e-15}],
             })
 
+    def test_unknown_node_in_a_network_built_by_hand(self):
+        net = Network()
+        net.add_node("gnd")
+        net.linear_caps.append(LinearCap("c1", "gnd", "n1", 1e-15))
+        with pytest.raises(NetworkError, match="^unknown-node: element 'c1' references 'n1'"):
+            net.validate()
+
     def test_dangling_node(self):
         with pytest.raises(NetworkError, match="dangling"):
             build_network({
@@ -278,6 +285,8 @@ class TestBuildNetworkBoundary:
          r"^not-a-mapping: switch 's' waveform must be a mapping, got '5'"),
         (_element(0, "wave", 5.0),
          r"^not-a-mapping: source 'v' waveform must be a mapping, got 5.0"),
+        (_element(0, "kind", "square", "wave"), r"^unknown waveform kind 'square'"),
+        (_element(3, "type", "inductor"), r"^unknown element type 'inductor'"),
     ])
     def test_rejected(self, edit, match):
         desc = _small_description()
@@ -487,6 +496,14 @@ class TestRelayColumns:
         assert same == OhmicSwitchState(False, second.t_start + 100e-9, 100e-9)
         with pytest.raises(NetworkError, match="other nodes, elements or switches"):
             solve_phase(net_with(50e-9), second, prior)
+
+
+    @pytest.mark.parametrize("row", [4, -5, 100])
+    def test_row_out_of_range(self, row):
+        rows = simulate(fig6_network(), ClockSchedule(100e3), 1e-5).solutions
+        assert len(rows) == 4 and rows[-4].phase == rows[0].phase
+        with pytest.raises(IndexError, match="phase row out of range"):
+            rows[row]
 
 
 class TestIslands:
@@ -1217,3 +1234,14 @@ class TestParasitics:
     def test_negative_rejected(self):
         with pytest.raises(NetworkError):
             apply_parasitics(fig6_network(), -1e-15, 0.0, "gate")
+
+    @pytest.mark.parametrize("edit, terminal, match", [
+        (lambda net: None, "drain", "unknown drive terminal 'drain'"),
+        (lambda net: setattr(net.switches[2], "drive", Dc(VDC)), "gate",
+         "parasitics need clock-driven switches"),
+    ], ids=["unknown-terminal", "dc-driven-switch"])
+    def test_rejected(self, edit, terminal, match):
+        net = fig6_network()
+        edit(net)
+        with pytest.raises(NetworkError, match=match):
+            apply_parasitics(net, 1e-15, 1e-15, terminal)
