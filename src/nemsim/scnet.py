@@ -10,12 +10,14 @@ joint fixed point.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from array import array
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from operator import add
+from itertools import accumulate, compress, count, cycle, repeat
+from operator import add, ge, itemgetter, lt, mul, ne, sub
 from typing import NamedTuple
 
 from .device import EPS0, DeviceParams, get_preset
@@ -106,33 +108,43 @@ class ClockSchedule:
     def period(self) -> float:
         return 1.0 / self.f_clk
 
-    def phases(self, t_end: float) -> list[Phase]:
+    @property
+    def phases_per_period(self) -> int:
+        """4 (sample, dead, hold, dead), or 2 with no non-overlap interval."""
+        return 4 if self.nonoverlap_frac * self.period > 0 else 2
+
+    def phases(self, t_end: float) -> tuple[Phase, ...]:
         """Phase sequence covering [0, t_end]; t_end must span >= one period
-        and at most MAX_PHASES phases."""
+        and at most MAX_PHASES phases. The tuple is shared by consecutive
+        calls with the same period, non-overlap interval and period count,
+        so a gain sweep builds it once."""
         period = self.period
         if not (t_end >= period):
             raise InvalidGeometryError(
                 f"schedule needs at least one full period ({period:.3e} s), got t_end = {t_end!r}")
-        dead = self.nonoverlap_frac * period
-        per_period = 4 if dead > 0 else 2
+        per_period = self.phases_per_period
         if not (t_end / period <= MAX_PHASES / per_period):
             raise ConfigError(
                 f"t_end = {t_end!r} s spans more than {MAX_PHASES} phases "
                 f"({per_period} per {period:.3e} s period)")
-        out: list[Phase] = []
-        n_periods = int(round(t_end / period))
-        half = period / 2
-        make = Phase._make  # cheaper than the keyword-capable constructor
-        for p in range(n_periods):
-            t0 = p * period
-            mid, end = t0 + half, t0 + period
-            for kind, a, b, clk, clkb in (("sample", t0, mid - dead, True, False),
-                                          ("dead", mid - dead, mid, False, False),
-                                          ("hold", mid, end - dead, False, True),
-                                          ("dead", end - dead, end, False, False)):
-                if b > a:
-                    out.append(make((len(out), kind, a, b, clk, clkb)))
-        return out
+        return _phase_tuple(period, self.nonoverlap_frac * period, int(round(t_end / period)))
+
+
+@functools.lru_cache(maxsize=1)  # keeps one sequence, however long, past its run
+def _phase_tuple(period: float, dead: float, n_periods: int) -> tuple[Phase, ...]:
+    out: list[Phase] = []
+    half = period / 2
+    make = Phase._make  # cheaper than the keyword-capable constructor
+    for p in range(n_periods):
+        t0 = p * period
+        mid, end = t0 + half, t0 + period
+        for kind, a, b, clk, clkb in (("sample", t0, mid - dead, True, False),
+                                      ("dead", mid - dead, mid, False, False),
+                                      ("hold", mid, end - dead, False, True),
+                                      ("dead", end - dead, end, False, False)):
+            if b > a:
+                out.append(make((len(out), kind, a, b, clk, clkb)))
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------
@@ -840,6 +852,16 @@ class PhaseColumns(Sequence):
         return (self.charges[c:c + nc], self.displacement[b:b + nb], self.latched[b:b + nb],
                 self.conducting[s:s + ns], self.transition_time[s:s + ns])
 
+    def _same_state(self, r: int, s: int) -> bool:
+        """Whether rows r and s leave the same state bit for bit: node
+        voltages, plate charges, beam displacements and latch flags, and
+        switch conducting flags (not their transition times)."""
+        nn, nc, nb, ns = self._widths
+        return (all(col[r * w:(r + 1) * w].tobytes() == col[s * w:(s + 1) * w].tobytes()
+                    for col, w in ((self.volts, nn), (self.charges, nc), (self.displacement, nb)))
+                and self.latched[r * nb:(r + 1) * nb] == self.latched[s * nb:(s + 1) * nb]
+                and self.conducting[r * ns:(r + 1) * ns] == self.conducting[s * ns:(s + 1) * ns])
+
     def _append(self, phase: Phase, partition: _Partition, iterations: int,
                 notes: tuple[str, ...], conducting: Iterable[bool],
                 transition_time: list[float], volts: list[float], charges: list[float],
@@ -1059,7 +1081,10 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     phase's phase and switch states. The settling products (R_on*C of each
     closed switch) depend only on the stored row, so they are computed on
     the row's first repeat and kept in `replays`; every phase still compares
-    them with its own duration and warns. A failed solve is not stored.
+    them with its own duration and warns (_replay builds what a repeat
+    replays, here and in simulate's bulk fill). A failed solve is not
+    stored. Once a DC run turns periodic, simulate writes the rows this
+    function would copy in bulk instead of calling it per phase.
     """
     topo = network if isinstance(network, CompiledNetwork) else CompiledNetwork(network)
     net = topo.network
@@ -1113,10 +1138,7 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     if seen is not None:
         replay = topo.replays.get(seen)
         if replay is None:
-            caps = _capacitances(topo, cols.beam_row(seen)[0])
-            replay = topo.replays[seen] = (
-                tuple(w for w in cols.notes[seen] if not w.startswith("settling-violation")),
-                _settling_products(net, part, caps))
+            replay = topo.replays[seen] = _replay(topo, seen)
         notes, products = replay
         if products:
             notes += _settling_notes(products, phase)
@@ -1214,6 +1236,16 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
         conducting, transition_time, list(map(volts.__getitem__, part.node_island)),
         q, disp, latched, q_before, scale_before)
     return PhaseSolution(cols, row)
+
+
+def _replay(topo: CompiledNetwork, row: int) -> tuple[tuple[str, ...],
+                                                     tuple[tuple[str, float], ...]]:
+    """What a repeat of a row replays: its notes less the settling ones, and
+    the settling products of its closed switches."""
+    cols, part = topo.columns, topo.columns.partition[row]
+    return (tuple(w for w in cols.notes[row] if not w.startswith("settling-violation")),
+            _settling_products(topo.network, part, _capacitances(topo, cols.beam_row(row)[0]))
+            if part.settling else ())
 
 
 def _capacitances(topo: CompiledNetwork, displacement: Iterable[float]) -> list[float]:
@@ -1398,13 +1430,129 @@ class SimResult:
 
 def simulate(network: Network, schedule: ClockSchedule, t_end: float) -> SimResult:
     """Run the phase sequence over [0, t_end], threading state phase to phase
-    through one CompiledNetwork, whose columns become the result's solutions."""
+    through one CompiledNetwork, whose columns become the result's solutions.
+
+    When every source and relay drive is Dc or Clock, a phase's source and
+    drive values depend only on its clock flags, so a run that leaves a
+    clock period in the state it left the one before (bit for bit, relay
+    transition times aside) is periodic from there on: each later phase
+    would hit the memo row of its position in that period. _fill then
+    writes those rows in bulk, exactly as solve_phase would, up to the first
+    phase where the schedule or the relay timing departs from the period;
+    solve_phase takes over from that phase.
+    """
     phases = schedule.phases(t_end)
     topo = CompiledNetwork(network)
     prior: PhaseSolution | None = None
-    for ph in phases:
-        prior = solve_phase(topo, ph, prior)
+    waves = [src.wave for src in network.sources] + [sw.drive for sw in network.switches]
+    if not all(type(wave) in (Dc, Clock) for wave in waves):
+        for ph in phases:
+            prior = solve_phase(topo, ph, prior)
+        return SimResult(topo.columns)
+    cols, lag, r = topo.columns, schedule.phases_per_period, 0
+    while r < len(phases):
+        prior = solve_phase(topo, phases[r], prior)
+        r += 1
+        if r > lag and cols._same_state(r - 1, r - 1 - lag):
+            r += _fill(topo, phases, lag)
+            prior = PhaseSolution(cols, r - 1)
     return SimResult(topo.columns)
+
+
+def _fill(topo: CompiledNetwork, phases: Sequence[Phase], lag: int) -> int:
+    """Append the rows of the phases after the last solved one that repeat
+    the last `lag` rows (the cycle), and return how many were appended.
+
+    The last row leaves the state that the row `lag` earlier left, so the
+    next phase enters the transition that the cycle's first phase entered,
+    and so on around the cycle, as long as each phase has its cycle
+    position's kind and clock flags, passes _relay_step's time check, and
+    its relays give that position's conduction mask at phase end. Each row
+    is then its position's row with its own phase, transition times (the
+    start of the phase where a relay last toggled, plus its delay: the
+    float operation of _relay_step) and notes (the position's replayed
+    notes and this phase's settling notes, warned in phase order). The
+    checks run a whole column at a time (map over lists), and the rows end
+    before the first phase that fails one.
+    """
+    cols = topo.columns
+    start = len(cols)
+    first = start - lag
+    key = itemgetter(1, 4, 5)  # kind, clk_on, clkb_on
+    todo = phases[start:]
+    n = next(compress(count(), map(ne, map(key, todo), cycle(list(map(key, phases[first:start]))))),
+             len(todo))
+    if not n:
+        return 0
+    # phase start times from the cycle's first phase on, end times from the next one
+    t_starts = list(map(itemgetter(2), phases[first:start + n]))
+    t_ends = list(map(itemgetter(3), todo[:n]))
+    nn, nc, nb, ns = cols._widths
+    on, tt = cols.conducting, cols.transition_time
+    times, seen = [], {}
+    for s, (_, _, delay, slack) in enumerate(topo.relays):
+        flags = on[first * ns + s:start * ns:ns]
+        cycle_times = tt[first * ns + s:start * ns:ns]
+        # relays alike in delay and cycle (the amplifier's two sampling
+        # relays) share one column and one check
+        alike = (delay, slack, bytes(flags), cycle_times.tobytes())
+        if alike in seen:
+            times.append(seen[alike])
+            continue
+        entering = cycle_times[-1]
+        if flags.count(flags[0]) == lag:  # no toggle in the cycle: the time stands
+            when = [entering] * n
+            # phase starts only grow, so the first phase decides
+            late = [t_starts[lag] < entering - delay < math.inf]
+        else:
+            when = [0.0] * n
+            # the position of the last toggle, starting from the cycle before
+            q = max(p for p in range(lag) if flags[p] != flags[p - 1]) - lag
+            for p in range(lag):
+                if flags[p] != flags[p - 1]:
+                    q = p
+                when[p::lag] = map(add, t_starts[lag + q:lag + q + n - p:lag], repeat(delay))
+            late = list(map(lt, t_starts[lag:], map(sub, [entering, *when], repeat(delay))))
+        masks = [ph.t_end >= w - slack for ph, w in zip(phases[first:start], cycle_times)]
+        mask = list(map(ge, t_ends, map(sub, when, repeat(slack))))
+        if mask != (masks * (n // lag + 1))[:len(mask)]:
+            n = next(compress(count(), map(ne, mask, cycle(masks))))
+        if True in late:
+            n = min(n, late.index(True))
+        times.append(when)
+        seen[alike] = when
+    if not n:
+        return 0
+    todo = todo[:n]
+    full, rest = divmod(n, lag)
+    for col, w in ((cols.volts, nn), (cols.charges, nc), (cols.displacement, nb),
+                   (cols.latched, nb), (on, ns), (cols.iterations, 1), (cols.partition, 1)):
+        block = col[first * w:start * w]
+        col += block * full + block[:rest * w]
+    f_start = cols.f_start
+    a, b = f_start[first], f_start[start]
+    for col in (cols.q_in, cols.scale_in):
+        block = col[a:b]
+        col += block * full + block[:f_start[first + rest] - a]
+    steps = list(map(sub, f_start[first + 1:start + 1], f_start[first:start]))
+    ends = accumulate(steps * full + steps[:rest], initial=f_start[-1])
+    next(ends)
+    f_start.extend(ends)
+    row_times = [0.0] * (n * ns)
+    for s, when in enumerate(times):
+        row_times[s::ns] = when[:n]
+    tt.fromlist(row_times)
+    cols.phases += todo
+
+    bases, products = zip(*(_replay(topo, r) for r in range(first, start)))
+    notes = list((bases * (full + 1))[:n])
+    # per position, the largest R_on*C against 1% of each phase's duration
+    worst = [max(map(itemgetter(1), prods), default=-math.inf) for prods in products]
+    limits = map(mul, repeat(0.01), map(sub, t_ends[:n], t_starts[lag:]))
+    for k in compress(count(), map(lt, limits, cycle(worst))):
+        notes[k] = bases[k % lag] + _settling_notes(products[k % lag], todo[k])
+    cols.notes += notes
+    return n
 
 
 def apply_parasitics(network: Network, c_gb: float, c_gc: float,

@@ -6,6 +6,7 @@ deterministic.
 """
 
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from nemsim import scnet
-from nemsim.amp import AmpConfig, build_amp, dynamic_range, run_dc
+from nemsim.amp import AmpConfig, _make_network, build_amp, dynamic_range, run_dc
 from nemsim.device import EPS0, PRESETS, get_preset
 from nemsim.errors import ScenarioError
 from nemsim.mech import static_equilibrium_voltage
@@ -91,19 +92,80 @@ def test_floating_charge_conserved_and_reruns_byte_identical(case):
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
-@given(networks())
-def test_simulate_matches_the_plain_network_path(case):
-    """simulate (columns and transition memo) against solve_phase chained over
-    a plain Network, which compiles per call and never reuses a solution."""
+@given(networks(), st.integers(2, 12))
+def test_simulate_matches_the_plain_network_path(case, periods):
+    """simulate (columns, transition memo and, past the first periods, the
+    periodic fill) against solve_phase chained over a plain Network, which
+    compiles per call and never reuses a solution."""
     description, charges = case
-    run = simulate(_build(description, charges), SCHEDULE, 2 * SCHEDULE.period)
+    t_end = periods * SCHEDULE.period
+    run = simulate(_build(description, charges), SCHEDULE, t_end)
     net = _build(description, charges)
     prior = None
-    for got, phase in zip(run.solutions, SCHEDULE.phases(2 * SCHEDULE.period), strict=True):
+    for got, phase in zip(run.solutions, SCHEDULE.phases(t_end), strict=True):
         prior = solve_phase(net, phase, prior)
         for name in PhaseSolution.FIELDS:
             assert getattr(got, name) == getattr(prior, name), name
         assert repr(got) == repr(prior)
+
+
+@st.composite
+def dc_amplifiers(draw):
+    """A DC amplifier run: config, input, period count and relay R_on. A
+    clock rail below pull-in never closes a relay (the no-latch path); an
+    R_on of 1e9 ohm makes every closed relay violate the settling check."""
+    topology = draw(st.sampled_from(["basic", "modified"]))
+    config = AmpConfig(
+        device=DEV, topology=topology, m=1 if topology == "basic" else draw(st.integers(1, 12)),
+        nonoverlap_frac=draw(st.sampled_from([0.0, 1e-16, 1e-15, 1e-14, 0.01, 0.2])),
+        parasitics=draw(st.booleans()), drive_terminal=draw(st.sampled_from(["gate", "body"])),
+        clock_high=draw(st.one_of(st.none(), st.floats(1.0, DEV.v_pi, exclude_max=True))))
+    vin = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.5, 0.5)))
+    return config, vin, draw(st.integers(2, 30)), draw(st.sampled_from([1e3, 1e9]))
+
+
+def _one_run(solutions):
+    """Chained solutions, each in the columns of its own call, as one run."""
+    out = scnet.PhaseColumns(*solutions[0]._columns._layout())
+    for sol in solutions:
+        *_, on, when = sol._columns._state(sol._row)
+        sol._columns._copy(sol._row, out, sol.phase, on, when.tolist(), sol.warnings)
+    return scnet.SimResult(out)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(dc_amplifiers())
+def test_dc_amplifier_run_matches_the_plain_network_path(case):
+    """A DC run of the amplifier, whose state turns periodic after a few
+    phases, against solve_phase chained over a plain Network: every field
+    and repr, the waveform CSV, and the settling warnings in order. Tiny
+    non-overlap fractions drop dead phases from some periods."""
+    config, vin, periods, r_on = case
+    schedule = build_amp(config).schedule
+
+    def make():
+        net = _make_network(config, vin, None)
+        for sw in net.switches:
+            sw.r_on = r_on
+        return net
+
+    t_end = periods * schedule.period
+    with warnings.catch_warnings(record=True) as want_warned:
+        warnings.simplefilter("always")
+        want, prior = [], None
+        for phase in schedule.phases(t_end):
+            prior = solve_phase(make(), phase, prior)
+            want.append(prior)
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        run = simulate(make(), schedule, t_end)
+    for got, ref in zip(run.solutions, want, strict=True):
+        for name in PhaseSolution.FIELDS:
+            assert getattr(got, name) == getattr(ref, name), name
+        assert repr(got) == repr(ref)
+    assert run.waveform_csv() == _one_run(want).waveform_csv()
+    assert [(w.category, str(w.message)) for w in warned] == [
+        (w.category, str(w.message)) for w in want_warned]
 
 
 @st.composite

@@ -96,6 +96,15 @@ class TestClockSchedule:
             sched.phases(3 * sched.period)
         assert len(ClockSchedule(100e3, 0.0).phases(4 * sched.period)) == 8
 
+    def test_phase_sequence_is_one_shared_tuple(self):
+        # a gain sweep asks for the same sequence once per amplitude
+        sched = ClockSchedule(100e3)
+        phases = sched.phases(10 * sched.period)
+        assert isinstance(phases, tuple) and len(phases) == 40
+        assert sched.phases(10 * sched.period) is phases
+        assert ClockSchedule(100e3).phases(10 * sched.period) is phases
+        assert ClockSchedule(100e3, 0.02).phases(10 * sched.period) != phases
+
     def test_bad_params(self):
         with pytest.raises(InvalidGeometryError):
             ClockSchedule(0.0)
@@ -990,6 +999,123 @@ class TestTransitionMemo:
         # i = 4 on, so phase 5 enters the transition phase 1 entered
         assert all(per_phase[:5]) and not any(per_phase[5:])
         assert len(topo.transitions) == 5
+
+
+class TestPeriodicFill:
+    """simulate writes the periodic steady state of a DC run in bulk once a
+    clock period leaves the state the one before left."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        solve = scnet.solve_phase
+        monkeypatch.setattr(scnet, "solve_phase",
+                            lambda *args: calls.append(args[1]) or solve(*args))
+        return calls
+
+    def test_a_dc_bank_solves_its_first_periods_only(self, monkeypatch):
+        sched = ClockSchedule(100e3)
+        calls = self.counted(monkeypatch)
+        run = simulate(bank_network(100), sched, 50 * sched.period)
+        assert len(run.solutions) == 200
+        assert len(calls) <= 8
+
+    def test_a_sine_run_solves_every_phase(self, monkeypatch):
+        sched = ClockSchedule(100e3)
+        calls = self.counted(monkeypatch)
+        run = simulate(fig6_network(freq=10e3), sched, 10 * sched.period)
+        assert calls == list(sched.phases(10 * sched.period)) == list(run.solutions.phases)
+
+    @pytest.mark.parametrize("sched, t_sw", [
+        (ClockSchedule(100e3, 0.01), None),
+        (ClockSchedule(100e3, 0.2), None),
+        (ClockSchedule(1e6, 0.05), None),
+        (ClockSchedule(100e3, 0.01), 2e-7),
+    ], ids=["dead-1pct", "dead-20pct", "1MHz-dead-5pct", "delay-past-the-dead-phase"])
+    def test_matches_the_plain_network_path(self, monkeypatch, sched, t_sw):
+        """A switching delay equal to the non-overlap interval lands each
+        toggle on a phase boundary (the conduction test's slack); a longer
+        one leaves the sampling relays conducting through the dead phase."""
+        def make():
+            net = bank_network(3, vin=-0.011)
+            for sw in net.switches:
+                sw.state = OhmicSwitchState(
+                    switching_delay=sched.nonoverlap_frac * sched.period if t_sw is None else t_sw)
+            return net
+
+        phases = sched.phases(12 * sched.period)
+        want = chained(make(), phases)
+        calls = self.counted(monkeypatch)
+        got = simulate(make(), sched, 12 * sched.period).solutions
+        assert len(calls) < len(phases)
+        for g, w in zip(got, want, strict=True):
+            assert g == w
+            assert repr(g) == repr(w)
+
+    def test_a_relay_that_closes_after_the_state_repeats(self, monkeypatch):
+        """A DC-driven relay closes at phase 0 and conducts from 7.3 periods
+        on, at the end of phase 28, long after the run turned periodic: the
+        fill stops there, and again once the new state repeats."""
+        def make():
+            net = fig6_network()
+            net.add_node("x")
+            net.linear_caps.append(LinearCap("cx", "x", "gnd", 1e-15))
+            net.switches.append(OhmicSwitch(
+                "s_late", "a", "x", Dc(VDC), v_pi=DEV.v_pi, v_po=DEV.v_po,
+                state=OhmicSwitchState(switching_delay=7.3 * sched.period)))
+            return net
+
+        sched = ClockSchedule(100e3)
+        phases = sched.phases(12 * sched.period)
+        want = chained(make(), phases)
+        calls = self.counted(monkeypatch)
+        got = simulate(make(), sched, 12 * sched.period).solutions
+        assert [ph.index for ph in calls] == [0, 1, 2, 3, 4, 28, 29, 30, 31, 32]
+        for g, w in zip(got, want, strict=True):
+            assert repr(g) == repr(w)
+
+    def test_a_late_non_monotone_time_is_raised(self, monkeypatch):
+        """With a 1e11 s switching delay, t + delay - delay rounds to a
+        multiple of 2**-16 s, so a relay's last crossing can read later than
+        the next phase's start: the first time that happens is phase 33,
+        well inside the periodic state, and simulate raises there as the
+        plain chain does."""
+        def make():
+            net = Network()
+            for n in ("gnd", "s", "f"):
+                net.add_node(n)
+            net.sources.append(VSource("v", "s", Dc(1.0)))
+            net.linear_caps.append(LinearCap("c", "f", "gnd", 1e-15))
+            net.switches.append(OhmicSwitch("sw", "s", "f", Clock("clk", 10.0), v_pi=9.6,
+                                            v_po=6.2, state=OhmicSwitchState(switching_delay=1e11)))
+            return net
+
+        sched = ClockSchedule(1e6)
+        phases = sched.phases(40 * sched.period)
+        with pytest.raises(InvalidGeometryError, match="non-monotone time") as want:
+            chained(make(), phases)
+        calls = self.counted(monkeypatch)
+        with pytest.raises(InvalidGeometryError, match=re.escape(str(want.value))):
+            simulate(make(), sched, 40 * sched.period)
+        assert calls[-1] is phases[33] and len(calls) < 20
+
+    def test_settling_warnings_of_filled_phases(self):
+        def make():
+            net = fig6_network()
+            net.switches[2].r_on = 1e9  # s_hold violates in every hold phase
+            return net
+
+        sched = ClockSchedule(100e3)
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            chained(make(), sched.phases(10 * sched.period))
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            simulate(make(), sched, 10 * sched.period)
+        assert len(want) == 10
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+        # attributed to simulate's caller's callee, as when solve_phase warns
+        assert {w.filename for w in got} == {scnet.__file__}
 
 
 class TestFloatingGroup:
