@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import warnings
@@ -1114,8 +1115,10 @@ class TestPeriodicFill:
             simulate(make(), sched, 10 * sched.period)
         assert len(want) == 10
         assert [str(w.message) for w in got] == [str(w.message) for w in want]
-        # attributed to simulate's caller's callee, as when solve_phase warns
+        # attributed to a line of simulate, as when solve_phase warns from it
+        lines, first = inspect.getsourcelines(scnet.simulate)
         assert {w.filename for w in got} == {scnet.__file__}
+        assert all(first <= w.lineno < first + len(lines) for w in got)
 
 
 class TestFloatingGroup:
