@@ -557,9 +557,7 @@ class CompiledNetwork:
     once per network shape (_PARTITIONS). The network must not change while
     it is compiled.
 
-    It also holds the run: `columns`, one row per solved phase, the
-    transition memo from each solved entering state to its row, and what a
-    repeat of a row replays (see solve_phase).
+    It also holds the run: `columns`, one row per phase.
     """
 
     def __init__(self, network: Network):
@@ -586,10 +584,6 @@ class CompiledNetwork:
         self.columns = PhaseColumns(nodes, self.names, len(self.devices),
                                     tuple(sw.name for sw in network.switches),
                                     tuple(relay[2] for relay in self.relays))
-        self.transitions: dict[bytes, int] = {}
-        # per stored row that a later phase repeated: its notes less the
-        # settling ones, and its settling products (see solve_phase)
-        self.replays: dict[int, tuple] = {}
 
     def partition(self, mask: bytes, phase: Phase) -> _Partition:
         """The partition of a conduction mask (one flag per switch, at phase
@@ -773,7 +767,8 @@ class PhaseColumns(Sequence):
     and for each floating island of that partition the entering plate-charge
     sum and the largest entering plate charge. No velocity is stored: every
     beam is re-seated each phase by a static law, which leaves it at rest,
-    so beam_states report velocity 0.0. Only solve_phase appends rows.
+    so beam_states report velocity 0.0. solve_phase appends the rows it
+    solves, and simulate's fill the rows of a periodic DC run.
     """
 
     def __init__(self, nodes: tuple[str, ...], names: tuple[str, ...], n_beams: int,
@@ -884,18 +879,16 @@ class PhaseColumns(Sequence):
         self.f_start.append(len(self.q_in))
         return len(self.phases) - 1
 
-    def _copy(self, r: int, dest: PhaseColumns, phase: Phase, conducting: Iterable[bool],
-              transition_time: list[float], notes: tuple[str, ...]) -> int:
-        """Append row r to dest by array slices, with the given phase,
-        switch states and notes."""
-        nn, nc, nb, _ = self._widths
+    def _copy(self, r: int, dest: PhaseColumns) -> None:
+        """Append row r to dest by array slices."""
+        nn, nc, nb, ns = self._widths
         a, b = self.f_start[r], self.f_start[r + 1]
-        dest.phases.append(phase)
+        dest.phases.append(self.phases[r])
         dest.partition.append(self.partition[r])
         dest.iterations.append(self.iterations[r])
-        dest.notes.append(notes)
-        dest.conducting.extend(conducting)
-        dest.transition_time.fromlist(transition_time)
+        dest.notes.append(self.notes[r])
+        dest.conducting += self.conducting[r * ns:(r + 1) * ns]
+        dest.transition_time += self.transition_time[r * ns:(r + 1) * ns]
         dest.volts += self.volts[r * nn:(r + 1) * nn]
         dest.charges += self.charges[r * nc:(r + 1) * nc]
         dest.displacement += self.displacement[r * nb:(r + 1) * nb]
@@ -903,7 +896,6 @@ class PhaseColumns(Sequence):
         dest.q_in += self.q_in[a:b]
         dest.scale_in += self.scale_in[a:b]
         dest.f_start.append(len(dest.q_in))
-        return len(dest.phases) - 1
 
     def _charges(self, r: int) -> array:
         nc = len(self.names)
@@ -1018,10 +1010,8 @@ class PhaseSolution:
         beam displacements and latch flags (by element name; the others keep
         their values), e.g. to start solve_phase from a chosen state."""
         cols = self._columns
-        *_, conducting, transition_time = cols._state(self._row)
         out = PhaseColumns(*cols._layout())
-        cols._copy(self._row, out, self.phase, conducting, transition_time.tolist(),
-                   self.warnings)
+        cols._copy(self._row, out)
         index = {n: i for i, n in enumerate(cols.names)}
         for name, value in (charges or {}).items():
             out.charges[index[name]] = value
@@ -1073,27 +1063,23 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     and both laws map them to the same state; a NaN drive never matches a
     key.
 
-    A CompiledNetwork solves each distinct transition once per run, keyed
-    by the bit patterns (+0.0 and -0.0 apart) of the conduction mask, the
-    island voltages (pinned values and the fixed-point guess) and the
-    entering plate charges, beam displacements and latch flags. A repeat
-    copies the stored row, iterations and latch-violation notes, with this
-    phase's phase and switch states. The settling products (R_on*C of each
-    closed switch) depend only on the stored row, so they are computed on
-    the row's first repeat and kept in `replays`; every phase still compares
-    them with its own duration and warns (_replay builds what a repeat
-    replays, here and in simulate's bulk fill). A failed solve is not
-    stored. Once a DC run turns periodic, simulate writes the rows this
-    function would copy in bulk instead of calling it per phase.
+    The solution is a pure function of the conduction mask, the island
+    voltages (pinned values and the fixed-point guess) and the entering
+    plate charges, beam displacements and latch flags, apart from the
+    phase, the relay transition times and the settling notes, which compare
+    each closed switch's R_on*C with 1% of this phase's duration. simulate
+    relies on that to write a periodic DC run's rows in bulk (_fill).
     """
     topo = network if isinstance(network, CompiledNetwork) else CompiledNetwork(network)
     net = topo.network
     cols = topo.columns
+    # the beam state is rewritten per beam below: lists index and store
+    # several times faster than array and bytearray
     if prior is None:
-        q = array("d", [cap.q for cap in net.caps()])
+        q = [cap.q for cap in net.caps()]
         entering = [cap.state for cap in net.nems_caps]
-        disp = array("d", [b.displacement for b in entering])
-        latched = bytes([b.latched for b in entering])
+        disp = [b.displacement for b in entering]
+        latched = [b.latched for b in entering]
         on = [sw.state.conducting for sw in net.switches]
         since = [sw.state.last_transition_time for sw in net.switches]
         guess = None
@@ -1103,6 +1089,7 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
             raise NetworkError("prior solution is of a network with other nodes, "
                                "elements or switches")
         q, disp, latched, on, since = rows._state(r)
+        disp, latched = disp.tolist(), list(latched)
         guess, guess_base = rows.volts, r * len(rows.nodes)
 
     # relays step at phase start; the mask is their conduction at phase end:
@@ -1133,22 +1120,7 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     values += v
     volts = list(map(values.__getitem__, part.island_value))
 
-    transition = b"".join((mask, array("d", volts), latched, q, disp))
-    seen = topo.transitions.get(transition)
-    if seen is not None:
-        replay = topo.replays.get(seen)
-        if replay is None:
-            replay = topo.replays[seen] = _replay(topo, seen)
-        notes, products = replay
-        if products:
-            notes += _settling_notes(products, phase)
-        return PhaseSolution(cols, cols._copy(seen, cols, phase, conducting, transition_time,
-                                              notes))
     notes = []
-    # the beam state is rewritten per beam below: lists index and store
-    # several times faster than array and bytearray
-    disp, latched = disp.tolist(), list(latched)
-
     q_before, scale_before = _floating_charge(part, q)
 
     # voltage-driven beams: both terminals pinned; one law call per
@@ -1231,21 +1203,11 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
         notes += _settling_notes(_settling_products(net, part, caps), phase)
     notes = tuple(dict.fromkeys(notes)) if notes else ()  # dedupe, keep order
 
-    row = topo.transitions[transition] = cols._append(
+    row = cols._append(
         phase, part, iterations, notes,
         conducting, transition_time, list(map(volts.__getitem__, part.node_island)),
         q, disp, latched, q_before, scale_before)
     return PhaseSolution(cols, row)
-
-
-def _replay(topo: CompiledNetwork, row: int) -> tuple[tuple[str, ...],
-                                                     tuple[tuple[str, float], ...]]:
-    """What a repeat of a row replays: its notes less the settling ones, and
-    the settling products of its closed switches."""
-    cols, part = topo.columns, topo.columns.partition[row]
-    return (tuple(w for w in cols.notes[row] if not w.startswith("settling-violation")),
-            _settling_products(topo.network, part, _capacitances(topo, cols.beam_row(row)[0]))
-            if part.settling else ())
 
 
 def _capacitances(topo: CompiledNetwork, displacement: Iterable[float]) -> list[float]:
@@ -1436,10 +1398,11 @@ def simulate(network: Network, schedule: ClockSchedule, t_end: float) -> SimResu
     drive values depend only on its clock flags, so a run that leaves a
     clock period in the state it left the one before (bit for bit, relay
     transition times aside) is periodic from there on: each later phase
-    would hit the memo row of its position in that period. _fill then
-    writes those rows in bulk, exactly as solve_phase would, up to the first
-    phase where the schedule or the relay timing departs from the period;
-    solve_phase takes over from that phase.
+    enters the state its position in that period entered, and solve_phase,
+    a pure function of that state, would solve the same row again. _fill
+    then writes those rows in bulk, exactly as solve_phase would, up to the
+    first phase where the schedule or the relay timing departs from the
+    period; solve_phase takes over from that phase.
     """
     phases = schedule.phases(t_end)
     topo = CompiledNetwork(network)
@@ -1470,10 +1433,10 @@ def _fill(topo: CompiledNetwork, phases: Sequence[Phase], lag: int) -> int:
     its relays give that position's conduction mask at phase end. Each row
     is then its position's row with its own phase, transition times (the
     start of the phase where a relay last toggled, plus its delay: the
-    float operation of _relay_step) and notes (the position's replayed
-    notes and this phase's settling notes, warned in phase order). The
-    checks run a whole column at a time (map over lists), and the rows end
-    before the first phase that fails one.
+    float operation of _relay_step) and notes (the position's notes less
+    its settling ones, plus this phase's settling notes, warned in phase
+    order). The checks run a whole column at a time (map over lists), and
+    the rows end before the first phase that fails one.
     """
     cols = topo.columns
     start = len(cols)
@@ -1544,8 +1507,14 @@ def _fill(topo: CompiledNetwork, phases: Sequence[Phase], lag: int) -> int:
     tt.fromlist(row_times)
     cols.phases += todo
 
-    bases, products = zip(*(_replay(topo, r) for r in range(first, start)))
-    notes = list((bases * (full + 1))[:n])
+    # per position: its notes less the settling ones, and the R_on*C of each
+    # closed switch, from the position's beam displacements
+    bases = [tuple(w for w in cols.notes[r] if not w.startswith("settling-violation"))
+             for r in range(first, start)]
+    products = [_settling_products(topo.network, cols.partition[r],
+                                   _capacitances(topo, cols.displacement[r * nb:(r + 1) * nb]))
+                for r in range(first, start)]
+    notes = (bases * (full + 1))[:n]
     # per position, the largest R_on*C against 1% of each phase's duration
     worst = [max(map(itemgetter(1), prods), default=-math.inf) for prods in products]
     limits = map(mul, repeat(0.01), map(sub, t_ends[:n], t_starts[lag:]))

@@ -94,8 +94,8 @@ def test_floating_charge_conserved_and_reruns_byte_identical(case):
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(networks(), st.integers(2, 12))
 def test_simulate_matches_the_plain_network_path(case, periods):
-    """simulate (columns, transition memo and, past the first periods, the
-    periodic fill) against solve_phase chained over a plain Network, which
+    """simulate (one set of columns and, once a DC run turns periodic, the
+    bulk fill) against solve_phase chained over a plain Network, which
     compiles per call and never reuses a solution."""
     description, charges = case
     t_end = periods * SCHEDULE.period
@@ -128,8 +128,7 @@ def _one_run(solutions):
     """Chained solutions, each in the columns of its own call, as one run."""
     out = scnet.PhaseColumns(*solutions[0]._columns._layout())
     for sol in solutions:
-        *_, on, when = sol._columns._state(sol._row)
-        sol._columns._copy(sol._row, out, sol.phase, on, when.tolist(), sol.warnings)
+        sol._columns._copy(sol._row, out)
     return scnet.SimResult(out)
 
 

@@ -842,25 +842,23 @@ class TestBeamLawMemo:
             assert repr(sol.beam_states[name]) == repr(law(DEV, drive))
 
 
-class TestTransitionMemo:
-    """A CompiledNetwork solves each distinct transition once per run; a plain
-    Network is compiled per call, so the chained plain-Network path never
-    reuses a solution and is the reference."""
+class TestCompiledNetwork:
+    """solve_phase chained over one CompiledNetwork, whose columns hold the
+    whole run, against the chain over a plain Network, which is compiled
+    per call: every row is the same."""
 
     SCHED = ClockSchedule(100e3)
 
-    @pytest.mark.parametrize("make, periods, repeats", [
-        (lambda: fig6_network(vin=0.01), 4, True),
-        (lambda: fig6_network(vin=0.02, freq=10e3), 3, False),
-        (lambda: bank_network(10, vin=0.007), 4, True),
-        (lambda: bank_network(10, vin=-0.012, drive="body"), 4, True),
+    @pytest.mark.parametrize("make, periods", [
+        (lambda: fig6_network(vin=0.01), 4),
+        (lambda: fig6_network(vin=0.02, freq=10e3), 3),
+        (lambda: bank_network(10, vin=0.007), 4),
+        (lambda: bank_network(10, vin=-0.012, drive="body"), 4),
     ], ids=["basic-dc", "basic-sine", "gate-bank-m10", "body-bank-m10"])
-    def test_matches_the_plain_network_path(self, make, periods, repeats):
+    def test_matches_the_plain_network_path(self, make, periods):
         phases = self.SCHED.phases(periods * self.SCHED.period)
         want = chained(make(), phases)
-        topo = CompiledNetwork(make())
-        got = chained(topo, phases)
-        assert (len(topo.transitions) < len(phases)) == repeats
+        got = chained(CompiledNetwork(make()), phases)
         for g, w in zip(got, want):
             assert g == w
             assert repr(g) == repr(w)
@@ -879,7 +877,6 @@ class TestTransitionMemo:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got = chained(topo, phases)
-        assert len(topo.transitions) < len(phases)
         holds = [sol.phase.index for sol in got if sol.phase.kind == "hold"]
         assert [w.category for w in caught] == [SettlingWarning] * len(holds)
         assert [str(w.message) for w in caught] == [
@@ -893,56 +890,21 @@ class TestTransitionMemo:
             else:
                 assert sol.warnings == ()
 
-    def test_settling_on_repeats_at_bank_scale(self, monkeypatch):
-        def make():
-            net = bank_network(10)
-            for sw in net.switches:
-                sw.r_on = 1e9  # every closed switch violates, in every phase
-            return net
-
-        phases = self.SCHED.phases(4 * self.SCHED.period)
+    def test_replace_copies_the_whole_row(self):
+        net = fig6_network()
+        net.switches[2].r_on = 1e9  # the hold phase carries a settling note
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SettlingWarning)
-            want = chained(make(), phases)
-        topo = CompiledNetwork(make())
-        repeated = []
-        copy = scnet.PhaseColumns._copy
-        monkeypatch.setattr(scnet.PhaseColumns, "_copy",
-                            lambda cols, r, *args: repeated.append(r) or copy(cols, r, *args))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = chained(topo, phases)
-        # the replay cache holds the rows that a later phase repeated, and no other
-        assert len(repeated) > len(set(repeated)) > 1
-        assert set(topo.replays) == set(repeated)
-        closed = {"sample": ["s_in_a", "s_in_b"], "dead": [], "hold": ["s_hold"]}
-        for sol, ref in zip(got, want, strict=True):
-            assert sol.warnings == ref.warnings
-            assert repr(sol) == repr(ref)
-            assert [re.match(r"settling-violation: switch (\w+) ", note)[1]
-                    for note in sol.warnings] == closed[sol.phase.kind]
-            for note in sol.warnings:
-                assert note.endswith(f"exceeds 1% of phase {sol.phase.index}")
-                sw, = [sw for sw in topo.network.switches if f" {sw.name} " in note]
-                rc = float(re.search(r"R_on\*C = (\S+) s", note)[1])
-                c = self.island_capacitance(topo.network, sol, {sw.a, sw.b})
-                assert math.isclose(rc, sw.r_on * c, rel_tol=1e-3)
-        assert [w.category for w in caught] == [SettlingWarning] * len(caught)
-        assert [str(w.message) for w in caught] == [
-            note for sol in got for note in sol.warnings]
-
-    @staticmethod
-    def island_capacitance(net, sol, nodes):
-        """Capacitance on an island, once per plate on it, with the beams at
-        sol's displacements."""
-        c = 0.0
-        for cap in net.nems_caps:
-            x = sol.beam_states[cap.name].displacement
-            plates = (cap.top in nodes) + (cap.bottom in nodes)
-            c += plates * EPS0 * cap.device.area / (cap.device.g_eff - x)
-        for cap in net.linear_caps:
-            c += ((cap.a in nodes) + (cap.b in nodes)) * cap.value
-        return c
+            hold = chained(net, self.SCHED.phases(self.SCHED.period))[2]
+        assert hold.phase.kind == "hold" and hold.warnings
+        assert hold.switch_states["s_hold"].last_transition_time > 0.0
+        same = hold.replace()
+        assert same == hold and repr(same) == repr(hold)
+        moved = hold.replace(charges={"ca": 1e-15})
+        assert moved.charges == {**hold.charges, "ca": 1e-15}
+        for field in ("phase", "node_voltages", "beam_states", "switch_states",
+                      "iterations", "warnings"):
+            assert getattr(moved, field) == getattr(hold, field)
 
     @staticmethod
     def beam_on_a_floating_node():
@@ -960,14 +922,12 @@ class TestTransitionMemo:
         first, second = self.SCHED.phases(self.SCHED.period)[:2]
         topo = CompiledNetwork(net)
         start = solve_phase(topo, first)
-        beam = start.beam_states["n"]
         # the charge of c entering the second phase
         variants = [0.0, -0.0]
         for q in variants[::-1] if reverse else variants:
             prior = start.replace(charges={"n": start.charges["n"], "c": q})
             assert repr(solve_phase(topo, second, prior)) == repr(
                 solve_phase(net, second, prior))
-        assert len(topo.transitions) == 1 + len(variants)
 
     def test_beam_velocity_is_not_state(self):
         net = self.beam_on_a_floating_node()
@@ -981,25 +941,6 @@ class TestTransitionMemo:
         assert priors[0] == priors[1]
         sols = [solve_phase(topo, second, prior) for prior in priors]
         assert sols[0] == sols[1] and repr(sols[0]) == repr(sols[1])
-        assert len(topo.transitions) == 2
-
-    def test_no_beam_law_runs_once_the_dc_state_repeats(self, monkeypatch):
-        calls = []
-        for name in ("static_equilibrium_charge", "static_equilibrium_voltage",
-                     "release_holds"):
-            law = getattr(scnet, name)
-            monkeypatch.setattr(scnet, name,
-                                lambda *args, _law=law: calls.append(args) or _law(*args))
-        topo = CompiledNetwork(bank_network(10))
-        prior, per_phase = None, []
-        for ph in self.SCHED.phases(5 * self.SCHED.period):
-            calls.clear()
-            prior = solve_phase(topo, ph, prior)
-            per_phase.append(len(calls))
-        # the state leaving phase i equals the one leaving phase i - 4 from
-        # i = 4 on, so phase 5 enters the transition phase 1 entered
-        assert all(per_phase[:5]) and not any(per_phase[5:])
-        assert len(topo.transitions) == 5
 
 
 class TestPeriodicFill:
@@ -1119,6 +1060,56 @@ class TestPeriodicFill:
         lines, first = inspect.getsourcelines(scnet.simulate)
         assert {w.filename for w in got} == {scnet.__file__}
         assert all(first <= w.lineno < first + len(lines) for w in got)
+
+    def test_settling_on_repeats_at_bank_scale(self, monkeypatch):
+        """Every closed switch of an m = 10 bank violates the settling check
+        in every phase: each filled phase warns once per closed switch, in
+        phase order, with its own phase index."""
+        def make():
+            net = bank_network(10)
+            for sw in net.switches:
+                sw.r_on = 1e9
+            return net
+
+        sched = ClockSchedule(100e3)
+        phases = sched.phases(12 * sched.period)
+        with warnings.catch_warnings(record=True) as want_warned:
+            warnings.simplefilter("always")
+            want = chained(make(), phases)
+        net = make()
+        calls = self.counted(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = simulate(net, sched, 12 * sched.period).solutions
+        assert [ph.index for ph in calls] == [0, 1, 2, 3, 4]
+        # two sampling relays and one hold relay closed per period
+        assert [w.category for w in caught] == [SettlingWarning] * 36
+        assert [str(w.message) for w in caught] == [str(w.message) for w in want_warned]
+        assert [str(w.message) for w in caught] == [note for sol in got for note in sol.warnings]
+        closed = {"sample": ["s_in_a", "s_in_b"], "dead": [], "hold": ["s_hold"]}
+        for sol, ref in zip(got, want, strict=True):
+            assert repr(sol) == repr(ref)
+            assert [re.match(r"settling-violation: switch (\w+) ", note)[1]
+                    for note in sol.warnings] == closed[sol.phase.kind]
+            for note in sol.warnings:
+                assert note.endswith(f"exceeds 1% of phase {sol.phase.index}")
+                sw, = [sw for sw in net.switches if f" {sw.name} " in note]
+                rc = float(re.search(r"R_on\*C = (\S+) s", note)[1])
+                c = self.island_capacitance(net, sol, {sw.a, sw.b})
+                assert math.isclose(rc, sw.r_on * c, rel_tol=1e-3)
+
+    @staticmethod
+    def island_capacitance(net, sol, nodes):
+        """Capacitance on an island, once per plate on it, with the beams at
+        sol's displacements."""
+        c = 0.0
+        for cap in net.nems_caps:
+            x = sol.beam_states[cap.name].displacement
+            plates = (cap.top in nodes) + (cap.bottom in nodes)
+            c += plates * EPS0 * cap.device.area / (cap.device.g_eff - x)
+        for cap in net.linear_caps:
+            c += ((cap.a in nodes) + (cap.b in nodes)) * cap.value
+        return c
 
 
 class TestFloatingGroup:
