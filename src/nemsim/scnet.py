@@ -881,21 +881,32 @@ class PhaseColumns(Sequence):
 
     def _copy(self, r: int, dest: PhaseColumns) -> None:
         """Append row r to dest by array slices."""
-        nn, nc, nb, ns = self._widths
-        a, b = self.f_start[r], self.f_start[r + 1]
+        self._repeat(r, r + 1, 1, dest)
+        ns = len(self.switch_names)
         dest.phases.append(self.phases[r])
-        dest.partition.append(self.partition[r])
-        dest.iterations.append(self.iterations[r])
-        dest.notes.append(self.notes[r])
-        dest.conducting += self.conducting[r * ns:(r + 1) * ns]
         dest.transition_time += self.transition_time[r * ns:(r + 1) * ns]
-        dest.volts += self.volts[r * nn:(r + 1) * nn]
-        dest.charges += self.charges[r * nc:(r + 1) * nc]
-        dest.displacement += self.displacement[r * nb:(r + 1) * nb]
-        dest.latched += self.latched[r * nb:(r + 1) * nb]
-        dest.q_in += self.q_in[a:b]
-        dest.scale_in += self.scale_in[a:b]
-        dest.f_start.append(len(dest.q_in))
+        dest.notes.append(self.notes[r])
+
+    def _repeat(self, first: int, stop: int, n: int, dest: PhaseColumns) -> None:
+        """Append to dest n rows that repeat rows first to stop - 1 in turn,
+        by array slices: the state columns, iterations and partitions, and
+        the entering island charges with their f_start offsets. The caller
+        appends the rows' phases, transition times and notes."""
+        nn, nc, nb, ns = self._widths
+        full, rest = divmod(n, stop - first)
+        for name, w in (("volts", nn), ("charges", nc), ("displacement", nb), ("latched", nb),
+                        ("conducting", ns), ("iterations", 1), ("partition", 1)):
+            block = getattr(self, name)[first * w:stop * w]
+            getattr(dest, name).extend(block * full + block[:rest * w])
+        f_start = self.f_start
+        a, b = f_start[first], f_start[stop]
+        for name in ("q_in", "scale_in"):
+            block = getattr(self, name)[a:b]
+            getattr(dest, name).extend(block * full + block[:f_start[first + rest] - a])
+        steps = list(map(sub, f_start[first + 1:stop + 1], f_start[first:stop]))
+        ends = accumulate(steps * full + steps[:rest], initial=dest.f_start[-1])
+        next(ends)
+        dest.f_start.extend(ends)
 
     def _charges(self, r: int) -> array:
         nc = len(self.names)
@@ -1406,20 +1417,17 @@ def simulate(network: Network, schedule: ClockSchedule, t_end: float) -> SimResu
     """
     phases = schedule.phases(t_end)
     topo = CompiledNetwork(network)
-    prior: PhaseSolution | None = None
     waves = [src.wave for src in network.sources] + [sw.drive for sw in network.switches]
-    if not all(type(wave) in (Dc, Clock) for wave in waves):
-        for ph in phases:
-            prior = solve_phase(topo, ph, prior)
-        return SimResult(topo.columns)
+    periodic = all(type(wave) in (Dc, Clock) for wave in waves)
     cols, lag, r = topo.columns, schedule.phases_per_period, 0
+    prior: PhaseSolution | None = None
     while r < len(phases):
         prior = solve_phase(topo, phases[r], prior)
         r += 1
-        if r > lag and cols._same_state(r - 1, r - 1 - lag):
+        if periodic and r > lag and cols._same_state(r - 1, r - 1 - lag):
             r += _fill(topo, phases, lag)
             prior = PhaseSolution(cols, r - 1)
-    return SimResult(topo.columns)
+    return SimResult(cols)
 
 
 def _fill(topo: CompiledNetwork, phases: Sequence[Phase], lag: int) -> int:
@@ -1450,7 +1458,7 @@ def _fill(topo: CompiledNetwork, phases: Sequence[Phase], lag: int) -> int:
     # phase start times from the cycle's first phase on, end times from the next one
     t_starts = list(map(itemgetter(2), phases[first:start + n]))
     t_ends = list(map(itemgetter(3), todo[:n]))
-    nn, nc, nb, ns = cols._widths
+    _, _, nb, ns = cols._widths
     on, tt = cols.conducting, cols.transition_time
     times, seen = [], {}
     for s, (_, _, delay, slack) in enumerate(topo.relays):
@@ -1463,19 +1471,15 @@ def _fill(topo: CompiledNetwork, phases: Sequence[Phase], lag: int) -> int:
             times.append(seen[alike])
             continue
         entering = cycle_times[-1]
-        if flags.count(flags[0]) == lag:  # no toggle in the cycle: the time stands
-            when = [entering] * n
-            # phase starts only grow, so the first phase decides
-            late = [t_starts[lag] < entering - delay < math.inf]
-        else:
-            when = [0.0] * n
-            # the position of the last toggle, starting from the cycle before
-            q = max(p for p in range(lag) if flags[p] != flags[p - 1]) - lag
-            for p in range(lag):
-                if flags[p] != flags[p - 1]:
-                    q = p
+        when = [entering] * n
+        # a toggle at cycle position q sets the rows from q up to the next
+        # toggle (around the cycle) to the start of q's phase plus the delay;
+        # the rows before the first toggle keep the entering time
+        toggles = [p for p in range(lag) if flags[p] != flags[p - 1]]
+        for q, stop in zip(toggles, toggles[1:] + [p + lag for p in toggles[:1]]):
+            for p in range(q, stop):
                 when[p::lag] = map(add, t_starts[lag + q:lag + q + n - p:lag], repeat(delay))
-            late = list(map(lt, t_starts[lag:], map(sub, [entering, *when], repeat(delay))))
+        late = list(map(lt, t_starts[lag:], map(sub, [entering, *when], repeat(delay))))
         masks = [ph.t_end >= w - slack for ph, w in zip(phases[first:start], cycle_times)]
         mask = list(map(ge, t_ends, map(sub, when, repeat(slack))))
         if mask != (masks * (n // lag + 1))[:len(mask)]:
@@ -1487,20 +1491,7 @@ def _fill(topo: CompiledNetwork, phases: Sequence[Phase], lag: int) -> int:
     if not n:
         return 0
     todo = todo[:n]
-    full, rest = divmod(n, lag)
-    for col, w in ((cols.volts, nn), (cols.charges, nc), (cols.displacement, nb),
-                   (cols.latched, nb), (on, ns), (cols.iterations, 1), (cols.partition, 1)):
-        block = col[first * w:start * w]
-        col += block * full + block[:rest * w]
-    f_start = cols.f_start
-    a, b = f_start[first], f_start[start]
-    for col in (cols.q_in, cols.scale_in):
-        block = col[a:b]
-        col += block * full + block[:f_start[first + rest] - a]
-    steps = list(map(sub, f_start[first + 1:start + 1], f_start[first:start]))
-    ends = accumulate(steps * full + steps[:rest], initial=f_start[-1])
-    next(ends)
-    f_start.extend(ends)
+    cols._repeat(first, start, n, cols)
     row_times = [0.0] * (n * ns)
     for s, when in enumerate(times):
         row_times[s::ns] = when[:n]
@@ -1514,7 +1505,7 @@ def _fill(topo: CompiledNetwork, phases: Sequence[Phase], lag: int) -> int:
     products = [_settling_products(topo.network, cols.partition[r],
                                    _capacitances(topo, cols.displacement[r * nb:(r + 1) * nb]))
                 for r in range(first, start)]
-    notes = (bases * (full + 1))[:n]
+    notes = (bases * (n // lag + 1))[:n]
     # per position, the largest R_on*C against 1% of each phase's duration
     worst = [max(map(itemgetter(1), prods), default=-math.inf) for prods in products]
     limits = map(mul, repeat(0.01), map(sub, t_ends[:n], t_starts[lag:]))

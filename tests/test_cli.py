@@ -5,7 +5,7 @@ import pytest
 
 from nemsim import amp, cli, ioutil, mech
 from nemsim.cli import main
-from nemsim.device import DeviceParams
+from nemsim.device import DeviceParams, get_preset
 from nemsim.errors import NemsimError
 from nemsim.scenario import parse_scenario
 from test_scenario import CUSTOM_HIGH_GAIN
@@ -110,6 +110,39 @@ class TestAmplify:
         assert code == 0
         assert {"gain_dc,", "vout_V,"} <= set(out.splitlines())
 
+    def test_in_range_sine_reports_the_dc_reference(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text('device.preset = "large"\nstimulus.kind = sine\n'
+                       "stimulus.amplitude_V = 0.05\nstimulus.freq_hz = 10000\n"
+                       "run.n_periods = 1\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["amplify", "--config", str(cfg), "--out-dir", str(out_dir)], capsys)
+        assert code == 0 and err == ""
+        # a header and two rows for each of the 40 phases of one input period
+        assert len((out_dir / "waveforms.csv").read_text().splitlines()) == 1 + 2 * 40
+        doc = read_json(out_dir / "summary.json")
+        assert json.loads(out) == doc
+        ref = amp.run_dc(amp.build_amp(amp.AmpConfig(device=get_preset("large").params())), 0.05)
+        assert (doc["gain_dc"], doc["vout_V"]) == (ref.gain, ref.vout)
+        assert abs(doc["gain_dc"] - 38.7616) < 1e-4 and abs(doc["vout_V"] - 1.93808) < 1e-5
+
+    def test_zero_amplitude_gain_is_null(self, tmp_path, capsys):
+        # vout / vin is NaN at vin = 0: null in summary.json, empty in the CSV summary
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text('device.preset = "large"\nstimulus.amplitude_V = 0\n')
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["amplify", "--config", str(cfg), "--out-dir", str(out_dir)], capsys)
+        assert code == 0 and err == ""
+        doc = read_json(out_dir / "summary.json")
+        assert doc["gain_dc"] is None and doc["vout_V"] == 0.0
+        assert "NaN" not in (out_dir / "summary.json").read_text()
+        code, out, _ = run_cli(["amplify", "--config", str(cfg), "--out-dir", str(out_dir),
+                                "--format", "csv"], capsys)
+        assert code == 0
+        assert "gain_dc," in out.splitlines()
+
     def test_parse_error_carries_line(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text('device.preset = "large"\namp.bogus = 1\n')
@@ -187,6 +220,19 @@ class TestCvSweepCommand:
             capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("direction, up, down", [("up", 9.6, None), ("down", None, 6.2)])
+    def test_one_direction(self, direction, up, down, tmp_path, capsys):
+        code, out, _ = run_cli(
+            ["cv-sweep", "--preset", "large", "--direction", direction,
+             "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        doc = read_json(tmp_path / "summary.json")
+        assert json.loads(out) == doc and doc["direction"] == direction
+        assert (doc["up_transition_V"], doc["down_transition_V"]) == (up, down)
+        branches = {line.rsplit(",", 1)[1]
+                    for line in (tmp_path / "cv.csv").read_text().splitlines()[1:]}
+        assert branches == {direction}
+
 
 class TestTransientCommand:
     def test_step_pullin(self, tmp_path, capsys):
@@ -197,6 +243,17 @@ class TestTransientCommand:
         assert doc["final_latched"] is True
         assert len(doc["contact_times_s"]) == 1
         assert (tmp_path / "transient.csv").read_text().startswith("t_s,x_m,v_mps,c_F,latched")
+
+    def test_sine_drive(self, tmp_path, capsys):
+        code, out, _ = run_cli(
+            ["transient", "--preset", "large", "--drive", "sine", "--out-dir", str(tmp_path)],
+            capsys)
+        assert code == 0
+        doc = read_json(tmp_path / "summary.json")
+        assert json.loads(out) == doc and doc["drive"] == "sine"
+        lines = (tmp_path / "transient.csv").read_text().splitlines()
+        assert lines[0] == "t_s,x_m,v_mps,c_F,latched"
+        assert len(lines) == 1 + 2001
 
     @pytest.mark.parametrize("t_end", ["0", "-1"])
     def test_non_positive_end_time_names_the_option(self, t_end, tmp_path, capsys):
@@ -307,6 +364,17 @@ class TestGainSweepCommand:
         assert code == 1 and out == ""
         doc = json.loads(err)["error"]
         assert doc["kind"] == "config-error" and "160 phases, more than 159" in doc["message"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("options", [["--vin-min", "0.2", "--vin-max", "0.1"],
+                                         ["--n-points", "1"]], ids=["reversed", "one-point"])
+    def test_bad_sweep_range_is_config_error(self, options, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["gain-sweep", "--preset", "large", *options, "--out-dir", str(out_dir)], capsys)
+        assert code == 1 and out == ""
+        doc = json.loads(err)["error"]
+        assert doc["kind"] == "config-error" and "bad sweep range" in doc["message"]
         assert not out_dir.exists()
 
     def test_explicit_amplitudes(self, tmp_path, capsys):
