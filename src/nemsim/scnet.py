@@ -205,21 +205,58 @@ class VSource:
     wave: Waveform
 
 
-def _relay_step(switch: OhmicSwitch, conducting: bool, last_transition_time: float,
-                switching_delay: float, v_gb: float, t: float) -> tuple[bool, float]:
-    """The relay state machine: (conducting, last_transition_time) after the
-    gate-body voltage v_gb at time t, from the given state. A commanded
-    toggle takes effect switching_delay after t."""
-    last_cross = last_transition_time - switching_delay
-    if t < last_cross and math.isfinite(last_cross):
-        raise InvalidGeometryError(
-            f"switch {switch.name}: non-monotone time {t} < {last_cross}")
-    if conducting:
-        if abs(v_gb) < switch.v_po:
-            return False, t + switching_delay
-    elif abs(v_gb) > switch.v_pi:
-        return True, t + switching_delay
-    return conducting, last_transition_time
+class _RelayRows(NamedTuple):
+    """The relays over a phase sequence, one row per phase in PhaseColumns'
+    row-major layout (Network.switches order within a row)."""
+
+    phases: Sequence[Phase]
+    conducting: bytes        # each relay's flag after its step at phase start
+    transition_time: array   # and its last transition time
+    mask: bytes              # its conduction at phase end
+    stop: int                # the rows: the phases before the first that fails the time check
+
+
+def _relay_rows(relays: Sequence[tuple], phases: Sequence[Phase],
+                entering: Iterable[OhmicSwitchState]) -> _RelayRows:
+    """The relay state machine, each relay stepped from its entering state
+    through the phases.
+
+    At each phase start t a relay reads its drive, the gate-body voltage: a
+    conducting relay opens below v_po, an open one closes above v_pi, and
+    the toggle takes effect switching_delay after t, its transition time.
+    The phase-end mask is the relay's conduction at t_end, less a slack that
+    absorbs float roundoff when a transition time lands exactly on a phase
+    boundary (t_sw equal to the non-overlap interval). The rows stop before
+    the first phase whose start precedes a relay's last crossing (its
+    transition time less the delay); when that is the first phase,
+    InvalidGeometryError names the first such relay.
+
+    relays are CompiledNetwork.relays. The relays follow their drives, not
+    the network's state, so a run's rows are fixed by its phases and its
+    relays' initial states.
+    """
+    ns, stop = len(relays), len(phases)
+    conducting, mask = bytearray(ns * stop), bytearray(ns * stop)
+    transition_time = array("d", bytes(8 * ns * stop))
+    for s, ((sw, drive, delay, slack), state) in enumerate(zip(relays, entering)):
+        c, when, v_po, v_pi = state.conducting, state.last_transition_time, sw.v_po, sw.v_pi
+        last = when - delay
+        for i, ph in zip(range(s, ns * stop, ns), phases):
+            t = ph.t_start
+            if t < last < math.inf:
+                if i < ns:  # the first phase
+                    raise InvalidGeometryError(
+                        f"switch {sw.name}: non-monotone time {t} < {last}")
+                stop = i // ns
+                break
+            v = abs(drive(t, ph))
+            if v < v_po if c else v > v_pi:
+                c, when = not c, t + delay
+                last = when - delay
+            conducting[i], transition_time[i] = c, when
+            mask[i] = c if ph.t_end >= when - slack else not c
+    k = ns * stop
+    return _RelayRows(phases, bytes(conducting[:k]), transition_time[:k], bytes(mask[:k]), stop)
 
 
 # --------------------------------------------------------------------------
@@ -557,7 +594,9 @@ class CompiledNetwork:
     once per network shape (_PARTITIONS). The network must not change while
     it is compiled.
 
-    It also holds the run: `columns`, one row per phase.
+    It also holds the run: `columns`, one row per phase, and `relay_rows`,
+    the relays over the run's phase sequence (_relay_rows), which simulate
+    sets before the first phase.
     """
 
     def __init__(self, network: Network):
@@ -584,6 +623,7 @@ class CompiledNetwork:
         self.columns = PhaseColumns(nodes, self.names, len(self.devices),
                                     tuple(sw.name for sw in network.switches),
                                     tuple(relay[2] for relay in self.relays))
+        self.relay_rows = None
 
     def partition(self, mask: bytes, phase: Phase) -> _Partition:
         """The partition of a conduction mask (one flag per switch, at phase
@@ -769,6 +809,10 @@ class PhaseColumns(Sequence):
     beam is re-seated each phase by a static law, which leaves it at rest,
     so beam_states report velocity 0.0. solve_phase appends the rows it
     solves, and simulate's fill the rows of a periodic DC run.
+
+    The last row solve_phase appended is also held as the lists it was
+    built from (`held`), so the phase after it enters without copying the
+    row out of the columns.
     """
 
     def __init__(self, nodes: tuple[str, ...], names: tuple[str, ...], n_beams: int,
@@ -792,6 +836,8 @@ class PhaseColumns(Sequence):
         self.q_in = array("d")
         self.scale_in = array("d")
         self.f_start = array("l", [0])  # each row's first entry in q_in and scale_in
+        # (row, plate charges, beam displacements, latch flags, node voltages)
+        self.held = None
 
     def __len__(self) -> int:
         return len(self.phases)
@@ -839,13 +885,18 @@ class PhaseColumns(Sequence):
     def _layout(self) -> tuple:
         return self.nodes, self.names, self.n_beams, self.switch_names, self.delays
 
-    def _state(self, r: int) -> tuple:
-        """Copies of row r's plate charges, beam displacements and latch
-        flags, and switch conducting flags and transition times."""
-        _, nc, nb, ns = self._widths
-        c, b, s = r * nc, r * nb, r * ns
-        return (self.charges[c:c + nc], self.displacement[b:b + nb], self.latched[b:b + nb],
-                self.conducting[s:s + ns], self.transition_time[s:s + ns])
+    def _entering(self, r: int) -> tuple:
+        """Row r's plate charges, beam displacements and latch flags as lists
+        the caller may rewrite, and its node voltages: the held lists, handed
+        over once, when r is the row they hold, else copies."""
+        held = self.held
+        if held is not None and held[0] == r:
+            self.held = None
+            return held[1:]
+        disp, latched = self.beam_row(r)
+        nn = len(self.nodes)
+        return (self._charges(r).tolist(), disp.tolist(), list(latched),
+                self.volts[r * nn:(r + 1) * nn])
 
     def _same_state(self, r: int, s: int) -> bool:
         """Whether rows r and s leave the same state bit for bit: node
@@ -858,18 +909,18 @@ class PhaseColumns(Sequence):
                 and self.conducting[r * ns:(r + 1) * ns] == self.conducting[s * ns:(s + 1) * ns])
 
     def _append(self, phase: Phase, partition: _Partition, iterations: int,
-                notes: tuple[str, ...], conducting: Iterable[bool],
-                transition_time: list[float], volts: list[float], charges: list[float],
-                displacement: list[float], latched: Iterable[bool],
-                q_in: list[float], scale_in: list[float]) -> int:
-        """Append one row; fromlist is several times cheaper than extend on
-        a short list."""
+                notes: tuple[str, ...], conducting: bytes, transition_time: array,
+                volts: list[float], charges: list[float], displacement: list[float],
+                latched: list[bool], q_in: list[float], scale_in: list[float]) -> int:
+        """Append one row and hold its lists; fromlist is several times
+        cheaper than extend on a short list."""
+        row = len(self.phases)
         self.phases.append(phase)
         self.partition.append(partition)
         self.iterations.append(iterations)
         self.notes.append(notes)
-        self.conducting.extend(conducting)
-        self.transition_time.fromlist(transition_time)
+        self.conducting += conducting
+        self.transition_time += transition_time
         self.volts.fromlist(volts)
         self.charges.fromlist(charges)
         self.displacement.fromlist(displacement)
@@ -877,7 +928,8 @@ class PhaseColumns(Sequence):
         self.q_in.fromlist(q_in)
         self.scale_in.fromlist(scale_in)
         self.f_start.append(len(self.q_in))
-        return len(self.phases) - 1
+        self.held = (row, charges, displacement, latched, volts)
+        return row
 
     def _copy(self, r: int, dest: PhaseColumns) -> None:
         """Append row r to dest by array slices."""
@@ -1061,12 +1113,19 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     beam and switch states, or from the element fields when prior is None.
     The solution is a row appended to the compiled network's columns. A
     plain Network is compiled for this one call; simulate compiles once
-    and passes the CompiledNetwork. Pinned islands take their source
-    voltage and voltage-driven beams update hysteretically. Each floating
-    island keeps its entering plate-charge sum while island voltage,
-    per-element charges and charge-driven beam positions relax together:
-    distribute charge by capacitance, re-seat every beam, recompute
-    capacitances, repeat (hard cap 10^4).
+    and passes the CompiledNetwork. Called for the run's next phase (the
+    phase of the compiled network's relay rows at the columns' length) with
+    the run's last row as prior, or with no prior before the first row, the
+    phase reads its relay row; any other call steps the relays over this
+    one phase (_relay_rows). A prior that is the last row solve_phase
+    appended hands over the lists it was built from.
+
+    Pinned islands take their source voltage and voltage-driven beams
+    update hysteretically. Each floating island keeps its entering
+    plate-charge sum while island voltage, per-element charges and
+    charge-driven beam positions relax together: distribute charge by
+    capacitance, re-seat every beam, recompute capacitances, repeat (hard
+    cap 10^4).
 
     Each beam law is a pure function of the device and the drive, so within
     a phase it runs once per distinct (device class, drive) key, plus the
@@ -1082,53 +1141,44 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     relies on that to write a periodic DC run's rows in bulk (_fill).
     """
     topo = network if isinstance(network, CompiledNetwork) else CompiledNetwork(network)
-    net = topo.network
-    cols = topo.columns
+    net, cols = topo.network, topo.columns
+    n = len(cols)
     # the beam state is rewritten per beam below: lists index and store
     # several times faster than array and bytearray
     if prior is None:
+        nxt = not n
         q = [cap.q for cap in net.caps()]
-        entering = [cap.state for cap in net.nems_caps]
-        disp = [b.displacement for b in entering]
-        latched = [b.latched for b in entering]
-        on = [sw.state.conducting for sw in net.switches]
-        since = [sw.state.last_transition_time for sw in net.switches]
-        guess = None
+        disp = [cap.state.displacement for cap in net.nems_caps]
+        latched = [cap.state.latched for cap in net.nems_caps]
+        guess = [0.0] * len(net.nodes)
     else:
-        rows, r = prior._columns, prior._row
-        if rows is not cols and rows._layout() != cols._layout():
+        src, r = prior._columns, prior._row
+        if src is not cols and src._layout() != cols._layout():
             raise NetworkError("prior solution is of a network with other nodes, "
                                "elements or switches")
-        q, disp, latched, on, since = rows._state(r)
-        disp, latched = disp.tolist(), list(latched)
-        guess, guess_base = rows.volts, r * len(rows.nodes)
+        nxt = src is cols and r == n - 1
+        q, disp, latched, guess = src._entering(r)
 
-    # relays step at phase start; the mask is their conduction at phase end:
-    # a toggle takes effect at its transition time, less a slack that absorbs
-    # float roundoff when that instant lands exactly on a phase boundary
-    # (t_sw equal to the non-overlap interval)
-    t, t_end = phase.t_start, phase.t_end
-    conducting, transition_time, mask = [], [], []
-    for (sw, drive, delay, slack), c, when in zip(topo.relays, on, since):
-        c, when = _relay_step(sw, c, when, delay, drive(t, phase), t)
-        conducting.append(c)
-        transition_time.append(when)
-        mask.append(c if t_end >= when - slack else not c)
-    mask = bytes(mask)
+    # the run's next phase reads its relay row; any other phase steps the
+    # relays from the prior's row or the elements' states
+    rows = topo.relay_rows
+    if not (nxt and rows is not None and n < rows.stop and rows.phases[n] is phase):
+        rows, n = _relay_rows(topo.relays, (phase,), [sw.state for sw in net.switches]
+                              if prior is None else prior.switch_states.values()), 0
+    ns = len(topo.relays)
+    a, b = n * ns, (n + 1) * ns
+    conducting, transition_time, mask = rows.conducting[a:b], rows.transition_time[a:b], rows.mask[a:b]
     part = topo._by_mask.get(mask) or topo.partition(mask, phase)
 
     # island voltages: pinned ones from this phase's source values, floating
     # ones from the prior's node voltages (the fixed-point guess)
+    t_end = phase.t_end
     values = [wave(t_end, phase) for wave in topo.source_waves]
     values.append(0.0)  # ground
     for members, pins in part.shared_pins:
         _pin_value(members, [(name, values[i]) for name, i in pins])
     f_islands = part.f_islands
-    if guess is None:
-        v = [0.0] * len(f_islands)
-    else:
-        v = [guess[guess_base + node] for node in part.f_first_node]
-    values += v
+    values += [guess[node] for node in part.f_first_node]
     volts = list(map(values.__getitem__, part.island_value))
 
     notes = []
@@ -1165,17 +1215,7 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
         # shared by every iteration of this phase
         by_charge = {}
         for iterations in range(1, _MAX_FIXED_POINT + 1):
-            v_new = _solve_floating(part, caps, volts, q_before, v)
-            # largest step (NaN sticks) and largest magnitude of the iterate
-            step = size = 0.0
-            for k, a, b in zip(f_islands, v_new, v):
-                volts[k] = a
-                d = abs(a - b)
-                if d > step or d != d:
-                    step = d
-                a = abs(a)
-                if a > size:
-                    size = a
+            step, size = _solve_floating(part, caps, volts, q_before)
             # charge-driven beams re-seat from their plate charge; the plate
             # charges themselves are assigned once, after convergence
             for j, ia, ib, cls in part.charge_beams:
@@ -1191,14 +1231,13 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
                     notes.append(f"latch-violation: beam {topo.names[j]} re-latched "
                                  "during redistribution")
                 disp[j], latched[j], caps[j] = seated
-            v = v_new
             # a NaN iterate makes step NaN, so size's NaN handling is moot
             if iterations >= 2 and step <= tol * (size if size > 1.0 else 1.0):
                 break
         else:
             # the first NaN island, else the first of largest |v|
-            nan = [f for f, x in enumerate(v) if x != x]
-            worst = nan[0] if nan else max(range(len(v)), key=lambda f: abs(v[f]))
+            v = [volts[k] for k in f_islands]
+            worst = max(range(len(v)), key=lambda f: (v[f] != v[f], abs(v[f])))
             raise ConvergenceError(
                 f"phase {phase.index} ({phase.kind}, t = {phase.t_start:.6e} s): island "
                 f"{part.ids[f_islands[worst]]} did not converge after {_MAX_FIXED_POINT} "
@@ -1274,30 +1313,42 @@ def _floating_charge(part: _Partition, q: Sequence[float]) -> tuple[list[float],
 
 
 def _solve_floating(part: _Partition, caps: list[float], volts: list[float],
-                    q_before: list[float], guess: list[float]) -> list[float]:
-    """Floating island voltages from charge conservation at fixed capacitances.
+                    q_before: list[float]) -> tuple[float, float]:
+    """Floating island voltages from charge conservation at fixed capacitances,
+    written over the previous iterate in volts (one entry per island).
+    Returns the largest step from the previous iterate (NaN sticks) and the
+    largest magnitude of the new one.
 
-    Islands that touch no capacitance keep their guess (isolated, charge-free).
-    Islands not coupled to another floating island solve by division.
-    Coupled ones solve the full system by Gaussian elimination without
-    pivoting, stable for a diagonally dominant matrix (Golub & Van Loan,
-    Matrix Computations, §3.4): capacitances are positive (Network.validate)
-    and every coupled group has a capacitive path to a pinned island
-    (_correctors), so in exact arithmetic every pivot is positive. A pivot
-    that rounds to zero (capacitance to pinned islands below the rounding of
-    the coupling) raises NetworkError.
+    Islands that touch no capacitance keep their voltage (isolated,
+    charge-free). Islands not coupled to another floating island solve by
+    division. Coupled ones solve the full system by Gaussian elimination
+    without pivoting, stable for a diagonally dominant matrix (Golub & Van
+    Loan, Matrix Computations, §3.4): capacitances are positive
+    (Network.validate) and every coupled group has a capacitive path to a
+    pinned island (_correctors), so in exact arithmetic every pivot is
+    positive. A pivot that rounds to zero (capacitance to pinned islands
+    below the rounding of the coupling) raises NetworkError.
     """
+    f_islands = part.f_islands
+    step = size = 0.0
     if not part.f_links:
-        out = []
-        for terms, rhs, g in zip(part.f_stencil, q_before, guess):
+        # one walk: each island's stencil reaches pinned islands only
+        for k, terms, rhs in zip(f_islands, part.f_stencil, q_before):
             diag = 0.0
-            for k, other in terms:
-                c = caps[k]
+            for j, other in terms:
+                c = caps[j]
                 diag += c
                 rhs += c * volts[other]
-            out.append(rhs / diag if diag != 0.0 else g)
-        return out
-    n = len(guess)
+            b = volts[k]
+            a = volts[k] = rhs / diag if diag != 0.0 else b
+            d = abs(a - b)
+            if d > step or d != d:
+                step = d
+            a = abs(a)
+            if a > size:
+                size = a
+        return step, size
+    n = len(f_islands)
     # the matrix rows, each with its right-hand side appended
     rows = [[0.0] * n + [q] for q in q_before]
     for f, terms in enumerate(part.f_stencil):
@@ -1314,11 +1365,11 @@ def _solve_floating(part: _Partition, caps: list[float], volts: list[float],
         rows[fb][fa] -= c
     for f, row in enumerate(rows):
         if row[f] == 0.0:  # touches no capacitance, so no link either
-            row[f], row[n] = 1.0, guess[f]
+            row[f], row[n] = 1.0, volts[f_islands[f]]
     for p, pivot_row in enumerate(rows):
         if pivot_row[p] == 0.0:
             raise NetworkError(
-                f"floating-group: the charge balance of island {part.ids[part.f_islands[p]]} "
+                f"floating-group: the charge balance of island {part.ids[f_islands[p]]} "
                 "is singular in floating point: its capacitance to pinned islands is "
                 "below the rounding of its coupling")
         for row in rows[p + 1:]:
@@ -1331,7 +1382,15 @@ def _solve_floating(part: _Partition, caps: list[float], volts: list[float],
     for p in range(n - 1, -1, -1):
         row = rows[p]
         out[p] = (row[n] - sum(row[j] * out[j] for j in range(p + 1, n))) / row[p]
-    return out
+    for k, a in zip(f_islands, out):
+        d = abs(a - volts[k])
+        volts[k] = a
+        if d > step or d != d:
+            step = d
+        a = abs(a)
+        if a > size:
+            size = a
+    return step, size
 
 
 # --------------------------------------------------------------------------
@@ -1401,24 +1460,42 @@ class SimResult:
         return tuple(dict.fromkeys(out))
 
 
+# the last run's phase tuple, relay key and relay rows: a run with the same
+# phase tuple and relays (the next amplitude of a gain sweep) shares the rows
+_RUN_RELAYS: list = [None, None, None]
+
+
 def simulate(network: Network, schedule: ClockSchedule, t_end: float) -> SimResult:
     """Run the phase sequence over [0, t_end], threading state phase to phase
     through one CompiledNetwork, whose columns become the result's solutions.
 
-    When every source and relay drive is Dc or Clock, a phase's source and
-    drive values depend only on its clock flags, so a run that leaves a
-    clock period in the state it left the one before (bit for bit, relay
-    transition times aside) is periodic from there on: each later phase
-    enters the state its position in that period entered, and solve_phase,
-    a pure function of that state, would solve the same row again. _fill
-    then writes those rows in bulk, exactly as solve_phase would, up to the
-    first phase where the schedule or the relay timing departs from the
-    period; solve_phase takes over from that phase.
+    The relays follow their drives, not the network's state, so their rows
+    for the whole run (_relay_rows) are computed before the first phase,
+    once for consecutive runs with the same phase tuple and relays, and
+    each solve_phase reads its phase's row.
+
+    When every source is Dc or Clock, a phase's source values depend only
+    on its clock flags, so a run that leaves a clock period in the state it
+    left the one before (bit for bit, relay transition times aside) is
+    periodic from there on: each later phase with its period position's
+    clock flags and relay row enters the state its position entered, and
+    solve_phase, a pure function of that state, would solve the same row
+    again. _fill then writes those rows in bulk, exactly as solve_phase
+    would, up to the first phase that departs from the period; solve_phase
+    takes over from that phase.
     """
     phases = schedule.phases(t_end)
     topo = CompiledNetwork(network)
-    waves = [src.wave for src in network.sources] + [sw.drive for sw in network.switches]
-    periodic = all(type(wave) in (Dc, Clock) for wave in waves)
+    # relay states compare equal across signed zeros; a transition time's
+    # sign is kept in the rows, so it is part of the key
+    key = [(sw.drive, sw.v_pi, sw.v_po, sw.state, math.copysign(1.0, sw.state.last_transition_time))
+           for sw in network.switches]
+    last_phases, last_key, rows = _RUN_RELAYS
+    if last_phases is not phases or last_key != key:
+        rows = _relay_rows(topo.relays, phases, [sw.state for sw in network.switches])
+        _RUN_RELAYS[:] = phases, key, rows
+    topo.relay_rows = rows
+    periodic = all(type(src.wave) in (Dc, Clock) for src in network.sources)
     cols, lag, r = topo.columns, schedule.phases_per_period, 0
     prior: PhaseSolution | None = None
     while r < len(phases):
@@ -1437,69 +1514,36 @@ def _fill(topo: CompiledNetwork, phases: Sequence[Phase], lag: int) -> int:
     The last row leaves the state that the row `lag` earlier left, so the
     next phase enters the transition that the cycle's first phase entered,
     and so on around the cycle, as long as each phase has its cycle
-    position's kind and clock flags, passes _relay_step's time check, and
-    its relays give that position's conduction mask at phase end. Each row
-    is then its position's row with its own phase, transition times (the
-    start of the phase where a relay last toggled, plus its delay: the
-    float operation of _relay_step) and notes (the position's notes less
-    its settling ones, plus this phase's settling notes, warned in phase
-    order). The checks run a whole column at a time (map over lists), and
-    the rows end before the first phase that fails one.
+    position's kind and clock flags and its relay row (topo.relay_rows) has
+    that position's conducting flags and phase-end mask. Each row is then
+    its position's row with its own phase, relay transition times (from its
+    relay row) and notes (the position's notes less its settling ones, plus
+    this phase's settling notes, warned in phase order). The checks run a
+    whole column at a time (map over lists and bytes), and the rows end
+    before the first phase that fails one or where the relay rows stop.
     """
-    cols = topo.columns
+    cols, rows = topo.columns, topo.relay_rows
     start = len(cols)
     first = start - lag
     key = itemgetter(1, 4, 5)  # kind, clk_on, clkb_on
-    todo = phases[start:]
+    todo = phases[start:rows.stop]
     n = next(compress(count(), map(ne, map(key, todo), cycle(list(map(key, phases[first:start]))))),
              len(todo))
-    if not n:
-        return 0
-    # phase start times from the cycle's first phase on, end times from the next one
-    t_starts = list(map(itemgetter(2), phases[first:start + n]))
-    t_ends = list(map(itemgetter(3), todo[:n]))
-    _, _, nb, ns = cols._widths
-    on, tt = cols.conducting, cols.transition_time
-    times, seen = [], {}
-    for s, (_, _, delay, slack) in enumerate(topo.relays):
-        flags = on[first * ns + s:start * ns:ns]
-        cycle_times = tt[first * ns + s:start * ns:ns]
-        # relays alike in delay and cycle (the amplifier's two sampling
-        # relays) share one column and one check
-        alike = (delay, slack, bytes(flags), cycle_times.tobytes())
-        if alike in seen:
-            times.append(seen[alike])
-            continue
-        entering = cycle_times[-1]
-        when = [entering] * n
-        # a toggle at cycle position q sets the rows from q up to the next
-        # toggle (around the cycle) to the start of q's phase plus the delay;
-        # the rows before the first toggle keep the entering time
-        toggles = [p for p in range(lag) if flags[p] != flags[p - 1]]
-        for q, stop in zip(toggles, toggles[1:] + [p + lag for p in toggles[:1]]):
-            for p in range(q, stop):
-                when[p::lag] = map(add, t_starts[lag + q:lag + q + n - p:lag], repeat(delay))
-        late = list(map(lt, t_starts[lag:], map(sub, [entering, *when], repeat(delay))))
-        masks = [ph.t_end >= w - slack for ph, w in zip(phases[first:start], cycle_times)]
-        mask = list(map(ge, t_ends, map(sub, when, repeat(slack))))
-        if mask != (masks * (n // lag + 1))[:len(mask)]:
-            n = next(compress(count(), map(ne, mask, cycle(masks))))
-        if True in late:
-            n = min(n, late.index(True))
-        times.append(when)
-        seen[alike] = when
+    ns = len(topo.relays)
+    for col in (rows.conducting, rows.mask) if ns else ():
+        ahead = col[start * ns:(start + n) * ns]
+        n = next(compress(count(), map(ne, ahead, cycle(col[first * ns:start * ns]))),
+                 len(ahead)) // ns
     if not n:
         return 0
     todo = todo[:n]
     cols._repeat(first, start, n, cols)
-    row_times = [0.0] * (n * ns)
-    for s, when in enumerate(times):
-        row_times[s::ns] = when[:n]
-    tt.fromlist(row_times)
+    cols.transition_time += rows.transition_time[start * ns:(start + n) * ns]
     cols.phases += todo
 
     # per position: its notes less the settling ones, and the R_on*C of each
     # closed switch, from the position's beam displacements
+    nb = cols.n_beams
     bases = [tuple(w for w in cols.notes[r] if not w.startswith("settling-violation"))
              for r in range(first, start)]
     products = [_settling_products(topo.network, cols.partition[r],
@@ -1508,7 +1552,7 @@ def _fill(topo: CompiledNetwork, phases: Sequence[Phase], lag: int) -> int:
     notes = (bases * (n // lag + 1))[:n]
     # per position, the largest R_on*C against 1% of each phase's duration
     worst = [max(map(itemgetter(1), prods), default=-math.inf) for prods in products]
-    limits = map(mul, repeat(0.01), map(sub, t_ends[:n], t_starts[lag:]))
+    limits = map(mul, repeat(0.01), map(sub, map(itemgetter(3), todo), map(itemgetter(2), todo)))
     for k in compress(count(), map(lt, limits, cycle(worst))):
         notes[k] = bases[k % lag] + _settling_notes(products[k % lag], todo[k])
     cols.notes += notes

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from nemsim import amp as amp_mod
-from nemsim import mech, scnet
+from nemsim import cli, mech, scnet
 from nemsim.amp import (AmpConfig, build_amp, dynamic_range, gain_oracle,
                         gain_sweep, parasitic_study, power_estimate, run_dc,
                         run_sine, summary, _make_network)
@@ -286,6 +286,51 @@ class TestGainSweep:
     def test_csv(self):
         report = gain_sweep(large_amp(), [1e-3], n_periods=2)
         assert report.to_csv().startswith("vin_V,vout_V,gain,x_m,released\n")
+
+
+class TestSharedRelayRows:
+    """Consecutive runs with the same phase sequence and relays share their
+    relay rows: a gain sweep steps its relays once, not once per amplitude."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """The phase count of each relay-row computation, from an empty cache."""
+        calls = []
+        real = scnet._relay_rows
+        monkeypatch.setattr(scnet, "_relay_rows", lambda relays, phases, entering:
+                            calls.append(len(phases)) or real(relays, phases, entering))
+        monkeypatch.setattr(scnet, "_RUN_RELAYS", [None, None, None])
+        return calls
+
+    def test_a_gain_sweep_computes_them_once(self, monkeypatch, tmp_path, capsys):
+        calls = self.counted(monkeypatch)
+        assert cli.main(["gain-sweep", "--preset", "large", "--n-points", "5",
+                         "--out-dir", str(tmp_path)]) == 0
+        assert len((tmp_path / "gain_sweep.csv").read_text().splitlines()) == 1 + 5
+        assert calls == [40]
+
+    def test_a_sine_amplify_computes_them_for_each_run(self, monkeypatch, tmp_path, capsys):
+        """Once for the sine run and once for its DC reference, whose phase
+        sequence is another."""
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text('device.preset = "large"\nstimulus.kind = sine\n'
+                       "stimulus.amplitude_V = 0.05\nstimulus.freq_hz = 10000\n")
+        calls = self.counted(monkeypatch)
+        assert cli.main(["amplify", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        assert calls == [400, 40]
+
+    def test_other_relays_recompute_them(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        want = run_dc(large_amp(), 0.05)
+        assert run_dc(large_amp(), 0.02).gain != want.gain
+        assert calls == [40]
+        # a clock rail below pull-in: the relays never close
+        with pytest.raises(NoLatchError):
+            run_dc(large_amp(clock_high=5.0), 0.05)
+        assert calls == [40, 40]
+        again = run_dc(large_amp(), 0.05)
+        assert calls == [40, 40, 40]
+        assert repr(again.sim.solutions[:]) == repr(want.sim.solutions[:])
 
 
 class TestSharedPartitions:

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -8,6 +9,7 @@ from nemsim.cli import main
 from nemsim.device import DeviceParams, get_preset
 from nemsim.errors import NemsimError
 from nemsim.scenario import parse_scenario
+from nemsim.scnet import SettlingWarning
 from test_scenario import CUSTOM_HIGH_GAIN
 
 REFERENCE_SETUP = """\
@@ -126,6 +128,27 @@ class TestAmplify:
         ref = amp.run_dc(amp.build_amp(amp.AmpConfig(device=get_preset("large").params())), 0.05)
         assert (doc["gain_dc"], doc["vout_V"]) == (ref.gain, ref.vout)
         assert abs(doc["gain_dc"] - 38.7616) < 1e-4 and abs(doc["vout_V"] - 1.93808) < 1e-5
+
+    def test_sine_on_a_sliver_schedule(self, tmp_path, capsys):
+        """At a non-overlap fraction of 1e-16 the dead phases round away in
+        most periods, so the sine run has 203 phases instead of 400. The
+        sine run and its DC reference each warn of settling in phases 1, 3
+        and 5, where the dead interval is a sliver of ~1e-21 s."""
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text('device.preset = "large"\nstimulus.kind = sine\n'
+                       "stimulus.amplitude_V = 0.05\nstimulus.freq_hz = 10000\n"
+                       "amp.nonoverlap_frac = 1e-16\n")
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                ["amplify", "--config", str(cfg), "--out-dir", str(out_dir)], capsys)
+        assert code == 0 and err == ""
+        assert len((out_dir / "waveforms.csv").read_text().splitlines()) == 1 + 2 * 203
+        doc = read_json(out_dir / "summary.json")
+        assert doc["gain_dc"] == 38.76161024305585
+        assert [w.category for w in caught] == [SettlingWarning] * 10
+        assert [int(str(w.message).rsplit(" ", 1)[1]) for w in caught] == [1, 1, 3, 5, 5] * 2
 
     def test_zero_amplitude_gain_is_null(self, tmp_path, capsys):
         # vout / vin is NaN at vin = 0: null in summary.json, empty in the CSV summary

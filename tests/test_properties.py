@@ -5,23 +5,27 @@ Hypothesis runs a fixed, derandomized set of examples so the suite stays
 deterministic.
 """
 
+import math
+import re
 import sys
 import warnings
+from array import array
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from nemsim import scnet
 from nemsim.amp import AmpConfig, _make_network, build_amp, dynamic_range, run_dc
 from nemsim.device import EPS0, PRESETS, get_preset
-from nemsim.errors import ScenarioError
+from nemsim.errors import InvalidGeometryError, ScenarioError
 from nemsim.mech import static_equilibrium_voltage
 from nemsim.scenario import parse_scenario
-from nemsim.scnet import (ClockSchedule, CompiledNetwork, Dc, LinearCap, Network,
-                          PhaseSolution, VSource, build_network, islands, simulate,
-                          solve_phase)
+from nemsim.scnet import (ClockSchedule, Clock, CompiledNetwork, Dc, LinearCap, Network,
+                          OhmicSwitch, OhmicSwitchState, PhaseSolution, Sine, VSource,
+                          build_network, islands, simulate, solve_phase)
 
 SCHEDULE = ClockSchedule(100e3)
 CHARGE = st.floats(-1e-15, 1e-15)
@@ -110,10 +114,11 @@ def test_simulate_matches_the_plain_network_path(case, periods):
 
 
 @st.composite
-def dc_amplifiers(draw):
-    """A DC amplifier run: config, input, period count and relay R_on. A
-    clock rail below pull-in never closes a relay (the no-latch path); an
-    R_on of 1e9 ohm makes every closed relay violate the settling check."""
+def amplifier_runs(draw):
+    """An amplifier run: config, input, input frequency (None for DC),
+    period count and relay R_on. A clock rail below pull-in never closes a
+    relay (the no-latch path); an R_on of 1e9 ohm makes every closed relay
+    violate the settling check."""
     topology = draw(st.sampled_from(["basic", "modified"]))
     config = AmpConfig(
         device=DEV, topology=topology, m=1 if topology == "basic" else draw(st.integers(1, 12)),
@@ -121,7 +126,8 @@ def dc_amplifiers(draw):
         parasitics=draw(st.booleans()), drive_terminal=draw(st.sampled_from(["gate", "body"])),
         clock_high=draw(st.one_of(st.none(), st.floats(1.0, DEV.v_pi, exclude_max=True))))
     vin = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.5, 0.5)))
-    return config, vin, draw(st.integers(2, 30)), draw(st.sampled_from([1e3, 1e9]))
+    f_in = draw(st.one_of(st.none(), st.sampled_from([1e3, 10e3, 33e3])))
+    return config, vin, f_in, draw(st.integers(2, 30)), draw(st.sampled_from([1e3, 1e9]))
 
 
 def _one_run(solutions):
@@ -133,17 +139,20 @@ def _one_run(solutions):
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
-@given(dc_amplifiers())
+@given(amplifier_runs())
 def test_dc_amplifier_run_matches_the_plain_network_path(case):
-    """A DC run of the amplifier, whose state turns periodic after a few
-    phases, against solve_phase chained over a plain Network: every field
-    and repr, the waveform CSV, and the settling warnings in order. Tiny
-    non-overlap fractions drop dead phases from some periods."""
-    config, vin, periods, r_on = case
+    """An amplifier run through simulate against solve_phase chained over a
+    plain Network: every field and repr, the waveform CSV, and the settling
+    warnings in order. simulate reads each phase's relay row, carries the
+    last row's lists into the next phase and, once a DC run's state turns
+    periodic, fills its rows in bulk; the chain steps the relays phase by
+    phase. A sine run solves every phase. Tiny non-overlap fractions drop
+    dead phases from some periods."""
+    config, vin, f_in, periods, r_on = case
     schedule = build_amp(config).schedule
 
     def make():
-        net = _make_network(config, vin, None)
+        net = _make_network(config, vin, f_in)
         for sw in net.switches:
             sw.r_on = r_on
         return net
@@ -214,13 +223,101 @@ def test_coupled_solve_matches_numpy_and_conserves(net):
                 else:
                     rhs[f] += c * volts[other]
     want = np.linalg.solve(mat, rhs)
-    got = np.array(scnet._solve_floating(part, caps, volts, q_before, [0.0] * n))
+    scnet._solve_floating(part, caps, volts, q_before)
+    got = np.array([volts[k] for k in part.f_islands])
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert simulate(net, SCHEDULE, 2 * SCHEDULE.period).max_conservation_error() <= 1e-15
 
 
 DEV = get_preset("large").params()
 VDC_REF = 10.0
+
+
+def _relay_step(switch, conducting, last_transition_time, switching_delay, v_gb, t):
+    """The relay rule for one relay and one phase, in scalar form:
+    (conducting, last_transition_time) after the gate-body voltage v_gb at
+    time t. The oracle for scnet._relay_rows, which steps every relay
+    through a whole phase sequence."""
+    last_cross = last_transition_time - switching_delay
+    if t < last_cross and math.isfinite(last_cross):
+        raise InvalidGeometryError(
+            f"switch {switch.name}: non-monotone time {t} < {last_cross}")
+    if conducting:
+        if abs(v_gb) < switch.v_po:
+            return False, t + switching_delay
+    elif abs(v_gb) > switch.v_pi:
+        return True, t + switching_delay
+    return conducting, last_transition_time
+
+
+# drive levels below V_PO, in the hysteresis band, above V_PI, and NaN
+_RELAY_LEVELS = st.one_of(st.floats(-DEV.v_po, DEV.v_po, exclude_min=True, exclude_max=True),
+                          st.floats(DEV.v_po, DEV.v_pi), st.floats(DEV.v_pi, 3 * DEV.v_pi),
+                          st.just(math.nan))
+
+
+@st.composite
+def relay_cases(draw):
+    """1-3 relays (Dc, Clock or Sine drives, delays 1e-9 to 1e11 s,
+    entering times -inf, finite or +inf) and a run of a schedule, from any
+    phase on."""
+    sched = ClockSchedule(draw(st.sampled_from([100e3, 1e6])),
+                          draw(st.sampled_from([0.0, 1e-16, 1e-15, 1e-14, 0.01, 0.2])))
+    phases = sched.phases(draw(st.integers(1, 12)) * sched.period)
+    phases = phases[draw(st.integers(0, len(phases) - 1)):]
+    relays, states = [], []
+    for s in range(draw(st.integers(1, 3))):
+        level = draw(_RELAY_LEVELS)
+        drive = draw(st.sampled_from([Dc(level), Clock("clk", level), Clock("clkb", level),
+                                      Sine(level, draw(st.sampled_from([1e3, 30e3, 1e6])),
+                                           draw(st.sampled_from([0.0, DEV.v_po])))]))
+        delay = 10.0 ** draw(st.floats(-9.0, 11.0))
+        when = draw(st.one_of(st.sampled_from([-math.inf, math.inf]),
+                              st.floats(-2 * phases[-1].t_end, 2 * phases[-1].t_end)))
+        sw = OhmicSwitch(f"s{s}", "a", "b", drive, v_pi=DEV.v_pi, v_po=DEV.v_po,
+                         state=OhmicSwitchState(draw(st.booleans()), when, delay))
+        # as CompiledNetwork.relays holds them
+        relays.append((sw, drive.at, delay, 1e-6 * delay))
+        states.append(sw.state)
+    return relays, states, phases
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(relay_cases())
+def test_relay_rows_step_as_the_scalar_relay_rule(case):
+    """_relay_rows over a phase sequence against the scalar rule stepped
+    phase by phase: the same flags and phase-end masks, transition times
+    equal bit for bit, the same stop phase, and the scalar rule's message
+    when the rows are asked about their stop phase as their first."""
+    relays, states, phases = case
+    flags, times, masks, stop, raised = [], [], [], len(phases), None
+    entering = [(state.conducting, state.last_transition_time) for state in states]
+    for k, ph in enumerate(phases):
+        try:
+            stepped = [_relay_step(sw, c, when, delay, drive(ph.t_start, ph), ph.t_start)
+                       for (sw, drive, delay, _), (c, when) in zip(relays, entering)]
+        except InvalidGeometryError as exc:
+            stop, raised = k, str(exc)
+            break
+        for (_, _, _, slack), (c, when) in zip(relays, stepped):
+            flags.append(c)
+            times.append(when)
+            masks.append(c if ph.t_end >= when - slack else not c)
+        entering = stepped
+    if stop == 0:
+        with pytest.raises(InvalidGeometryError, match=re.escape(raised)):
+            scnet._relay_rows(relays, phases, states)
+        return
+    rows = scnet._relay_rows(relays, phases, states)
+    assert rows.stop == stop and rows.phases is phases
+    assert rows.conducting == bytes(flags) and rows.mask == bytes(masks)
+    assert rows.transition_time.tobytes() == array("d", times).tobytes()
+    if raised is not None:
+        ns = len(relays)
+        last = [OhmicSwitchState(bool(c), when, delay) for c, when, (_, _, delay, _) in zip(
+            rows.conducting[-ns:], rows.transition_time[-ns:], relays)]
+        with pytest.raises(InvalidGeometryError, match=f"^{re.escape(raised)}$"):
+            scnet._relay_rows(relays, phases[stop:], last)
 
 
 @st.composite

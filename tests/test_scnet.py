@@ -743,10 +743,11 @@ class TestUndampedFixedPoint:
         log = []  # (iterate passed in, solve result) per fixed-point iteration
         real = scnet._solve_floating
 
-        def record(part, caps, volts, q_before, guess):
-            out = real(part, caps, volts, q_before, guess)
-            log.append((list(guess), out))
-            return out
+        def record(part, caps, volts, q_before):
+            guess = [volts[k] for k in part.f_islands]
+            step = real(part, caps, volts, q_before)
+            log.append((guess, [volts[k] for k in part.f_islands]))
+            return step
 
         monkeypatch.setattr(scnet, "_solve_floating", record)
         # island f: a beam to ground holding part of the clamp charge and a
@@ -929,6 +930,25 @@ class TestCompiledNetwork:
             assert repr(solve_phase(topo, second, prior)) == repr(
                 solve_phase(net, second, prior))
 
+    def test_a_failed_solve_leaves_its_prior_intact(self, monkeypatch):
+        """The next phase takes over the last row's lists and rewrites them:
+        a solve that raises part way must not leave them to the next try.
+        The clock rail drops at the second phase, so its beam moves."""
+        net = self.beam_on_a_floating_node()
+        net.add_node("clk")
+        net.sources.append(VSource("v_clk", "clk", Clock("clk", 5.0)))
+        net.linear_caps.append(LinearCap("cc", "clk", "f", 1e-15))
+        first, second = self.SCHED.phases(self.SCHED.period)[:2]
+        topo = CompiledNetwork(net)
+        start = solve_phase(topo, first)
+        with monkeypatch.context() as patch:
+            patch.setattr(scnet, "_MAX_FIXED_POINT", 1)
+            with pytest.raises(ConvergenceError):
+                solve_phase(topo, second, start)
+        want = solve_phase(net, second, solve_phase(net, first))
+        assert repr(solve_phase(topo, second, start)) == repr(want)
+        assert repr(solve_phase(topo, second, start)) == repr(want)
+
     def test_beam_velocity_is_not_state(self):
         net = self.beam_on_a_floating_node()
         first, second = self.SCHED.phases(self.SCHED.period)[:2]
@@ -941,6 +961,45 @@ class TestCompiledNetwork:
         assert priors[0] == priors[1]
         sols = [solve_phase(topo, second, prior) for prior in priors]
         assert sols[0] == sols[1] and repr(sols[0]) == repr(sols[1])
+
+
+class TestRelayRows:
+    """simulate computes its relays' rows once for the run; solve_phase reads
+    a row only for the run's next phase."""
+
+    SCHED = ClockSchedule(100e3)
+
+    def test_rows_serve_only_the_runs_next_phase(self):
+        net = fig6_network()
+        phases = self.SCHED.phases(self.SCHED.period)
+        topo = CompiledNetwork(net)
+        topo.relay_rows = scnet._relay_rows(topo.relays, phases, [sw.state for sw in net.switches])
+        first, plain = solve_phase(topo, phases[0]), solve_phase(net, phases[0])
+        want = repr(solve_phase(net, phases[2], plain))
+        # from the last row to a phase past the next; then to the next
+        # phase, whose row steps the relays through phase 1, from an earlier row
+        assert repr(solve_phase(topo, phases[2], first)) == want
+        assert len(topo.columns) == 2
+        assert repr(solve_phase(topo, phases[2], first)) == want
+
+    def test_runs_apart_in_a_signed_zero_share_no_rows(self):
+        """A relay that never toggles keeps its entering transition time in
+        every row, sign of zero included."""
+        def make(when):
+            net = fig6_network()
+            net.add_node("x")
+            net.linear_caps.append(LinearCap("cx", "x", "gnd", 1e-15))
+            net.switches.append(OhmicSwitch("s_dc", "x", "gnd", Dc(VDC), v_pi=DEV.v_pi,
+                                            v_po=DEV.v_po, state=OhmicSwitchState(True, when)))
+            return net
+
+        phases = self.SCHED.phases(3 * self.SCHED.period)
+        for when in (0.0, -0.0):
+            got = simulate(make(when), self.SCHED, 3 * self.SCHED.period).solutions
+            assert {math.copysign(1.0, sol.switch_states["s_dc"].last_transition_time)
+                    for sol in got} == {math.copysign(1.0, when)}
+            for g, w in zip(got, chained(make(when), phases), strict=True):
+                assert repr(g) == repr(w)
 
 
 class TestPeriodicFill:
@@ -1013,6 +1072,33 @@ class TestPeriodicFill:
         calls = self.counted(monkeypatch)
         got = simulate(make(), sched, 12 * sched.period).solutions
         assert [ph.index for ph in calls] == [0, 1, 2, 3, 4, 28, 29, 30, 31, 32]
+        for g, w in zip(got, want, strict=True):
+            assert repr(g) == repr(w)
+
+    def test_a_sine_driven_relay_commanded_long_before_it_conducts(self, monkeypatch):
+        """A relay on a slow sine is commanded to close at ~4.9 periods and
+        conducts 3 periods later: its flag changes while its mask does not,
+        so the fill stops at the command and again at the conduction."""
+        def make():
+            net = fig6_network()
+            net.add_node("x")
+            net.linear_caps.append(LinearCap("cx", "x", "gnd", 1e-15))
+            net.switches.append(OhmicSwitch(
+                "s_sine", "a", "x", Sine(10.0, sched.f_clk / 24), v_pi=DEV.v_pi, v_po=DEV.v_po,
+                state=OhmicSwitchState(switching_delay=3 * sched.period)))
+            return net
+
+        sched = ClockSchedule(100e3)
+        phases = sched.phases(12 * sched.period)
+        want = chained(make(), phases)
+        calls = self.counted(monkeypatch)
+        got = simulate(make(), sched, 12 * sched.period).solutions
+        flags = [sol.switch_states["s_sine"].conducting for sol in got]
+        commanded = flags.index(True)
+        conducting = next(r for r, sol in enumerate(got)
+                          if any({"a", "x"} <= set(isl.id.split("+")) for isl in sol.islands))
+        assert 18 <= commanded < conducting - 8
+        assert phases[commanded] in calls and len(calls) < len(phases) // 2
         for g, w in zip(got, want, strict=True):
             assert repr(g) == repr(w)
 
