@@ -4,8 +4,9 @@ Phases are long (microseconds) compared with electrical settling through a
 closed relay (tens of picoseconds), so each phase is solved at equilibrium:
 nodes are partitioned into islands by the closed switches, islands holding
 a source take its voltage, and every floating island keeps its total plate
-charge while its voltage and the electromechanical capacitances relax to a
-joint fixed point.
+charge while its voltage and the electromechanical capacitances settle
+together: in closed form where the island is like beams to one pinned
+island, else by a joint fixed point.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from array import array
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, count, cycle, repeat
-from operator import add, ge, itemgetter, lt, mul, ne, sub
+from operator import add, itemgetter, lt, mul, ne, sub, truediv
 from typing import NamedTuple
 
 from .device import EPS0, DeviceParams, get_preset
@@ -543,6 +544,13 @@ class _Partition:
     Islands are numbered in id order and floating islands 0..n_f-1 in the
     same order; nodes are numbered as in Network.nodes, capacitors as in
     Network.caps(), beams as in Network.nems_caps (so beam j is capacitor j).
+
+    like_beams marks a partition whose floating islands solve_phase may
+    solve in closed form: each is n >= 1 charge-driven beams of one device
+    class with their far plates on one pinned island, and no other
+    capacitor (no linear one, no link to another floating island). The
+    parasitic-free amplifier's dead and hold masks have it; parasitics,
+    coupled or mixed islands do not.
     """
 
     ids: tuple[str, ...]
@@ -574,6 +582,11 @@ class _Partition:
     correctors: tuple[tuple[int, int, float, tuple[tuple[int, float], ...]], ...]
     # (conducting switch, capacitors on the island of its a terminal, once per plate)
     settling: tuple[tuple[int, tuple[int, ...]], ...]
+    # per floating island: (the pinned island across its beams, its beams);
+    # empty unless every floating island is n >= 1 charge-driven beams of one
+    # device class whose far plates sit on one pinned island, touched by no
+    # other capacitor, so that each beam carries 1/n of the island's charge
+    like_beams: tuple
 
 
 # the partitions built in this process, by (CompiledNetwork.shape, mask): a
@@ -591,8 +604,8 @@ class CompiledNetwork:
     class (one index per distinct DeviceParams value), each relay's drive
     and switching delay (from its initial state), each source's waveform,
     and one island partition per switch-conduction mask, built by islands()
-    once per network shape (_PARTITIONS). The network must not change while
-    it is compiled.
+    once per network shape (_PARTITIONS), with that mask's settling bound
+    (partition). The network must not change while it is compiled.
 
     It also holds the run: `columns`, one row per phase, and `relay_rows`,
     the relays over the run's phase sequence (_relay_rows), which simulate
@@ -620,6 +633,7 @@ class CompiledNetwork:
                       tuple((sw.a, sw.b) for sw in network.switches),
                       tuple((src.name, src.node) for src in network.sources))
         self._by_mask: dict[bytes, _Partition] = {}
+        self.settling_bound = {}  # per mask, the largest R_on*C (see partition)
         self.columns = PhaseColumns(nodes, self.names, len(self.devices),
                                     tuple(sw.name for sw in network.switches),
                                     tuple(relay[2] for relay in self.relays))
@@ -627,7 +641,10 @@ class CompiledNetwork:
 
     def partition(self, mask: bytes, phase: Phase) -> _Partition:
         """The partition of a conduction mask (one flag per switch, at phase
-        end)."""
+        end), and its settling bound: the largest R_on*C of its closed
+        switches with every beam at contact. A solved beam sits at or short
+        of contact, and float sums, products and divisions are monotone, so
+        no phase's R_on*C exceeds the bound."""
         part = self._by_mask.get(mask) or _PARTITIONS.get((self.shape, mask))
         if part is None:
             part = self._build(islands(self.network, phase, mask), mask)
@@ -635,6 +652,12 @@ class CompiledNetwork:
                 del _PARTITIONS[next(iter(_PARTITIONS))]
             _PARTITIONS[self.shape, mask] = part
         self._by_mask[mask] = part
+        try:  # every beam at contact, each capacitance at its largest
+            self.settling_bound[mask] = max(map(itemgetter(1), _settling_products(
+                self.network, part, _capacitances(self, [dev.g0 for dev in self.devices]))),
+                default=0.0)
+        except ZeroDivisionError:  # g_eff - g0 rounds to 0: unbounded
+            self.settling_bound[mask] = math.inf
         return part
 
     def _build(self, isles: list[Island], mask: bytes) -> _Partition:
@@ -683,6 +706,17 @@ class CompiledNetwork:
                 if floating[isl]:
                     terms[f_index[isl]].append((k, sign))
 
+        # (pinned island, beams) per floating island, while each is touched
+        # only by beams of one class to one pinned island
+        like_beams = ()
+        for stencil, island_terms in zip(f_stencil, terms):
+            kinds = {(other, self.device_class[k]) if k < len(self.devices) else None
+                     for k, other in stencil}
+            if len(kinds) != 1 or None in kinds or len(island_terms) != len(stencil):
+                like_beams = ()
+                break
+            like_beams += ((stencil[0][1], next(zip(*stencil))),)
+
         return _Partition(
             ids=tuple(isl.id for isl in isles),
             f_islands=f_islands,
@@ -707,6 +741,7 @@ class CompiledNetwork:
                                    plate_a, plate_b),
             settling=tuple((s, tuple(touching[island_of[sw.a]]))
                            for s, sw in enumerate(net.switches) if mask[s]),
+            like_beams=like_beams,
         )
 
 
@@ -803,12 +838,13 @@ class PhaseColumns(Sequence):
     plate charges (Network.caps() order), the beam displacements and latch
     flags (Network.nems_caps order), each switch's conducting flag and last
     transition time (Network.switches order; the switching delays are per
-    run), the fixed-point iterations, the phase's partition, its notes,
-    and for each floating island of that partition the entering plate-charge
-    sum and the largest entering plate charge. No velocity is stored: every
-    beam is re-seated each phase by a static law, which leaves it at rest,
-    so beam_states report velocity 0.0. solve_phase appends the rows it
-    solves, and simulate's fill the rows of a periodic DC run.
+    run), the floating-island solve's iterations, the phase's partition,
+    its notes, and for each floating island of that partition the entering
+    plate-charge sum and the largest entering plate charge. No velocity is
+    stored: every beam is re-seated each phase by a static law, which
+    leaves it at rest, so beam_states report velocity 0.0. solve_phase
+    appends the rows it solves, and simulate's fill the rows of a periodic
+    DC run.
 
     The last row solve_phase appended is also held as the lists it was
     built from (`held`), so the phase after it enters without copying the
@@ -1061,6 +1097,8 @@ class PhaseSolution:
 
     @property
     def iterations(self) -> int:
+        """Fixed-point iterations of the phase's floating islands: 0 when
+        nothing floats, 1 for a closed-form solve (solve_phase)."""
         return self._columns.iterations[self._row]
 
     @property
@@ -1122,10 +1160,16 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
 
     Pinned islands take their source voltage and voltage-driven beams
     update hysteretically. Each floating island keeps its entering
-    plate-charge sum while island voltage, per-element charges and
-    charge-driven beam positions relax together: distribute charge by
-    capacitance, re-seat every beam, recompute capacitances, repeat (hard
-    cap 10^4).
+    plate-charge sum Q. Where the partition has like_beams (each floating
+    island is n like charge-driven beams to one pinned island, and nothing
+    else) and each island's beams enter with equal displacements, the
+    phase is solved in closed form: each beam carries Q/n, seats once by
+    the charge law, and the island sits (Q/n)/c above the far island; one
+    iteration is recorded. Otherwise island voltage, per-element charges
+    and charge-driven beam positions relax together in a fixed point:
+    distribute charge by capacitance, re-seat every beam, recompute
+    capacitances, repeat (hard cap 10^4); its iterations are recorded. A
+    phase with no floating island records 0.
 
     Each beam law is a pure function of the device and the drive, so within
     a phase it runs once per distinct (device class, drive) key, plus the
@@ -1137,8 +1181,10 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     voltages (pinned values and the fixed-point guess) and the entering
     plate charges, beam displacements and latch flags, apart from the
     phase, the relay transition times and the settling notes, which compare
-    each closed switch's R_on*C with 1% of this phase's duration. simulate
-    relies on that to write a periodic DC run's rows in bulk (_fill).
+    each closed switch's R_on*C with 1% of this phase's duration; they are
+    built only when the mask's static bound (CompiledNetwork.partition)
+    exceeds that. simulate relies on that to write a periodic DC run's rows
+    in bulk (_fill).
     """
     topo = network if isinstance(network, CompiledNetwork) else CompiledNetwork(network)
     net, cols = topo.network, topo.columns
@@ -1204,16 +1250,30 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
         disp[j], latched[j] = state
     caps = _capacitances(topo, disp)
 
-    # fixed point over floating island voltages
-    tol = _SOLVER_TOL
-    if not f_islands:
-        # nothing floats: the loop would stop after two empty passes, as recorded
-        iterations = 2
-    else:
-        eps_area, g_eff = topo.eps_area, topo.g_eff
-        # (device class, plate charge) -> (displacement, latched, capacitance),
-        # shared by every iteration of this phase
-        by_charge = {}
+    # floating islands: the closed form where it applies, else the fixed point;
+    # either memoizes the charge law by (device class, plate charge) in by_charge
+    iterations, by_charge = 0, {}  # 0: nothing floats
+    # (a non-finite charge sum takes the fixed point, which reports it)
+    if part.like_beams and math.isfinite(sum(q_before)) and all(
+            disp[b[0]] == disp[j] for _, b in part.like_beams for j in b[1:]):
+        # n like beams entering with equal displacements, to one pinned
+        # island, share its charge Q: each seats once at q = Q/n, and the
+        # island sits q/c above the far one (Seeger & Crary 1997)
+        iterations = 1
+        for k, (far, beams), q_f in zip(f_islands, part.like_beams, q_before):
+            j, q_j = beams[0], q_f / len(beams)
+            key = (topo.device_class[j], q_j)
+            # islands alike share one law call
+            law = by_charge.get(key) or by_charge.setdefault(
+                key, static_equilibrium_charge(devices[j], q_j))
+            c = topo.eps_area[j] / (topo.g_eff[j] - law.displacement)
+            volts[k] = volts[far] + q_j / c
+            for j in beams:  # latch-violation notes island by island
+                if law.latched and not latched[j]:
+                    notes.append(f"latch-violation: beam {topo.names[j]} re-latched "
+                                 "during redistribution")
+                disp[j], latched[j], caps[j] = law.displacement, law.latched, c
+    elif f_islands:
         for iterations in range(1, _MAX_FIXED_POINT + 1):
             step, size = _solve_floating(part, caps, volts, q_before)
             # charge-driven beams re-seat from their plate charge; the plate
@@ -1223,25 +1283,24 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
                 key = (cls, q_j)
                 seated = by_charge.get(key)
                 if seated is None:
-                    dev = devices[j]
-                    law = static_equilibrium_charge(dev, q_j)
-                    seated = by_charge[key] = (law.displacement, law.latched,
-                                               eps_area[j] / (g_eff[j] - law.displacement))
+                    law = static_equilibrium_charge(devices[j], q_j)
+                    seated = by_charge[key] = (law.displacement, law.latched, topo.eps_area[j]
+                                               / (topo.g_eff[j] - law.displacement))
                 if seated[1] and not latched[j]:
                     notes.append(f"latch-violation: beam {topo.names[j]} re-latched "
                                  "during redistribution")
                 disp[j], latched[j], caps[j] = seated
             # a NaN iterate makes step NaN, so size's NaN handling is moot
-            if iterations >= 2 and step <= tol * (size if size > 1.0 else 1.0):
+            if iterations >= 2 and step <= _SOLVER_TOL * max(size, 1.0):
                 break
         else:
             # the first NaN island, else the first of largest |v|
-            v = [volts[k] for k in f_islands]
-            worst = max(range(len(v)), key=lambda f: (v[f] != v[f], abs(v[f])))
+            worst = max(f_islands, key=lambda k: (volts[k] != volts[k], abs(volts[k])))
             raise ConvergenceError(
                 f"phase {phase.index} ({phase.kind}, t = {phase.t_start:.6e} s): island "
-                f"{part.ids[f_islands[worst]]} did not converge after {_MAX_FIXED_POINT} "
-                f"iterations (last step {step:.3e}, tol {tol})", residual=step, tolerance=tol)
+                f"{part.ids[worst]} did not converge after {_MAX_FIXED_POINT} "
+                f"iterations (last step {step:.3e}, tol {_SOLVER_TOL})", residual=step,
+                tolerance=_SOLVER_TOL)
 
     # final assignment: each island's corrector plate takes the exact remainder, so
     # the island's charge is conserved to the rounding of its plate-charge size
@@ -1249,7 +1308,7 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
     for f, corrector, sign, others in part.correctors:
         rest = math.fsum([s * q[k] for k, s in others]) if others else 0.0
         q[corrector] = sign * (q_before[f] - rest)
-    if part.settling:
+    if topo.settling_bound[mask] > 0.01 * phase.duration:  # else no switch can warn
         notes += _settling_notes(_settling_products(net, part, caps), phase)
     notes = tuple(dict.fromkeys(notes)) if notes else ()  # dedupe, keep order
 
@@ -1263,23 +1322,17 @@ def solve_phase(network: Network | CompiledNetwork, phase: Phase,
 def _capacitances(topo: CompiledNetwork, displacement: Iterable[float]) -> list[float]:
     """Capacitance of every capacitor, in Network.caps() order, with the
     beams at the given displacements."""
-    caps = [ea / (g - x) for ea, g, x in zip(topo.eps_area, topo.g_eff, displacement)]
-    caps.extend(topo.linear)
-    return caps
+    return [*map(truediv, topo.eps_area, map(sub, topo.g_eff, displacement)), *topo.linear]
 
 
 def _settling_products(net: Network, part: _Partition,
                        caps: list[float]) -> tuple[tuple[str, float], ...]:
     """(switch name, R_on*C) of each closed switch, C being the capacitance
     on the island of its a terminal."""
-    products = []
-    for s, touching in part.settling:
-        c_island = 0.0
-        for k in touching:
-            c_island += caps[k]
-        sw = net.switches[s]
-        products.append((sw.name, sw.r_on * c_island))
-    return tuple(products)
+    # the island sum runs left to right, so it is monotone in each capacitance
+    return tuple((net.switches[s].name,
+                  net.switches[s].r_on * functools.reduce(add, map(caps.__getitem__, touching), 0.0))
+                 for s, touching in part.settling)
 
 
 def _settling_notes(products: Iterable[tuple[str, float]], phase: Phase) -> tuple[str, ...]:
@@ -1486,6 +1539,13 @@ def simulate(network: Network, schedule: ClockSchedule, t_end: float) -> SimResu
     """
     phases = schedule.phases(t_end)
     topo = CompiledNetwork(network)
+    last = phases[-1]
+    for src in network.sources:  # a Sine's 2*pi*f*t is largest at the end
+        try:
+            src.wave.at(last.t_end, last)
+        except ValueError:
+            raise NetworkError(f"bad-value: source {src.name!r}: 2*pi*f*t overflows "
+                               "within the run") from None
     # relay states compare equal across signed zeros; a transition time's
     # sign is kept in the rows, so it is part of the key
     key = [(sw.drive, sw.v_pi, sw.v_po, sw.state, math.copysign(1.0, sw.state.last_transition_time))

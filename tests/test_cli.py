@@ -150,6 +150,26 @@ class TestAmplify:
         assert [w.category for w in caught] == [SettlingWarning] * 10
         assert [int(str(w.message).rsplit(" ", 1)[1]) for w in caught] == [1, 1, 3, 5, 5] * 2
 
+    def test_parasitic_free_m100_bank_is_deterministic(self, tmp_path, capsys):
+        """A DC m = 100 bank without parasitics: each dead and hold island is
+        100 or 200 like beams to ground, solved in closed form at Q/100 or
+        Q/200, which are not exact in floating point. Two runs write the same
+        bytes."""
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text('device.preset = "large"\namp.topology = modified\namp.m = 100\n'
+                       "amp.parasitics = off\nstimulus.kind = dc\n")
+        runs = []
+        for run in (1, 2):
+            out_dir = tmp_path / f"out{run}"
+            code, out, err = run_cli(["amplify", "--config", str(cfg), "--islands",
+                                      "--out-dir", str(out_dir)], capsys)
+            assert code == 0 and err == ""
+            runs.append([(out_dir / f).read_bytes()
+                         for f in ("waveforms.csv", "islands.csv", "summary.json")])
+        assert runs[0] == runs[1]
+        doc = read_json(tmp_path / "out1" / "summary.json")
+        assert doc["gain_dc"] == 38.99046440972168
+
     def test_zero_amplitude_gain_is_null(self, tmp_path, capsys):
         # vout / vin is NaN at vin = 0: null in summary.json, empty in the CSV summary
         cfg = tmp_path / "scenario.cfg"

@@ -35,20 +35,20 @@ DEV = get_preset("large").params()
 RUNS = {
     "basic-plus-10mV": (
         {}, 0.01,
-        "71d5a5ae5b50e232825a98b5fcf2949cc74168d1793fb33dd1a91b8b9a88b30f",
+        "974c72d1ba965386d5fd4a102a245677942ca8bfacb270c4d9a241905770b69e",
         "d74aeeb8c9b0454600887579622418f862af965b769e0afe8abb6f713cfa6072"),
     "basic-minus-30mV": (
         {}, -0.03,
-        "1f592eb315f611fe1f4b4eb02eaf414e6ec64b29c9807990422811d57b9fd9ff",
+        "efebd4847f06619186350ed28d353b1f282252e465e8b56f3744781255e3a34d",
         "c5eab78a5a55ac1a6e4dde41945e5269630d554123ccc635da42b03623dcf7b2"),
     "gate-bank-m10": (
         {"topology": "modified", "m": 10, "parasitics": True}, 0.007,
-        "7c75af78c0c1ac436bda8b784c3068afe046763c7b691866e8e32c15d268a26c",
+        "e0c6ff2dbdfd099b32cf583fc34bf6bdfe01eabca460db22c60d4811dd520359",
         "2adfc5205a4b63724c5fc3ef1a1c56d7e23a3b698c54360fed420f747cbab9ec"),
     "body-bank-m10": (
         {"topology": "modified", "m": 10, "parasitics": True, "drive_terminal": "body"},
         -0.012,
-        "c9c10da3f63a87d4b7be5d696d6624851835f721c8597bb26b374ae7076c4663",
+        "9c4f2bc5923b17dc2735c25a54e907d6faf7fffe9551127605486015f7adf5c8",
         "eae2d75a0820483628874447aed9d5cb6c76c5f044be3d97212b69a5a12c53f8"),
 }
 

@@ -21,11 +21,11 @@ from nemsim import scnet
 from nemsim.amp import AmpConfig, _make_network, build_amp, dynamic_range, run_dc
 from nemsim.device import EPS0, PRESETS, get_preset
 from nemsim.errors import InvalidGeometryError, ScenarioError
-from nemsim.mech import static_equilibrium_voltage
+from nemsim.mech import BeamState, static_equilibrium_voltage
 from nemsim.scenario import parse_scenario
-from nemsim.scnet import (ClockSchedule, Clock, CompiledNetwork, Dc, LinearCap, Network,
-                          OhmicSwitch, OhmicSwitchState, PhaseSolution, Sine, VSource,
-                          build_network, islands, simulate, solve_phase)
+from nemsim.scnet import (ClockSchedule, Clock, CompiledNetwork, Dc, LinearCap, NemsCap,
+                          Network, OhmicSwitch, OhmicSwitchState, PhaseSolution, Sine,
+                          VSource, build_network, islands, simulate, solve_phase)
 
 SCHEDULE = ClockSchedule(100e3)
 CHARGE = st.floats(-1e-15, 1e-15)
@@ -231,6 +231,74 @@ def test_coupled_solve_matches_numpy_and_conserves(net):
 
 DEV = get_preset("large").params()
 VDC_REF = 10.0
+
+
+@st.composite
+def like_islands(draw):
+    """One floating island f of n like beams to a rail r (n = 1-6 or 100),
+    each beam's top plate on either side, entering with one displacement and
+    any latch flags, holding an island charge Q from 0 to 1.5 times the
+    latching charge n*q_clamp (less a 1e-9 band around it); and the same
+    island made ineligible for the
+    closed form: beam 0's far plate on a second rail r2 at r's voltage, and
+    for n = 1 also an isolated, charge-free floating node g on a 1 fF
+    capacitor to ground."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 100]))
+    tops = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    x0 = draw(st.sampled_from([0.0, 0.2 * DEV.g_eff / 3, DEV.g0]))
+    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    # within rounding of the latching charge the two solves may fall on
+    # either side: the closed form reads Q/n, the fixed point a plate charge
+    # rebuilt from the island voltage
+    frac = draw(st.one_of(st.floats(0.0, 1.0 - 1e-9), st.floats(1.0 + 1e-9, 1.5)))
+    charge = frac * n * DEV.q_clamp * draw(st.sampled_from([1.0, -1.0]))
+    rail = draw(st.floats(-20.0, 20.0))
+
+    def network(oracle):
+        net = Network()
+        for node in ("gnd", "r", "f", *(("r2",) if oracle else ()),
+                     *(("g",) if oracle and n == 1 else ())):
+            net.add_node(node)
+        net.sources.append(VSource("vr", "r", Dc(rail)))
+        for j, top in enumerate(tops):
+            far = "r2" if oracle and j == 0 else "r"
+            # the island's charge sits on beam 0's island-side plate
+            q = (charge if top else -charge) if j == 0 else 0.0
+            net.nems_caps.append(NemsCap(f"c{j}", *(("f", far) if top else (far, "f")), DEV,
+                                         BeamState(x0, 0.0, flags[j]), q))
+        if oracle:
+            net.sources.append(VSource("vr2", "r2", Dc(rail)))
+            if n == 1:
+                net.linear_caps.append(LinearCap("cg", "g", "gnd", 1e-15))
+        return net
+
+    return network(False), network(True)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(like_islands())
+def test_like_island_closed_form_matches_the_fixed_point(case):
+    """solve_phase's closed form for n like beams to one pinned island against
+    its fixed point on the same island made ineligible: island voltage and
+    beam displacements within the solver tolerance, latch flags and notes
+    equal, and the island's charge conserved on both sides to the library
+    metric. Neither side conserves it bit for bit in every case: the
+    corrector plate takes Q less the rounded sum of the others, which is
+    not always exact (the fixed point can leave an island that entered with
+    Q = 0 at ~1e-47 C, and the closed form one ulp off Q)."""
+    net, oracle = case
+    phase = SCHEDULE.phases(SCHEDULE.period)[1]
+    closed, iterated = solve_phase(net, phase), solve_phase(oracle, phase)
+    assert closed.iterations == 1 and iterated.iterations >= 2
+    v, want = closed.node_voltages["f"], iterated.node_voltages["f"]
+    assert abs(v - want) <= scnet._SOLVER_TOL * max(abs(want), 1.0)
+    for name, beam in closed.beam_states.items():
+        other = iterated.beam_states[name]
+        assert abs(beam.displacement - other.displacement) <= scnet._SOLVER_TOL * DEV.g0
+        assert beam.latched == other.latched
+    assert closed.warnings == iterated.warnings
+    for sol in (closed, iterated):
+        assert scnet.SimResult(sol._columns).max_conservation_error() <= 1e-15
 
 
 def _relay_step(switch, conducting, last_transition_time, switching_delay, v_gb, t):

@@ -725,7 +725,8 @@ class TestNetworkIsReadOnly:
 class TestConvergenceError:
     def test_names_the_phase_once(self, monkeypatch):
         monkeypatch.setattr(scnet, "_MAX_FIXED_POINT", 1)
-        net = fig6_network()
+        # with parasitics the islands keep the fixed point (no closed form)
+        net = apply_parasitics(fig6_network(), 1e-15, 1e-15, "body")
         sched = ClockSchedule(100e3)
         with pytest.raises(ConvergenceError) as exc:
             simulate(net, sched, sched.period)
@@ -772,6 +773,168 @@ class TestUndampedFixedPoint:
             # and round at their own size (3.8e-15 of the entering scale), so
             # this case takes the library metric, whose scale includes them
             assert SimResult(sol._columns).max_conservation_error() <= 1e-15
+
+
+class TestClosedForm:
+    """solve_phase solves a partition whose floating islands are each n like
+    beams to one pinned island in closed form, when the beams enter alike."""
+
+    @staticmethod
+    def island(displacements):
+        """Floating node f on like beams to the 5 V rail r, holding half the
+        latching charge per beam; beam j enters at displacements[j]."""
+        net = Network()
+        for n in ("gnd", "r", "f"):
+            net.add_node(n)
+        net.sources.append(VSource("vr", "r", Dc(5.0)))
+        charge = 0.5 * DEV.q_clamp * len(displacements)  # all on beam 0's plate
+        net.nems_caps += [NemsCap(f"c{j}", "f", "r", DEV, BeamState(x, 0.0, False),
+                                  0.0 if j else charge)
+                          for j, x in enumerate(displacements)]
+        return net
+
+    def test_like_beams_entering_alike_take_one_law_call(self, monkeypatch):
+        calls = []
+        law = scnet.static_equilibrium_charge
+        monkeypatch.setattr(scnet, "static_equilibrium_charge",
+                            lambda dev, q: calls.append(q) or law(dev, q))
+        sol = solve_phase(self.island([0.0, 0.0, 0.0]), ClockSchedule(100e3).phases(1e-5)[1])
+        assert sol.iterations == 1
+        assert calls == [1.5 * DEV.q_clamp / 3]
+        assert len(set(sol.beam_states.values())) == 1
+
+    def test_islands_alike_share_one_law_call(self, monkeypatch):
+        """After a hold, the two dead islands of the basic amplifier carry
+        equal charges: one charge-law call serves both."""
+        calls = []
+        law = scnet.static_equilibrium_charge
+        monkeypatch.setattr(scnet, "static_equilibrium_charge",
+                            lambda dev, q: calls.append(q) or law(dev, q))
+        sched = ClockSchedule(100e3)
+        topo, prior, per_phase = CompiledNetwork(fig6_network()), None, []
+        for ph in sched.phases(2 * sched.period):
+            calls.clear()
+            prior = solve_phase(topo, ph, prior)
+            per_phase.append(len(calls))
+        assert per_phase == [0, 2, 1, 1] * 2
+
+    def test_like_beams_entering_unequal_still_iterate(self):
+        phase = ClockSchedule(100e3).phases(1e-5)[1]
+        alike = solve_phase(self.island([0.0, 0.0]), phase)
+        unequal = solve_phase(self.island([0.0, 0.5 * DEV.g_eff / 3]), phase)
+        assert alike.iterations == 1
+        assert unequal.iterations > 1
+        assert math.isclose(unequal.node_voltages["f"], alike.node_voltages["f"],
+                            rel_tol=1e-12)
+
+    @pytest.mark.parametrize("charge", [math.inf, math.nan])
+    def test_a_non_finite_charge_takes_the_fixed_point(self, monkeypatch, charge):
+        monkeypatch.setattr(scnet, "_MAX_FIXED_POINT", 5)
+        net = self.island([0.0, 0.0])
+        net.nems_caps[0].q = charge
+        with pytest.raises(ConvergenceError, match="island f did not converge after 5 "):
+            solve_phase(net, ClockSchedule(100e3).phases(1e-5)[1])
+
+    def test_iterations_count_what_was_solved(self):
+        """The basic amplifier: 0 iterations where nothing floats (sample),
+        1 for the closed-form dead and hold phases; with parasitics the
+        islands iterate."""
+        sched = ClockSchedule(100e3)
+        free = simulate(fig6_network(), sched, 2 * sched.period).solutions
+        assert {(ph.kind, it) for ph, it in zip(free.phases, free.iterations)} == {
+            ("sample", 0), ("dead", 1), ("hold", 1)}
+        loaded = simulate(apply_parasitics(fig6_network(), 1e-15, 1e-15, "gate"), sched,
+                          2 * sched.period).solutions
+        assert all(it >= 2 for ph, it in zip(loaded.phases, loaded.iterations)
+                   if ph.kind != "sample")
+
+    @pytest.mark.parametrize("make, like", [
+        (lambda: fig6_network(), True),
+        (lambda: bank_network(3), False),  # parasitic capacitors on the islands
+    ])
+    def test_like_beams_per_partition(self, make, like):
+        topo = CompiledNetwork(make())
+        sched = ClockSchedule(100e3)
+        prior = None
+        for ph in sched.phases(sched.period):
+            prior = solve_phase(topo, ph, prior)
+        for part in topo.columns.partitions:
+            assert bool(part.like_beams) == (like and bool(part.f_islands))
+
+
+class TestSettlingBound:
+    """Each compiled network bounds R_on*C once per conduction mask, every
+    beam at contact; a phase builds its R_on*C products only above it."""
+
+    def test_no_phase_exceeds_its_bound(self):
+        net = fig6_network(vin=0.05, freq=7e3)
+        sched = ClockSchedule(100e3)
+        topo = CompiledNetwork(net)
+        prior = None
+        for ph in sched.phases(8 * sched.period):
+            prior = solve_phase(topo, ph, prior)
+        cols, ns = topo.columns, len(net.switches)
+        mask_of = {part: mask for mask, part in topo._by_mask.items()}
+        for r, part in enumerate(cols.partition):
+            caps = scnet._capacitances(topo, cols.beam_row(r)[0])
+            for _, rc in scnet._settling_products(net, part, caps):
+                assert rc <= topo.settling_bound[mask_of[part]]
+        assert ns and max(topo.settling_bound.values()) > 0.0
+
+    def test_products_only_above_the_bound(self, monkeypatch):
+        calls = []
+        products = scnet._settling_products
+        monkeypatch.setattr(scnet, "_settling_products",
+                            lambda *args: calls.append(args) or products(*args))
+        sched = ClockSchedule(100e3)
+        simulate(fig6_network(freq=7e3), sched, 4 * sched.period)
+        assert len(calls) == 3  # one bound per mask: sample, dead, hold
+        net = fig6_network(freq=7e3)
+        net.switches[2].r_on = 1e9  # the hold switch's bound exceeds 1% of a phase
+        calls.clear()
+        with pytest.warns(SettlingWarning):
+            simulate(net, sched, 4 * sched.period)
+        assert len(calls) == 3 + 4  # and each hold phase builds its products
+
+    def test_a_device_with_no_contact_gap_is_unbounded(self):
+        """g_eff - g0 rounds to 0 when eps0*A/C_on is below half an ulp of
+        g_eff: the bound is infinite, not a ZeroDivisionError."""
+        dev = replace(DEV, c_on=1e10)
+        assert dev.g_eff - dev.g0 == 0.0
+        net = Network()
+        for n in ("gnd", "s", "a"):
+            net.add_node(n)
+        net.sources.append(VSource("vs", "s", Dc(1.0)))
+        net.switches.append(OhmicSwitch("sw", "s", "a", Dc(10.0), v_pi=DEV.v_pi, v_po=DEV.v_po))
+        net.nems_caps.append(NemsCap("c", "a", "gnd", dev))
+        topo = CompiledNetwork(net)
+        sched = ClockSchedule(100e3)
+        sol = solve_phase(topo, sched.phases(sched.period)[0])
+        assert topo.settling_bound == {b"\x01": math.inf}
+        assert sol.warnings == () and not sol.beam_states["c"].latched
+
+
+class TestSineRange:
+    def test_overflowing_phase_argument_names_the_source(self, monkeypatch):
+        """2*pi*f*t overflows within the run: NetworkError before the first
+        phase, not math.sin's bare ValueError mid-run."""
+        def solve(*args):
+            raise AssertionError("a phase was solved")
+
+        monkeypatch.setattr(scnet, "solve_phase", solve)
+        net = build_network({"elements": [
+            {"type": "linear_cap", "name": "c", "a": "n", "b": "gnd", "value": 1e-15},
+            {"type": "source", "name": "vs", "node": "n",
+             "wave": {"kind": "sine", "amplitude": 1.0, "freq_hz": 1e308}}]})
+        with pytest.raises(NetworkError, match="^bad-value: source 'vs': 2\\*pi\\*f\\*t overflows"):
+            simulate(net, ClockSchedule(100e3), 1e-5)
+
+    def test_a_high_finite_argument_runs(self):
+        net = build_network({"elements": [
+            {"type": "linear_cap", "name": "c", "a": "n", "b": "gnd", "value": 1e-15},
+            {"type": "source", "name": "vs", "node": "n",
+             "wave": {"kind": "sine", "amplitude": 1.0, "freq_hz": 1e300}}]})
+        assert len(simulate(net, ClockSchedule(100e3), 1e-5).solutions) == 4
 
 
 class TestBeamLawMemo:
