@@ -22,7 +22,7 @@ from scipy.optimize import brentq
 from .device import EPS0, DeviceGeometry, DeviceParams, MaterialProps
 from .errors import (ConfigError, ConvergenceError, DisplacementRangeError,
                      InvalidGeometryError, StiffnessError)
-from .ioutil import FLOAT_FORMAT
+from .ioutil import FLOAT_FORMAT, format_distinct
 
 # largest sweep one call may ask for: C-V grid points, or the clock phases of
 # a gain sweep (amplitudes x 4 phases x periods)
@@ -111,6 +111,49 @@ def energy_charge(dev: DeviceParams, x: float, q: float) -> float:
     return q * q * (dev.g_eff - x) / (2.0 * EPS0 * dev.area)
 
 
+_TWO_PI_3 = 2.0 * math.pi / 3.0
+
+
+def _voltage_law(dev: DeviceParams) -> tuple:
+    """dev's constants of the voltage law, in _voltage_equilibrium's order:
+    V_PI = sqrt(8*k*g_eff^3/(27*eps0*A)), eps0*A, k*g_eff^3, g_eff, 2/3*g_eff,
+    g_eff/3 (the top of the stable branch), g0 and k, each by the float
+    operations, in the order, that the law would spend on it per call, so
+    its results do not change by a bit. Computed on the first law call and
+    kept in the instance's __dict__, as functools.cached_property keeps
+    DeviceParams.g0."""
+    law = dev.__dict__.get("_voltage_law")
+    if law is None:
+        area, g_eff, k = dev.area, dev.g_eff, dev.k
+        law = dev.__dict__["_voltage_law"] = (
+            math.sqrt(8.0 * k * g_eff ** 3 / (27.0 * EPS0 * area)), EPS0 * area,
+            k * g_eff ** 3, g_eff, g_eff * (2.0 / 3.0), g_eff / 3.0, dev.g0, k)
+    return law
+
+
+def _voltage_equilibrium(law: tuple, v: float) -> tuple[float, bool]:
+    """(displacement, latched) of static_equilibrium_voltage at v, from the
+    device's law constants (_voltage_law); the one implementation of the law."""
+    v_pi, eps_area, k_g3, g_eff, root_scale, fold_x, g0, k = law
+    if abs(v) >= v_pi:
+        return g0, True
+    if v == 0.0:
+        return 0.0, False
+    rhs = eps_area * v * v / 2.0
+    fold = 13.5 * rhs / k_g3 - 1.0  # 27*s/2 - 1, in [-1, 1) below V_PI
+    if fold >= 1.0:  # numerically at the fold: treat as pulled in
+        return g0, True
+    if math.isnan(fold):
+        raise ConvergenceError(f"voltage equilibrium undefined at v = {v}")
+    x = root_scale * (1.0 + math.cos(math.acos(fold) / 3.0 + _TWO_PI_3))
+    gap = g_eff - x
+    slope = k * gap * (g_eff - 3.0 * x)  # zero at the fold, where the step is skipped
+    if slope > 0.0:
+        # the polynomial is concave below g_eff/3: the step lands at or below the root
+        x -= (k * x * gap * gap - rhs) / slope
+    return min(max(x, 0.0), fold_x, g0), False
+
+
 def static_equilibrium_voltage(dev: DeviceParams, v: float) -> BeamState:
     """Stable displacement under a fixed voltage, or the latched state past pull-in.
 
@@ -121,27 +164,11 @@ def static_equilibrium_voltage(dev: DeviceParams, v: float) -> BeamState:
     trigonometric one, u = 2/3*(1 + cos(acos(27*s/2 - 1)/3 + 2*pi/3))
     (Pelesko & Bernstein, Modeling MEMS and NEMS, 2002). One Newton step on
     the displacement polynomial restores the digits that the cosine loses
-    near u = 0.
+    near u = 0. The law itself is _voltage_equilibrium, which cv_sweep calls
+    directly.
     """
-    area, g_eff, g0, k = dev.area, dev.g_eff, dev.g0, dev.k
-    v_pi = math.sqrt(8.0 * k * g_eff ** 3 / (27.0 * EPS0 * area))
-    if abs(v) >= v_pi:
-        return BeamState(g0, 0.0, True)
-    if v == 0.0:
-        return BeamState(0.0, 0.0, False)
-    rhs = EPS0 * area * v * v / 2.0
-    fold = 13.5 * rhs / (k * g_eff ** 3) - 1.0  # 27*s/2 - 1, in [-1, 1) below V_PI
-    if fold >= 1.0:  # numerically at the fold: treat as pulled in
-        return BeamState(g0, 0.0, True)
-    if math.isnan(fold):
-        raise ConvergenceError(f"voltage equilibrium undefined at v = {v}")
-    x = g_eff * (2.0 / 3.0) * (1.0 + math.cos(math.acos(fold) / 3.0 + 2.0 * math.pi / 3.0))
-    gap = g_eff - x
-    slope = k * gap * (g_eff - 3.0 * x)  # zero at the fold, where the step is skipped
-    if slope > 0.0:
-        # the polynomial is concave below g_eff/3: the step lands at or below the root
-        x -= (k * x * gap * gap - rhs) / slope
-    return BeamState(min(max(x, 0.0), g_eff / 3.0, g0), 0.0, False)
+    x, latched = _voltage_equilibrium(_voltage_law(dev), v)
+    return BeamState(x, 0.0, latched)
 
 
 def static_equilibrium_charge(dev: DeviceParams, q: float) -> BeamState:
@@ -179,9 +206,13 @@ class CVCurve:
     branches: tuple[str, ...]  # "up" | "down" per sample
 
     def to_csv(self) -> str:
-        row = f"{FLOAT_FORMAT},{FLOAT_FORMAT},%s"
+        """One row per sample; each distinct voltage and capacitance is
+        formatted once (the down leg repeats the up leg's voltages, and the
+        latched capacitance repeats)."""
         lines = ["v_V,c_F,branch"]
-        lines += [row % r for r in zip(self.voltages, self.capacitances, self.branches)]
+        lines += map(",".join, zip(format_distinct(FLOAT_FORMAT, self.voltages),
+                                   format_distinct(FLOAT_FORMAT, self.capacitances),
+                                   self.branches))
         return "\n".join(lines) + "\n"
 
 
@@ -223,8 +254,9 @@ def cv_sweep(dev: DeviceParams, v_start: float, v_end: float, n_points: int,
     if direction in ("down", "both"):
         legs.append(("down", grid[::-1]))
 
-    # v -> (latched, capacitance) of static_equilibrium_voltage at v, for this sweep
+    # v -> (latched, capacitance) of the voltage law at v, for this sweep
     settled: dict[float, tuple[bool, float]] = {}
+    law = _voltage_law(dev)
     c_latched = capacitance_at(dev, dev.g0)
     latched = direction == "down"
     volts: list[float] = []
@@ -237,8 +269,8 @@ def cv_sweep(dev: DeviceParams, v_start: float, v_end: float, n_points: int,
                 continue
             hit = settled.get(v)
             if hit is None:
-                law = static_equilibrium_voltage(dev, v)
-                hit = settled[v] = (law.latched, capacitance_at(dev, law.displacement))
+                x, latched = _voltage_equilibrium(law, v)
+                hit = settled[v] = (latched, capacitance_at(dev, x))
             latched, c = hit
             caps.append(c)
         volts += leg
@@ -259,9 +291,12 @@ class TransientTrace:
     release_times: tuple[float, ...]
 
     def to_csv(self) -> str:
-        row = f"{FLOAT_FORMAT},{FLOAT_FORMAT},{FLOAT_FORMAT},{FLOAT_FORMAT},%d"
+        """One row per sample: t formatted row by row, and the rest of the row
+        once per distinct (x, v, c, latched), which a latched stretch repeats."""
         lines = ["t_s,x_m,v_mps,c_F,latched"]
-        lines += [row % r for r in zip(self.t, self.x, self.v, self.c, self.latched)]
+        tail = format_distinct(f"{FLOAT_FORMAT},{FLOAT_FORMAT},{FLOAT_FORMAT},%d",
+                               self.x, self.v, self.c, self.latched)
+        lines += map(",".join, zip(map(FLOAT_FORMAT.__mod__, self.t), tail))
         return "\n".join(lines) + "\n"
 
 

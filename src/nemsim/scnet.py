@@ -230,7 +230,9 @@ def _relay_rows(relays: Sequence[tuple], phases: Sequence[Phase],
     boundary (t_sw equal to the non-overlap interval). The rows stop before
     the first phase whose start precedes a relay's last crossing (its
     transition time less the delay); when that is the first phase,
-    InvalidGeometryError names the first such relay.
+    InvalidGeometryError names the first such relay. A drive that cannot be
+    read at a phase start (a Sine whose 2*pi*f*t overflows) raises
+    NetworkError naming its relay.
 
     relays are CompiledNetwork.relays. The relays follow their drives, not
     the network's state, so a run's rows are fixed by its phases and its
@@ -242,20 +244,24 @@ def _relay_rows(relays: Sequence[tuple], phases: Sequence[Phase],
     for s, ((sw, drive, delay, slack), state) in enumerate(zip(relays, entering)):
         c, when, v_po, v_pi = state.conducting, state.last_transition_time, sw.v_po, sw.v_pi
         last = when - delay
-        for i, ph in zip(range(s, ns * stop, ns), phases):
-            t = ph.t_start
-            if t < last < math.inf:
-                if i < ns:  # the first phase
-                    raise InvalidGeometryError(
-                        f"switch {sw.name}: non-monotone time {t} < {last}")
-                stop = i // ns
-                break
-            v = abs(drive(t, ph))
-            if v < v_po if c else v > v_pi:
-                c, when = not c, t + delay
-                last = when - delay
-            conducting[i], transition_time[i] = c, when
-            mask[i] = c if ph.t_end >= when - slack else not c
+        try:
+            for i, ph in zip(range(s, ns * stop, ns), phases):
+                t = ph.t_start
+                if t < last < math.inf:
+                    if i < ns:  # the first phase
+                        raise InvalidGeometryError(
+                            f"switch {sw.name}: non-monotone time {t} < {last}")
+                    stop = i // ns
+                    break
+                v = abs(drive(t, ph))
+                if v < v_po if c else v > v_pi:
+                    c, when = not c, t + delay
+                    last = when - delay
+                conducting[i], transition_time[i] = c, when
+                mask[i] = c if ph.t_end >= when - slack else not c
+        except ValueError:  # math.sin of an overflowed Sine argument
+            raise NetworkError(f"bad-value: switch {sw.name!r}: its drive's 2*pi*f*t "
+                               "overflows within the run") from None
     k = ns * stop
     return _RelayRows(phases, bytes(conducting[:k]), transition_time[:k], bytes(mask[:k]), stop)
 

@@ -2,6 +2,7 @@ import ast
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 from array import array
@@ -10,13 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nemsim import mech
 from nemsim.device import EPS0, PRESETS, c_off, c_on, get_preset
 from nemsim.errors import (ConfigError, ConvergenceError, DisplacementRangeError,
                            InvalidGeometryError, StiffnessError)
 from nemsim.ioutil import format_float
-from nemsim.mech import (BeamState, DynamicsParams, capacitance_at,
+from nemsim.mech import (BeamState, CVCurve, DynamicsParams, TransientTrace, capacitance_at,
                          coenergy_voltage, cv_sweep, energy_charge,
                          force_charge_controlled, force_voltage_controlled,
                          mechanical_energy, static_equilibrium_charge,
@@ -252,14 +255,16 @@ class TestCvSweepSolvesEachVoltageOnce:
 
     @pytest.mark.parametrize("v_start, v_end, n", [(0.0, 12.0, 601), (-12.0, 12.0, 97)])
     def test_voltage_law_runs_once_per_released_voltage(self, monkeypatch, v_start, v_end, n):
+        # the spy sits on the law's core, which the chain reaches through
+        # static_equilibrium_voltage and cv_sweep calls directly
         calls = Counter()
-        law = mech.static_equilibrium_voltage
+        core = mech._voltage_equilibrium
 
-        def counted(dev, v):
+        def counted(law, v):
             calls[v] += 1
-            return law(dev, v)
+            return core(law, v)
 
-        monkeypatch.setattr(mech, "static_equilibrium_voltage", counted)
+        monkeypatch.setattr(mech, "_voltage_equilibrium", counted)
         _chained_sweep(DEV, v_start, v_end, n, "both")
         chained = Counter(calls)
         calls.clear()
@@ -289,6 +294,50 @@ def _per_scalar_transient_csv(tr):
             format_float(tr.t[i]), format_float(tr.x[i]), format_float(tr.v[i]),
             format_float(tr.c[i]), "1" if tr.latched[i] else "0"]))
     return "\n".join(lines) + "\n"
+
+
+# values each writer must keep apart by their bits: the signed zeros, NaNs of
+# both signs and another payload, the infinities and the subnormal extremes
+_WRITER_SPECIALS = (0.0, -0.0, math.nan, -math.nan,
+                    struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0],
+                    math.inf, -math.inf, 5e-324, -5e-324, 2.225073858507201e-308, 1.0)
+
+
+@st.composite
+def _float_column(draw, n):
+    """n floats from a small pool, so values repeat, with +0.0 and -0.0 both
+    present."""
+    pool = [*_WRITER_SPECIALS, *draw(st.lists(st.floats(allow_subnormal=True), max_size=4))]
+    values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    values[draw(st.integers(0, n // 2 - 1))] = 0.0
+    values[draw(st.integers(n // 2, n - 1))] = -0.0
+    return array("d", values)
+
+
+@st.composite
+def _curves(draw):
+    n = draw(st.integers(2, 40))
+    return CVCurve(draw(_float_column(n)), draw(_float_column(n)),
+                   tuple(draw(st.lists(st.sampled_from(["up", "down"]), min_size=n, max_size=n))))
+
+
+@st.composite
+def _traces(draw):
+    n = draw(st.integers(2, 40))
+    latched = bytes(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return TransientTrace(*(draw(_float_column(n)) for _ in range(4)), latched, (), ())
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_curves())
+def test_cv_csv_of_generated_columns_matches_per_scalar_formatting(curve):
+    assert curve.to_csv() == _per_scalar_cv_csv(curve)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_traces())
+def test_transient_csv_of_generated_columns_matches_per_scalar_formatting(trace):
+    assert trace.to_csv() == _per_scalar_transient_csv(trace)
 
 
 class TestColumnarCsv:

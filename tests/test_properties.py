@@ -1,5 +1,5 @@
 """Property tests over generated inputs: networks and operating points of the
-phase engine, scenario text, and the beam's voltage law.
+phase engine, scenario text, and the beam's voltage law and its core.
 
 Hypothesis runs a fixed, derandomized set of examples so the suite stays
 deterministic.
@@ -7,6 +7,7 @@ deterministic.
 
 import math
 import re
+import struct
 import sys
 import warnings
 from array import array
@@ -17,10 +18,10 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from nemsim import scnet
+from nemsim import mech, scnet
 from nemsim.amp import AmpConfig, _make_network, build_amp, dynamic_range, run_dc
-from nemsim.device import EPS0, PRESETS, get_preset
-from nemsim.errors import InvalidGeometryError, ScenarioError
+from nemsim.device import EPS0, PRESETS, DeviceGeometry, DeviceParams, get_preset
+from nemsim.errors import ConvergenceError, InvalidGeometryError, ScenarioError
 from nemsim.mech import BeamState, static_equilibrium_voltage
 from nemsim.scenario import parse_scenario
 from nemsim.scnet import (ClockSchedule, Clock, CompiledNetwork, Dc, LinearCap, NemsCap,
@@ -561,3 +562,75 @@ def test_voltage_law_is_the_stable_root_of_its_cubic(preset, ratio, negative):
     else:
         residual = Fraction(dev.k) * Fraction(x) * (Fraction(dev.g_eff) - Fraction(x)) ** 2
         assert abs(residual - Fraction(rhs)) <= 4 * sys.float_info.epsilon * Fraction(rhs)
+
+
+def _voltage_law_oracle(dev, v):
+    """static_equilibrium_voltage as it read before the law had a core, as
+    (displacement, latched): the reference the core must match bit for bit."""
+    area, g_eff, g0, k = dev.area, dev.g_eff, dev.g0, dev.k
+    v_pi = math.sqrt(8.0 * k * g_eff ** 3 / (27.0 * EPS0 * area))
+    if abs(v) >= v_pi:
+        return g0, True
+    if v == 0.0:
+        return 0.0, False
+    rhs = EPS0 * area * v * v / 2.0
+    fold = 13.5 * rhs / (k * g_eff ** 3) - 1.0
+    if fold >= 1.0:
+        return g0, True
+    if math.isnan(fold):
+        raise ConvergenceError(f"voltage equilibrium undefined at v = {v}")
+    x = g_eff * (2.0 / 3.0) * (1.0 + math.cos(math.acos(fold) / 3.0 + 2.0 * math.pi / 3.0))
+    gap = g_eff - x
+    slope = k * gap * (g_eff - 3.0 * x)
+    if slope > 0.0:
+        x -= (k * x * gap * gap - rhs) / slope
+    return min(max(x, 0.0), g_eff / 3.0, g0), False
+
+
+# the three presets and the custom geometry of the CLI smoke runs
+_LAW_DEVICES = [*(get_preset(name).params() for name in sorted(PRESETS)),
+                DeviceParams.from_geometry(DeviceGeometry(5e-6, 1e-6, 75e-9, 4e-6, 50e-9,
+                                                          10e-9, 7.6), 3.8, 2.4)]
+
+
+@st.composite
+def law_points(draw):
+    """A device and a voltage over +-2*V_PI, with the signed zeros, +-V_PI
+    (the calibrated one and the law's own), the float just below each,
+    subnormals and NaN drawn often."""
+    dev = draw(st.sampled_from(_LAW_DEVICES))
+    edges = []
+    for v_pi in (dev.v_pi, mech._voltage_law(dev)[0]):  # [0]: the law's own V_PI
+        edges += [v_pi, math.nextafter(v_pi, 0.0)]
+    edges += [-v for v in edges]
+    v = draw(st.one_of(
+        st.floats(-2.0 * dev.v_pi, 2.0 * dev.v_pi),
+        st.sampled_from([0.0, -0.0, *edges, math.nan, -math.nan]),
+        st.floats(-sys.float_info.min, sys.float_info.min, allow_subnormal=True)))
+    return dev, v
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(law_points())
+def test_voltage_law_core_matches_the_pre_core_law_bit_for_bit(point):
+    """_voltage_equilibrium, and static_equilibrium_voltage over it, give the
+    old law's displacement (as bits) and latched flag; at NaN all three raise
+    ConvergenceError."""
+    dev, v = point
+    law = mech._voltage_law(dev)
+    if math.isnan(v):
+        for solve in (lambda: _voltage_law_oracle(dev, v),
+                      lambda: mech._voltage_equilibrium(law, v),
+                      lambda: static_equilibrium_voltage(dev, v)):
+            with pytest.raises(ConvergenceError):
+                solve()
+        return
+    x, latched = _voltage_law_oracle(dev, v)
+    core = mech._voltage_equilibrium(law, v)
+    assert (_bits(core[0]), core[1]) == (_bits(x), latched)
+    state = static_equilibrium_voltage(dev, v)
+    assert (_bits(state.displacement), state.velocity, state.latched) == (_bits(x), 0.0, latched)

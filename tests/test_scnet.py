@@ -929,6 +929,23 @@ class TestSineRange:
         with pytest.raises(NetworkError, match="^bad-value: source 'vs': 2\\*pi\\*f\\*t overflows"):
             simulate(net, ClockSchedule(100e3), 1e-5)
 
+    def test_overflowing_relay_drive_names_the_switch(self, monkeypatch):
+        """A relay's Sine drive reads at phase starts, so its overflow shows
+        while the run's relay rows are built: NetworkError before the first
+        phase, not math.sin's bare ValueError."""
+        def solve(*args):
+            raise AssertionError("a phase was solved")
+
+        monkeypatch.setattr(scnet, "solve_phase", solve)
+        net = build_network({"elements": [
+            {"type": "linear_cap", "name": "c", "a": "n", "b": "gnd", "value": 1e-15},
+            {"type": "source", "name": "vs", "node": "s", "wave": {"kind": "dc", "value": 1.0}},
+            {"type": "switch", "name": "sw", "a": "s", "b": "n", "v_pi": 9.6, "v_po": 6.2,
+             "drive": {"kind": "sine", "amplitude": 20.0, "freq_hz": 1e308}}]})
+        with pytest.raises(NetworkError, match="^bad-value: switch 'sw': its drive's "
+                                               "2\\*pi\\*f\\*t overflows"):
+            simulate(net, ClockSchedule(100e3), 1e-5)
+
     def test_a_high_finite_argument_runs(self):
         net = build_network({"elements": [
             {"type": "linear_cap", "name": "c", "a": "n", "b": "gnd", "value": 1e-15},
